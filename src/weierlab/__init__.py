@@ -46,7 +46,6 @@ from .kernel import (
     eval_gamma,
     eval_gamma_vec,
     project,
-    project_vec,
     apply_ifs,
     apply_word,
     transition_residual,

@@ -5,14 +5,12 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
     "badic_offsets_exact",
-    "badic_offsets_fraction",
     "floor_scaled_log",
     "ceil_log_ratio",
     "grid_sup",
@@ -20,25 +18,9 @@ __all__ = [
     "ols_fit",
     "atomic_write_text",
     "substream",
-    "digits_of_index",
-    "index_of_digits",
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def badic_offsets_fraction(x: Fraction, b: int, count: int) -> list[Fraction]:
-    """Exact fractional parts of b^n * x for n = 0 .. count-1.
-
-    Works on the exact rational value of ``x``, so repeated multiplication
-    never loses digits the way float iteration does.
-    """
-    num, den = x.numerator % x.denominator, x.denominator
-    out = []
-    for _ in range(count):
-        out.append(Fraction(num, den))
-        num = (num * b) % den
-    return out
 
 
 def badic_offsets_exact(x: float, b: int, count: int) -> np.ndarray:
@@ -59,70 +41,41 @@ def badic_offsets_exact(x: float, b: int, count: int) -> np.ndarray:
     return out
 
 
-def _decimal_log(v: Fraction, prec: int = 60) -> Decimal:
-    getcontext().prec = prec
-    return Decimal(v.numerator).ln() - Decimal(v.denominator).ln()
+def _scale_le(b: int, q: int, num: int, den: int, t: int) -> bool:
+    """b^q * lam^t <= 1 for lam = num / den, decided in integers."""
+    return b**q * num**t <= den**t
 
 
 def floor_scaled_log(t: int, b: int, lam: float) -> int:
-    """floor(t * log_b(1/lam)) decided exactly.
+    """floor(t * log_b(1/lam)) for 0 < lam < 1, decided exactly.
 
-    The candidate from 60 digit logs is verified with exact integer
-    comparisons of b^q against (1/lam)^t, so boundary cases such as
-    b = 4, lam = 0.25 where the product is an exact integer come out right.
+    The float estimate only seeds the search: the answer is the largest
+    q >= 0 with b^q * lam^t <= 1, settled by exact integer comparisons, so
+    boundary cases such as b = 4, lam = 0.25 where the product is an exact
+    integer come out right.
     """
-    if t == 0:
-        return 0
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     lam_frac = Fraction(lam)
-    est = float(Decimal(t) * _decimal_log(Fraction(1, 1) / lam_frac) / _decimal_log(Fraction(b)))
-    q = math.floor(est)
-    # exact check: floor is the largest q with b^q * lam^t <= 1,
-    # i.e. b^q * num^t <= den^t for lam = num / den.
     num, den = lam_frac.numerator, lam_frac.denominator
-    lhs_den = den**t
-    lhs_num = num**t
-
-    def ok(qq: int) -> bool:
-        if qq >= 0:
-            return b**qq * lhs_num <= lhs_den
-        return lhs_num <= b ** (-qq) * lhs_den
-
-    while not ok(q):
+    q = max(0, math.floor(t * -math.log(lam) / math.log(b)))
+    while q > 0 and not _scale_le(b, q, num, den, t):
         q -= 1
-    while ok(q + 1):
+    while _scale_le(b, q + 1, num, den, t):
         q += 1
     return q
 
 
 def ceil_log_ratio(n: int, b: int, lam: float) -> int:
-    """Smallest integer m >= 0 with lam^m <= b^(-n); zero for n = 0.
+    """Smallest integer m >= 0 with lam^m <= b^(-n), for 0 < lam < 1.
 
     Exact in the same sense as :func:`floor_scaled_log`.  Ties, where
     lam^m equals b^(-n) exactly, resolve to that m.
     """
-    if n == 0:
-        return 0
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     lam_frac = Fraction(lam)
     num, den = lam_frac.numerator, lam_frac.denominator
-    # closed form when both are powers of two: lam = 2^-j, b = 2^k
-    if num == 1 and (den & (den - 1)) == 0 and (b & (b - 1)) == 0:
-        j = den.bit_length() - 1
-        k = b.bit_length() - 1
-        return -((-n * k) // j)
-    est = float(Decimal(n) * _decimal_log(Fraction(b)) / _decimal_log(Fraction(1, 1) / lam_frac))
-    m = max(0, math.ceil(est))
-
-    def ok(mm: int) -> bool:
-        # lam^mm <= b^-n  <=>  num^mm * b^n <= den^mm
-        return num**mm * b**n <= den**mm
-
-    while not ok(m):
+    m = max(0, math.ceil(n * math.log(b) / -math.log(lam)))
+    while not _scale_le(b, n, num, den, m):
         m += 1
-    while m > 0 and ok(m - 1):
+    while m > 0 and _scale_le(b, n, num, den, m - 1):
         m -= 1
     return m
 
@@ -225,18 +178,3 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
-
-def digits_of_index(idx: int, b: int, n: int) -> tuple[int, ...]:
-    """Base-b digits of idx, most significant first, padded to length n."""
-    out = [0] * n
-    for pos in range(n - 1, -1, -1):
-        out[pos] = idx % b
-        idx //= b
-    return tuple(out)
-
-
-def index_of_digits(digits, b: int) -> int:
-    v = 0
-    for d in digits:
-        v = v * b + int(d)
-    return v

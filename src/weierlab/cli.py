@@ -54,7 +54,6 @@ _COMMON_DEFAULTS = {
     "phi_from_w0": "",
     "seed": "0",
     "tol": "1e-9",
-    "threads": "1",
 }
 
 
@@ -68,11 +67,19 @@ class _Options:
         return self.table.get(key, "")
 
     def get_int(self, key: str) -> int:
+        """Whole number, also written in float notation such as 4e6."""
         v = self.table[key]
         try:
-            return int(float(v)) if ("e" in v or "." in v) else int(v)
+            return int(v)
         except ValueError:
-            raise ValueError(f"option {key} expects an integer, got {v!r}")
+            pass
+        try:
+            f = float(v)
+            if f.is_integer():  # false for a fraction, inf and nan
+                return int(f)
+        except ValueError:
+            pass
+        raise ValueError(f"option {key} expects an integer, got {v!r}")
 
     def get_float(self, key: str) -> float:
         try:
@@ -146,6 +153,7 @@ def _make_system(opt: _Options):
         phi = phimod.phi_from_w0(w0, b, lam)
     else:
         phi = phimod.parse_phi_spec(opt.raw("phi"))
+    opt.get_int("seed")  # checked even where unused, since the .meta record keeps it
     return params, phi
 
 
@@ -172,8 +180,7 @@ def _parse_code(params, spec: str, seed: int) -> kn.Code:
     return kn.periodic_code(params.b, preperiod=pre_t, cycle=cyc_t)
 
 
-def _write_meta(outdir: str, command: str, opt: _Options, seed: int,
-                summary: dict[str, object]) -> None:
+def _write_meta(outdir: str, command: str, opt: _Options, summary: dict[str, object]) -> None:
     lines = [f"# command = {command}", f"# version = {__version__}",
              f"# timestamp = {time.strftime('%Y-%m-%dT%H:%M:%S')}"]
     for key in sorted(opt.table):
@@ -217,7 +224,6 @@ def cmd_params(args) -> int:
 def cmd_sample(args) -> int:
     opt = _resolve("sample", args)
     params, phi = _make_system(opt)
-    seed = opt.get_int("seed")
     points = opt.get_int("points")
     if points < 1:
         raise ValueError("points must be positive")
@@ -237,7 +243,7 @@ def cmd_sample(args) -> int:
         np.add.at(counts, (iy, ix), 1)
         _write_pgm(os.path.join(outdir, "sample.pgm"), counts)
         summary["plot"] = "sample.pgm"
-    _write_meta(outdir, "sample", opt, seed, summary)
+    _write_meta(outdir, "sample", opt, summary)
     print(f"wrote sample.csv ({points} points) to {outdir}")
     return 0
 
@@ -258,7 +264,7 @@ def cmd_dim_box(args) -> int:
         lines.append(f"{int(lv)},{int(ct)},{float(lc)!r},{float(rep.slope)!r}")
     outdir = _outdir(args)
     atomic_write_text(os.path.join(outdir, "dim_box.csv"), "\n".join(lines) + "\n")
-    _write_meta(outdir, "dim-box", opt, opt.get_int("seed"), {
+    _write_meta(outdir, "dim-box", opt, {
         "slope": rep.slope, "slope_stderr": rep.slope_stderr,
         "d_reference": rep.d_reference, "n_samples": rep.n_samples,
         "column_level": rep.column_level,
@@ -285,7 +291,7 @@ def cmd_dim_entropy(args) -> int:
             lines.append(f"{ci},{lv},{val!r},{int(lv in curve.window)}")
     outdir = _outdir(args)
     atomic_write_text(os.path.join(outdir, "dim_entropy.csv"), "\n".join(lines) + "\n")
-    _write_meta(outdir, "dim-entropy", opt, seed, {
+    _write_meta(outdir, "dim-entropy", opt, {
         "alpha_median": rep.median, "alpha_iqr": rep.iqr,
         "n_codes": len(codes),
     })
@@ -308,7 +314,7 @@ def cmd_kernel(args) -> int:
         lines.append(f"{float(x)!r},{float(y)!r},{float(g)!r}")
     outdir = _outdir(args)
     atomic_write_text(os.path.join(outdir, "kernel.csv"), "\n".join(lines) + "\n")
-    _write_meta(outdir, "kernel", opt, seed, {
+    _write_meta(outdir, "kernel", opt, {
         "y_sup": float(np.max(np.abs(ys))), "gamma_sup": float(np.max(np.abs(gs))),
     })
     print(f"wrote kernel.csv ({points} points) to {outdir}")
@@ -329,7 +335,7 @@ def cmd_check_h(args) -> int:
     )
     outdir = _outdir(args)
     atomic_write_text(os.path.join(outdir, "check_h.csv"), kn.h_scan_to_csv(rep))
-    _write_meta(outdir, "check-h", opt, seed, {
+    _write_meta(outdir, "check-h", opt, {
         "classification": rep.classification,
         "min_sep": rep.min_sep, "max_sep": rep.max_sep,
     })
@@ -361,7 +367,7 @@ def cmd_transversality(args) -> int:
     }
     for lv, r in sorted(ratios.items()):
         summary[f"ratio_level_{lv}"] = r
-    _write_meta(outdir, "transversality", opt, seed, summary)
+    _write_meta(outdir, "transversality", opt, summary)
     print(f"l0 {l0}: rho0_hat {rep.rho0_hat:.4f}, median ratio {rep.median_ratio:.4f}")
     return 0
 
@@ -383,7 +389,7 @@ def cmd_renorm(args) -> int:
     outdir = _outdir(args)
     atomic_write_text(os.path.join(outdir, "renorm_phi.txt"),
                       phimod.phi_to_text(result))
-    _write_meta(outdir, "renorm", opt, opt.get_int("seed"), {
+    _write_meta(outdir, "renorm", opt, {
         "op": op, "p": p, "n_coeffs": len(result.coeffs),
     })
     print(f"{op} at p={p}: {len(result.coeffs)} coefficients -> renorm_phi.txt")
@@ -408,7 +414,7 @@ def cmd_period_scan(args) -> int:
     atomic_write_text(os.path.join(outdir, "period_scan.csv"),
                       wr.period_rows_to_csv(rows))
     klasses = sorted({r.klass for r in rows})
-    _write_meta(outdir, "period-scan", opt, opt.get_int("seed"), {
+    _write_meta(outdir, "period-scan", opt, {
         "n_rows": len(rows),
         "classes": ";".join(klasses),
         "n_candidate": sum(r.klass == "candidate-regulating" for r in rows),
@@ -439,7 +445,7 @@ def cmd_theta(args) -> int:
         )
         atomic_write_text(os.path.join(outdir, "theta_experiment.csv"),
                           fs.experiment_to_csv(rep))
-        _write_meta(outdir, "theta", opt, seed, {
+        _write_meta(outdir, "theta", opt, {
             "mode": "experiment", "n_components": rep.n_components,
             "n_processed": rep.n_processed, "n_selected": rep.n_selected,
             "n_skipped_small": rep.n_skipped_small,
@@ -469,7 +475,7 @@ def cmd_theta(args) -> int:
         atomic_write_text(os.path.join(outdir, "theta_cells.csv"),
                           fs.theta_cells_csv(theta, i_level, m_grid, tol))
         summary["cells_dump"] = "theta_cells.csv"
-    _write_meta(outdir, "theta", opt, seed, summary)
+    _write_meta(outdir, "theta", opt, summary)
     print(f"theta n={n}: entropy {rep.entropy:.4f} over {rep.n_atoms} atoms "
           f"({rep.n_cells} cells)")
     return 0
@@ -513,7 +519,7 @@ def cmd_porosity(args) -> int:
         summary.update({"ucas_delta": delta, "ucas_sup_ratio": urep.sup_ratio,
                         "ucas_degenerate": urep.degenerate_atom})
         print(f"ucas sup ratio {urep.sup_ratio:.4f} at delta {delta!r}")
-    _write_meta(outdir, "porosity", opt, seed, summary)
+    _write_meta(outdir, "porosity", opt, summary)
     print(f"porosity fraction {rep.fraction:.4f} (porous: {rep.porous})")
     return 0
 
@@ -540,7 +546,7 @@ def cmd_convolve(args) -> int:
         "n,k,level,H_conv,H_tau,gain\n"
         f"{n},{k},{gain.level},{gain.h_conv!r},{gain.h_tau!r},{gain.gain!r}\n",
     )
-    _write_meta(outdir, "convolve", opt, opt.get_int("seed"), {
+    _write_meta(outdir, "convolve", opt, {
         "gain": gain.gain, "h_conv": gain.h_conv, "h_tau": gain.h_tau,
     })
     print(f"gain {gain.gain:.4f} (H_conv {gain.h_conv:.4f}, H_tau {gain.h_tau:.4f})")
@@ -551,101 +557,27 @@ def cmd_convolve(args) -> int:
 # argument wiring
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--b", type=str, default=None)
-    sp.add_argument("--lambda", dest="lam", type=str, default=None)
-    sp.add_argument("--phi", type=str, default=None)
-    sp.add_argument("--phi-from-w0", dest="phi_from_w0", type=str, default=None)
-    sp.add_argument("--seed", type=str, default=None)
-    sp.add_argument("--tol", type=str, default=None)
-    sp.add_argument("--threads", type=str, default=None)
-    sp.add_argument("--config", type=str, default=None)
-    sp.add_argument("--out", type=str, default=None)
+_SWITCHES = {"theta": ("--experiment", "--dump-cells"), "porosity": ("--ucas",)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subcommand per ``_DEFAULTS`` entry, with a string flag for each of
+    its keys and the common ones: ``--`` + key with ``_`` as ``-``, and
+    ``lam`` as ``--lambda``.  Unset flags stay None so config values hold."""
     ap = argparse.ArgumentParser(
         prog="weierlab",
         description="Numerical laboratory for b-adic self-affine wave sums",
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name: str, fn, extra=()):
+    for name, keys in _DEFAULTS.items():
         sp = sub.add_parser(name)
-        _add_common(sp)
-        for flag, kw in extra:
-            sp.add_argument(flag, **kw)
-        sp.set_defaults(fn=fn)
-        return sp
-
-    add("params", cmd_params)
-    add("sample", cmd_sample, [
-        ("--points", {"type": str, "default": None}),
-        ("--plot-level", {"dest": "plot_level", "type": str, "default": None}),
-    ])
-    add("dim-box", cmd_dim_box, [
-        ("--levels", {"type": str, "default": None}),
-        ("--samples", {"type": str, "default": None}),
-        ("--column-margin", {"dest": "column_margin", "type": str, "default": None}),
-    ])
-    add("dim-entropy", cmd_dim_entropy, [
-        ("--codes", {"type": str, "default": None}),
-        ("--levels", {"type": str, "default": None}),
-        ("--samples", {"type": str, "default": None}),
-    ])
-    add("kernel", cmd_kernel, [
-        ("--code", {"type": str, "default": None}),
-        ("--points", {"type": str, "default": None}),
-    ])
-    add("check-h", cmd_check_h, [
-        ("--depth", {"type": str, "default": None}),
-        ("--pairs", {"type": str, "default": None}),
-        ("--grid", {"type": str, "default": None}),
-    ])
-    add("transversality", cmd_transversality, [
-        ("--pairs-count", {"dest": "pairs_count", "type": str, "default": None}),
-        ("--l0", {"type": str, "default": None}),
-        ("--l0-max", {"dest": "l0_max", "type": str, "default": None}),
-    ])
-    add("renorm", cmd_renorm, [
-        ("--op", {"type": str, "default": None}),
-        ("--p", {"type": str, "default": None}),
-    ])
-    add("period-scan", cmd_period_scan, [
-        ("--k", {"type": str, "default": None}),
-        ("--denominators", {"type": str, "default": None}),
-        ("--m-max", {"dest": "m_max", "type": str, "default": None}),
-        ("--threshold", {"type": str, "default": None}),
-    ])
-    add("theta", cmd_theta, [
-        ("--n", {"type": str, "default": None}),
-        ("--i-level", {"dest": "i_level", "type": str, "default": None}),
-        ("--m", {"type": str, "default": None}),
-        ("--cap", {"type": str, "default": None}),
-        ("--subsample", {"type": str, "default": None}),
-        ("--k", {"type": str, "default": None}),
-        ("--h-threshold", {"dest": "h_threshold", "type": str, "default": None}),
-        ("--max-components", {"dest": "max_components", "type": str, "default": None}),
-        ("--experiment", {"action": "store_true"}),
-        ("--dump-cells", {"dest": "dump_cells", "action": "store_true"}),
-    ])
-    add("porosity", cmd_porosity, [
-        ("--h", {"type": str, "default": None}),
-        ("--delta", {"type": str, "default": None}),
-        ("--m", {"type": str, "default": None}),
-        ("--scales", {"type": str, "default": None}),
-        ("--samples", {"type": str, "default": None}),
-        ("--level-cap", {"dest": "level_cap", "type": str, "default": None}),
-        ("--ucas", {"action": "store_true"}),
-        ("--ucas-delta", {"dest": "ucas_delta", "type": str, "default": None}),
-    ])
-    add("convolve", cmd_convolve, [
-        ("--theta-file", {"dest": "theta_file", "type": str, "default": None}),
-        ("--tau-file", {"dest": "tau_file", "type": str, "default": None}),
-        ("--n", {"type": str, "default": None}),
-        ("--k", {"type": str, "default": None}),
-    ])
+        for key in [*_COMMON_DEFAULTS, *keys, "config", "out"]:
+            flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+            sp.add_argument(flag, dest=key)
+        for switch in _SWITCHES.get(name, ()):
+            sp.add_argument(switch, action="store_true")
+        sp.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")])
     return ap
 
 

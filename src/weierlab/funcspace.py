@@ -98,8 +98,6 @@ def q_height(params, t: int) -> int:
     """
     if t < 0:
         raise ValueError("height must be nonnegative")
-    if t == 0:
-        return 0
     return floor_scaled_log(t, params.b, params.lam)
 
 

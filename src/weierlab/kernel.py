@@ -42,7 +42,6 @@ __all__ = [
     "eval_gamma",
     "eval_gamma_vec",
     "project",
-    "project_vec",
     "apply_ifs",
     "apply_word",
     "transition_residual",
@@ -368,13 +367,6 @@ def project(params, phi: phimod.Phi, x: float, y: float, code: Code,
     return y - eval_gamma(params, phi, x, code, tol)
 
 
-def project_vec(params, phi: phimod.Phi, xs, ys, code: Code, tol: float = 1e-10,
-                linearize_below: float = 2.0**-24) -> np.ndarray:
-    return np.asarray(ys, dtype=np.float64) - eval_gamma_vec(
-        params, phi, xs, code, tol, linearize_below
-    )
-
-
 def apply_ifs(params, phi: phimod.Phi, i: int, x: float, y: float) -> tuple[float, float]:
     """One graph map g_i(x, y) = ((x + i) / b, lam y + phi((x + i) / b))."""
     if not 0 <= i < params.b:
@@ -547,6 +539,31 @@ def h_scan_to_csv(report: HScanReport) -> str:
 _CHEB_NODES = 0.5 * (1.0 + np.cos(np.pi * np.arange(129) / 128.0))
 
 
+def _interval_inf_sup(
+    lo: float,
+    width: float,
+    vec_at: Callable[[np.ndarray], np.ndarray],
+    point_at: Callable[[float], float],
+) -> tuple[float, float]:
+    """inf and sup of |f| on [lo, lo + width].
+
+    ``vec_at`` evaluates f on the 129 Chebyshev nodes of the interval and
+    ``point_at`` at one point; a golden refinement in a bracket of width/64
+    around each grid extremum can only lower the inf and raise the sup.
+    """
+    xs = lo + width * _CHEB_NODES
+    vals = np.abs(vec_at(xs))
+    i_min = int(np.argmin(vals))
+    i_max = int(np.argmax(vals))
+
+    def bracket(i: int) -> tuple[float, float]:
+        return max(lo, xs[i] - width / 64), min(lo + width, xs[i] + width / 64)
+
+    _, neg_inf = golden_refine(lambda t: -abs(point_at(t)), *bracket(i_min))
+    _, sup = golden_refine(lambda t: abs(point_at(t)), *bracket(i_max))
+    return min(-neg_inf, float(vals[i_min])), max(sup, float(vals[i_max]))
+
+
 def interval_regularity(
     b: int,
     level: int,
@@ -564,37 +581,17 @@ def interval_regularity(
     cells = b**level
     out: list[tuple[int, int | None, float, float]] = []
     for idx in range(cells):
-        lo = idx / cells
-        width = 1.0 / cells
-        xs = lo + width * _CHEB_NODES
-        found: tuple[int, float, float] | None = None
-        last = (0.0, 0.0)
+        row: tuple[int, int | None, float, float] = (idx, None, 0.0, 0.0)
         for k in range(1, k_max + 1):
-            vals = np.abs(deriv_eval(k, xs))
-            i_max = int(np.argmax(vals))
-            i_min = int(np.argmin(vals))
-
-            def f_at(t: float, kk: int = k) -> float:
-                return abs(float(deriv_eval(kk, np.array([t]))[0]))
-
-            _, sup = golden_refine(
-                f_at, max(lo, xs[i_max] - width / 64), min(lo + width, xs[i_max] + width / 64)
+            inf, sup = _interval_inf_sup(
+                idx / cells, 1.0 / cells, lambda xs: deriv_eval(k, xs),
+                lambda t: float(deriv_eval(k, np.array([t]))[0]),
             )
-            sup = max(sup, float(vals[i_max]))
-            _, neg_inf = golden_refine(
-                lambda t: -f_at(t),
-                max(lo, xs[i_min] - width / 64),
-                min(lo + width, xs[i_min] + width / 64),
-            )
-            inf = min(-neg_inf, float(vals[i_min]))
-            last = (inf, sup)
             if sup <= 2.0 * inf and sup > degenerate_tol:
-                found = (k, inf, sup)
+                row = (idx, k, inf, sup)
                 break
-        if found is not None:
-            out.append((idx, found[0], found[1], found[2]))
-        else:
-            out.append((idx, None, last[0], last[1]))
+            row = (idx, None, inf, sup)
+        out.append(row)
     return out
 
 
@@ -695,30 +692,12 @@ def transversality_certificate(
         infs = np.empty(cells)
         sups = np.empty(cells)
         for idx in range(cells):
-            lo = idx / cells
-            width = 1.0 / cells
-            xs = lo + width * _CHEB_NODES
-            vals = np.abs(
-                eval_y_vec(params, phi, xs, u, tol) - eval_y_vec(params, phi, xs, v, tol)
+            infs[idx], sups[idx] = _interval_inf_sup(
+                idx / cells, 1.0 / cells,
+                lambda xs: (eval_y_vec(params, phi, xs, u, tol)
+                            - eval_y_vec(params, phi, xs, v, tol)),
+                lambda t: eval_y(params, phi, t, u, tol) - eval_y(params, phi, t, v, tol),
             )
-
-            def f_at(t: float) -> float:
-                return abs(
-                    eval_y(params, phi, t, u, tol) - eval_y(params, phi, t, v, tol)
-                )
-
-            i_min = int(np.argmin(vals))
-            _, neg = golden_refine(
-                lambda t: -f_at(t),
-                max(lo, xs[i_min] - width / 64),
-                min(lo + width, xs[i_min] + width / 64),
-            )
-            infs[idx] = min(-neg, float(vals[i_min]))
-            i_max = int(np.argmax(vals))
-            _, s = golden_refine(
-                f_at, max(lo, xs[i_max] - width / 64), min(lo + width, xs[i_max] + width / 64)
-            )
-            sups[idx] = max(s, float(vals[i_max]))
         rhs = float(np.max(sups))
         lhs = float(np.mean(infs))
         identical = u == v or rhs <= 1e-13

@@ -161,8 +161,8 @@ def histogram_from_values(
     if len(values) == 0:
         raise ValueError("histogram needs at least one value")
     scaled = values * float(b) ** level
-    if np.max(np.abs(scaled)) >= 2.0**62:
-        raise ValueError("cell indices would overflow; lower the level")
+    if not np.max(np.abs(scaled)) < 2.0**62:  # also false for NaN
+        raise ValueError("values are non-finite or too large: cell indices would overflow")
     idx = np.floor(scaled).astype(np.int64)
     lo = int(idx.min())
     hi = int(idx.max())
@@ -378,6 +378,12 @@ def _fit_curve(levels: Sequence[int], values: Sequence[float],
     )
 
 
+def _entropy_curve(fine: BadicHistogram, window: Sequence[int]) -> EntropyCurve:
+    """Entropies of every coarsening of ``fine`` from level 1 up, fitted over ``window``."""
+    all_levels = list(range(1, fine.level + 1))
+    return _fit_curve(all_levels, [entropy(coarsen(fine, lv)) for lv in all_levels], window)
+
+
 def curve_to_csv(curve: EntropyCurve) -> str:
     lines = ["level,H,slope_window_flag"]
     for lv, v in zip(curve.levels, curve.values):
@@ -427,6 +433,19 @@ def _strata_level(b: int, n_samples: int) -> int:
     return level
 
 
+def _chunked(fn, n: int, chunk: int = 1 << 22) -> np.ndarray:
+    """fn(sl) over consecutive slices sl of range(n), gathered into one array.
+
+    Callers look ``eval_w_vec`` and ``eval_gamma_vec`` up inside ``fn`` so
+    that each call goes through this module's attributes.
+    """
+    out = np.empty(n, dtype=np.float64)
+    for a in range(0, n, chunk):
+        sl = slice(a, a + chunk)
+        out[sl] = fn(sl)
+    return out
+
+
 def projected_values(
     params,
     phi: phimod.Phi,
@@ -437,13 +456,11 @@ def projected_values(
 ) -> np.ndarray:
     """Values W(x) - Gamma(x, code) of the projected measure, chunked."""
     xs = np.asarray(xs, dtype=np.float64)
-    out = np.empty_like(xs)
-    for a in range(0, len(xs), chunk):
-        part = xs[a : a + chunk]
-        out[a : a + chunk] = eval_w_vec(params, phi, part, tol) - eval_gamma_vec(
-            params, phi, part, code, tol
-        )
-    return out
+    return _chunked(
+        lambda sl: eval_w_vec(params, phi, xs[sl], tol)
+        - eval_gamma_vec(params, phi, xs[sl], code, tol),
+        len(xs), chunk,
+    )
 
 
 def sample_projected_measure(
@@ -520,27 +537,12 @@ def alpha_estimate(
     s_level = _strata_level(params.b, n_samples)
     n = params.b**s_level
     xs = stratified_x(n, 0, n, seed)
-    w = np.empty_like(xs)
-    chunk = 1 << 22
-    for a in range(0, n, chunk):
-        w[a : a + chunk] = eval_w_vec(params, phi, xs[a : a + chunk], tol)
+    w = _chunked(lambda sl: eval_w_vec(params, phi, xs[sl], tol), n)
     curves = []
-    alphas = []
     for code in codes:
-        vals = np.empty_like(xs)
-        for a in range(0, n, chunk):
-            vals[a : a + chunk] = w[a : a + chunk] - eval_gamma_vec(
-                params, phi, xs[a : a + chunk], code, tol
-            )
-        fine = histogram_from_values(vals, params.b, top)
-        hs = []
-        all_levels = list(range(1, top + 1))
-        for lv in all_levels:
-            hs.append(entropy(coarsen(fine, lv)))
-        curve = _fit_curve(all_levels, hs, levels)
-        curves.append(curve)
-        alphas.append(curve.slope)
-    arr = np.array(alphas)
+        vals = _chunked(lambda sl: w[sl] - eval_gamma_vec(params, phi, xs[sl], code, tol), n)
+        curves.append(_entropy_curve(histogram_from_values(vals, params.b, top), levels))
+    arr = np.array([curve.slope for curve in curves])
     q1, q3 = np.percentile(arr, [25, 75])
     return AlphaReport(
         curves=curves,
@@ -666,16 +668,8 @@ def dim_mu_check(
     s_level = _strata_level(params.b, n_samples)
     n = params.b**s_level
     xs = stratified_x(n, 0, n, seed)
-    ys = np.empty_like(xs)
-    chunk = 1 << 22
-    for a in range(0, n, chunk):
-        ys[a : a + chunk] = eval_w_vec(params, phi, xs[a : a + chunk], tol)
-    fine = histogram_from_points(xs, ys, params.b, top)
-    hs = []
-    all_levels = list(range(1, top + 1))
-    for lv in all_levels:
-        hs.append(entropy(coarsen(fine, lv)))
-    curve = _fit_curve(all_levels, hs, levels)
+    ys = _chunked(lambda sl: eval_w_vec(params, phi, xs[sl], tol), n)
+    curve = _entropy_curve(histogram_from_points(xs, ys, params.b, top), levels)
     codes = [seeded_code(params.b, seed, i) for i in range(code_count)]
     alpha = alpha_estimate(params, phi, codes, levels, n_samples, seed, tol)
     rhs = 1.0 + (params.dim - 1.0) * alpha.median
@@ -696,8 +690,6 @@ def n_hat(params, n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 0
     return ceil_log_ratio(n, params.b, params.lam)
 
 

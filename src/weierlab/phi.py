@@ -32,7 +32,6 @@ __all__ = [
     "zero_phi",
     "triangle_phi",
     "rademacher_phi",
-    "piecewise_poly_phi",
     "eval_phi",
     "phi_diff_vec",
     "phi_diff_offsets",
@@ -231,52 +230,12 @@ def rademacher_phi() -> PiecewisePhi:
     )
 
 
-def piecewise_poly_phi(breakpoints, coeffs, label: str = "piecewise") -> PiecewisePhi:
-    """General piecewise polynomial; smoothness inferred exactly at the seams."""
-    phi = PiecewisePhi(
-        kind="piecewise-polynomial",
-        breakpoints=tuple(Fraction(t) for t in breakpoints),
-        coeffs=tuple(tuple(Fraction(c) for c in piece) for piece in coeffs),
-        smoothness=0,
-        label=label,
-    )
-    phi.smoothness = _seam_smoothness(phi)
-    return phi
-
-
-def _poly_eval_frac(piece: tuple[Fraction, ...], x: Fraction, deriv: int = 0) -> Fraction:
-    # Horner evaluation of the deriv-th derivative, exact rationals throughout.
+def _poly_eval_frac(piece: tuple[Fraction, ...], x: Fraction) -> Fraction:
+    # Horner evaluation, exact rationals throughout.
     acc = Fraction(0)
-    for d in range(len(piece) - 1, deriv - 1, -1):
-        fall = 1
-        for j in range(deriv):
-            fall *= d - j
-        acc = acc * x + piece[d] * fall
+    for c in reversed(piece):
+        acc = acc * x + c
     return acc
-
-
-def _seam_smoothness(phi: PiecewisePhi) -> int:
-    degree = phi.degree
-    pieces = phi.coeffs
-    m = len(pieces)
-    level = -1
-    for k in range(0, degree + 1):
-        ok = True
-        for j in range(m):
-            left_piece = pieces[j]
-            right_piece = pieces[(j + 1) % m]
-            t = phi.breakpoints[j + 1]
-            t_right = t if j + 1 < m else Fraction(0)
-            left_val = _poly_eval_frac(left_piece, t, k)
-            right_val = _poly_eval_frac(right_piece, t_right, k)
-            if left_val != right_val:
-                ok = False
-                break
-        if ok:
-            level = k
-        else:
-            break
-    return level
 
 
 def eval_phi(phi: Phi, x, deriv: int = 0):
@@ -538,7 +497,7 @@ def phi_diff_exact(phi: Phi, o: Fraction, h: Fraction) -> float:
         piece = phi.coeffs[j]
         a = pos - math.floor(pos)
         b_ = a + step
-        total += _poly_eval_frac(piece, b_, 0) - _poly_eval_frac(piece, a, 0)
+        total += _poly_eval_frac(piece, b_) - _poly_eval_frac(piece, a)
         pos += step
         remaining -= step
     return float(total)

@@ -20,7 +20,7 @@ from weierlab import kernel as kn
 from weierlab import measure as ms
 from weierlab import phi as phimod
 from weierlab import weier as wr
-from weierlab.cli import main
+from weierlab.cli import _COMMON_DEFAULTS, _DEFAULTS, _build_parser, main
 
 
 def _read(path) -> str:
@@ -68,6 +68,21 @@ def test_version_flag_is_exit_0(capsys):
 def test_non_numeric_option_is_exit_2(capsys):
     assert main(["sample", "--points", "many"]) == 2
     assert "points" in capsys.readouterr().err
+    # integer options reject fractions and values past float range instead
+    # of truncating them; float notation of a whole number (4e6) stays valid
+    for argv in (["params", "--b", "2.5"], ["sample", "--points", "3.7"],
+                 ["sample", "--points", "1e400"]):
+        assert main(argv) == 2
+        assert "expects an integer" in capsys.readouterr().err
+
+
+def test_every_default_key_is_a_flag(capsys):
+    parser = _build_parser()
+    for name, keys in _DEFAULTS.items():
+        for key in [*_COMMON_DEFAULTS, *keys]:
+            flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+            assert getattr(parser.parse_args([name, flag, "7"]), key) == "7"
+    assert main(["params", "--threads", "1"]) == 2
 
 
 # ---------------------------------------------------------------------------

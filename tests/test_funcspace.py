@@ -57,11 +57,14 @@ def test_q_height_exact():
     """b^q lam^t <= 1 < b^(q+1) lam^t, with ties resolved downward."""
     p = _p2()
     assert F.q_height(p, 0) == 0
-    lam = Fraction(0.7)
-    for t in [1, 2, 3, 10, 37]:
-        q = F.q_height(p, t)
-        assert lam**t * 2**q <= 1
-        assert lam**t * 2 ** (q + 1) > 1
+    # for (4, 0.5), (8, 0.25) and (32, 0.0625), b^q lam^t is exactly 1 when
+    # t log_b(1/lam) is an integer (t even, a multiple of 3, of 5)
+    for b, lam_f in [(2, 0.7), (4, 0.5), (8, 0.25), (32, 0.0625)]:
+        lam = Fraction(lam_f)
+        for t in range(1, 201):
+            q = F.q_height(make_params(b, lam_f), t)
+            assert lam**t * b**q <= 1
+            assert lam**t * b ** (q + 1) > 1
     assert F.q_height(make_params(4, 0.5), 2) == 1
     with pytest.raises(ValueError):
         F.q_height(p, -1)

@@ -46,6 +46,8 @@ def test_histogram_weighted_matches_counting():
 def test_histogram_guards():
     with pytest.raises(ValueError, match="overflow"):
         M.histogram_from_values(np.array([1e20]), 2, 40)
+    with pytest.raises(ValueError, match="non-finite"):
+        M.histogram_from_values(np.array([0.5, np.nan]), 2, 3)
     with pytest.raises(ValueError, match="zero total mass"):
         M.histogram_from_values(np.array([0.5]), 2, 3, weights=np.array([0.0]))
     with pytest.raises(ValueError):
@@ -240,12 +242,16 @@ def test_dim_mu_check_consistency():
 
 
 def test_n_hat_double_inequality():
-    """lam^m <= b^-n < lam^(m-1), verified in exact rational arithmetic."""
-    pairs = [(2, 0.7), (2, 0.51), (3, 0.34), (3, 0.9), (5, 0.21)]
+    """lam^m <= b^-n < lam^(m-1), verified in exact rational arithmetic.
+
+    For the last three pairs lam^m == b^-n exactly whenever n log_b(1/lam)
+    is an integer, so a misrounded float log shows there."""
+    pairs = [(2, 0.7), (2, 0.51), (3, 0.34), (3, 0.9), (5, 0.21),
+             (4, 0.5), (8, 0.25), (32, 0.0625)]
     for b, lam in pairs:
         p = make_params(b, lam)
         lam_q = Fraction(lam)
-        for n in [0, 1, 2, 7, 40, 100]:
+        for n in range(201):
             m = M.n_hat(p, n)
             target = Fraction(1, b**n)
             if n == 0:
