@@ -45,6 +45,7 @@ from .kernel import (
     eval_y_vec,
     eval_gamma,
     eval_gamma_vec,
+    eval_gamma_many,
     project,
     apply_ifs,
     apply_word,

@@ -30,20 +30,22 @@ from ._util import atomic_write_text
 
 _DEFAULTS: dict[str, dict[str, str]] = {
     "params": {},
-    "sample": {"points": "4096", "plot_level": ""},
-    "dim-box": {"levels": "8:14", "samples": "4e6", "column_margin": "3"},
-    "dim-entropy": {"codes": "8", "levels": "6:14", "samples": "1e6"},
-    "kernel": {"code": "seed:1", "points": "1024"},
-    "check-h": {"depth": "1", "pairs": "4", "grid": "4096"},
-    "transversality": {"pairs_count": "12", "l0": "", "l0_max": "5"},
+    "sample": {"points": "4096", "plot_level": "", "tol": "1e-9"},
+    "dim-box": {"levels": "8:14", "samples": "4e6", "column_margin": "3",
+                "tol": "1e-9"},
+    "dim-entropy": {"codes": "8", "levels": "6:14", "samples": "1e6", "tol": "1e-9"},
+    "kernel": {"code": "seed:1", "points": "1024", "tol": "1e-9"},
+    "check-h": {"depth": "1", "pairs": "4", "grid": "4096", "tol": "1e-9"},
+    "transversality": {"pairs_count": "12", "l0": "", "l0_max": "5", "tol": "1e-9"},
     "renorm": {"op": "renorm", "p": "2"},
     "period-scan": {"k": "2", "denominators": "2,3,4,5,6,7,8,9,10,11,12",
                     "m_max": "64", "threshold": "100"},
     "theta": {"n": "8", "i_level": "0", "m": "", "cap": "1048576",
               "subsample": "", "k": "4", "h_threshold": "0.1",
-              "max_components": "200"},
+              "max_components": "200", "tol": "1e-9"},
     "porosity": {"h": "", "delta": "0.1", "m": "6", "scales": "4:12",
-                 "samples": "1048576", "level_cap": "26", "ucas_delta": ""},
+                 "samples": "1048576", "level_cap": "26", "ucas_delta": "",
+                 "tol": "1e-9"},
     "convolve": {"theta_file": "", "tau_file": "", "n": "0", "k": "4"},
 }
 
@@ -53,7 +55,6 @@ _COMMON_DEFAULTS = {
     "phi": "cos",
     "phi_from_w0": "",
     "seed": "0",
-    "tol": "1e-9",
 }
 
 

@@ -15,6 +15,20 @@ Offsets o_n are kept as exact integers r_n / b^n, and Gamma sums stable
 increments of phi rather than differences of nearby evaluations, so the
 identities hold to within a few units of the requested tolerance even at
 term counts near one hundred.
+
+On arrays, Gamma for a real Fourier generator factors into an x-only and a
+code-only matrix.  With h_m = x / b^m and z = (c_k + conj c_-k) e^{2 pi i k o_m},
+each increment is
+
+    lam^-m [phi(o_m + h_m) - phi(o_m)]
+        = sum_{k > 0} lam^-m (Re z (-2 sin^2(pi k h_m)) - Im z sin(2 pi k h_m)),
+
+so Gamma(X, codes) = E(X) @ C(codes): E holds sin^2(pi k h_m) and
+sin(2 pi k h_m) for the shallow depths, C the matching code factors
+2 lam^-m Re z and lam^-m Im z, and one column of x times each code's linear-tail coefficient
+covers the depths where h_m < 2^-24 (the increment is first order there).
+``eval_gamma_many`` builds C once and E in row blocks; piecewise
+generators, which do not factor, loop over codes on the same blocks.
 """
 
 from __future__ import annotations
@@ -41,6 +55,7 @@ __all__ = [
     "eval_y_deriv",
     "eval_gamma",
     "eval_gamma_vec",
+    "eval_gamma_many",
     "project",
     "apply_ifs",
     "apply_word",
@@ -314,51 +329,104 @@ def eval_gamma(params, phi: phimod.Phi, x: float, code: Code, tol: float = 1e-10
     return math.fsum(terms)
 
 
-def eval_gamma_vec(
-    params,
-    phi: phimod.Phi,
-    xs: np.ndarray,
-    code: Code,
-    tol: float = 1e-10,
-    linearize_below: float = 2.0**-24,
-) -> np.ndarray:
-    """Vectorized Gamma over points in [0, 1).
+_LINEARIZE_BELOW = 2.0**-24  # x / b^m below this: the increment is first order in x
+_BLOCK_BYTES = 1 << 22  # largest matrix of one row block of Gamma
 
-    Depth splits in two: shallow terms use the stable increment of phi on
-    the whole array; once x / b^n drops below ``linearize_below`` the
-    increment is first order in x and the remaining depths collapse into a
-    single precomputed linear coefficient.  The linearization error is
-    bounded by linearize_below * sup|phi''| * gamma^(n0) / (2 (1 - gamma))
-    for smooth generators; identity-grade comparisons should use the
-    scalar path.
+
+def _gamma_blocks(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code],
+                  tol: float):
+    """Yield (slice, Gamma on xs[slice] for every code) over row blocks of the
+    flat array ``xs``; each block is a (rows, len(codes)) matrix of at most
+    about 4 MB, as is each block of the sine matrix E behind it.
     """
-    _require_c1(phi, "eval_gamma_vec")
-    xs = np.asarray(xs, dtype=np.float64)
+    _require_c1(phi, "eval_gamma_many")
+    codes = list(codes)
     n = _y_term_count(params, phi, tol)
-    out = np.zeros_like(xs)
-    if n == 0:
-        return out
-    offs = code_offsets(code, n)
     n0 = 0
     width = 1.0
-    while n0 < n and width > linearize_below:
+    while n0 < n and width > _LINEARIZE_BELOW:
         n0 += 1
         width /= params.b
-    lam_inv = 1.0 / params.lam
-    scale = 1.0
-    for m in range(1, n0 + 1):
-        scale *= lam_inv
-        h = xs / float(params.b) ** m
-        out -= scale * phimod.phi_diff_vec(phi, float(offs[m - 1]), h)
-    if n0 < n:
-        gam = params.gamma
-        g = gam ** (n0 + 1)
-        coef = 0.0
-        for m in range(n0 + 1, n + 1):
-            coef += g * float(phimod.eval_phi(phi, float(offs[m - 1]), 1))
-            g *= gam
-        out -= coef * xs
-    return out
+    offs = np.array([code_offsets(c, n) for c in codes]).reshape(len(codes), n)
+    powers = float(params.b) ** np.arange(1, n0 + 1)
+    scales = np.cumprod(np.full(n0, 1.0 / params.lam))  # lam^-m
+    linear = n0 < n
+    if linear:  # sum over the deeper m of gamma^m phi'(o_m), per code
+        if isinstance(phi, phimod.PiecewisePhi):  # deep float offsets can round onto a breakpoint
+            d1 = np.array([[phimod.piecewise_deriv_exact(phi, o)
+                            for o in code_offsets_exact(c, n)[n0:]] for c in codes])
+        else:
+            d1 = phimod.eval_phi(phi, offs[:, n0:], 1)
+        tail = d1.reshape(len(codes), n - n0) @ params.gamma ** np.arange(n0 + 1, n + 1)
+    separable = isinstance(phi, phimod.FourierPhi) and phi.real_valued
+    freqs = sorted({abs(k) for k in phi.coeffs if k}) if separable else []
+    parts = []
+    for k in freqs:
+        ck = phi.coeffs.get(k, 0j) + phi.coeffs.get(-k, 0j).conjugate()
+        z = scales * ck * np.exp(2j * math.pi * k * offs[:, :n0])
+        parts += [2.0 * z.real, z.imag]
+    if linear:
+        parts.append(-tail[:, None])
+    cmat = np.concatenate(parts, axis=1).T if parts else np.zeros((0, len(codes)))
+    width_cols = max(len(cmat) if separable else 0, len(codes), 1)
+    rows = 1 << max(0, (_BLOCK_BYTES // (8 * width_cols)).bit_length() - 1)
+    # E is held transposed, one contiguous row per column, and reused by every block
+    e_buf = np.empty((len(cmat), min(rows, len(xs)))) if separable else None
+    for a in range(0, len(xs), rows):
+        sl = slice(a, a + rows)
+        x = xs[sl]
+        if separable:
+            e = e_buf[:, :len(x)]
+            for i, k in enumerate(freqs):
+                ang = e[2 * i * n0:(2 * i + 1) * n0]
+                np.multiply((math.pi * k / powers)[:, None], x, out=ang)  # pi k h_m
+                dbl = e[(2 * i + 1) * n0:(2 * i + 2) * n0]
+                np.multiply(ang, 2.0, out=dbl)
+                np.sin(dbl, out=dbl)
+                np.sin(ang, out=ang)
+                ang *= ang
+            if linear:
+                e[-1] = x
+            yield sl, e.T @ cmat
+            continue
+        out = np.zeros((len(x), len(codes)))
+        for j in range(len(codes)):
+            col = out[:, j]
+            for m in range(n0):
+                col -= scales[m] * phimod.phi_diff_vec(phi, float(offs[j, m]), x / powers[m])
+            if linear:
+                col -= tail[j] * x
+        yield sl, out
+
+
+def eval_gamma_many(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code],
+                    tol: float = 1e-10) -> np.ndarray:
+    """Gamma(x, code) for every point and every code, shape xs.shape + (len(codes),).
+
+    For a real Fourier generator this is the product E(xs) @ C(codes) of
+    the module docstring, with C built once per call and E one row block at
+    a time; other generators run the stable-increment loop per code on the
+    same blocks.  For points in [0, 1), depths m <= n0, the first with
+    b^-n0 <= 2^-24, sum stable increments; below that the increment is first
+    order in x and the deeper depths collapse into x times one linear
+    coefficient per code, sum_{m > n0} gamma^m phi'(o_m).  The linearization
+    error is bounded by 2^-24 sup|phi''| gamma^n0 / (2 (1 - gamma)) for
+    smooth generators; identity-grade comparisons should use the scalar
+    ``eval_gamma``.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    codes = list(codes)
+    out = np.empty((xs.size, len(codes)))
+    for sl, vals in _gamma_blocks(params, phi, xs.ravel(), codes, tol):
+        out[sl] = vals
+    return out.reshape(xs.shape + (len(codes),))
+
+
+def eval_gamma_vec(params, phi: phimod.Phi, xs: np.ndarray, code: Code,
+                   tol: float = 1e-10) -> np.ndarray:
+    """Gamma(x, code) over an array of points: the one-code column of
+    ``eval_gamma_many``, with its linearization bound."""
+    return eval_gamma_many(params, phi, xs, [code], tol)[..., 0]
 
 
 def project(params, phi: phimod.Phi, x: float, y: float, code: Code,

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import phi as phimod
 from ._util import ceil_log_ratio, ols_fit, substream
-from .kernel import Code, eval_gamma_vec, seeded_code
+from .kernel import Code, _gamma_blocks, eval_gamma_vec, seeded_code
 from .weier import eval_w_vec
 
 __all__ = [
@@ -145,6 +145,49 @@ def _pack_histogram(
     )
 
 
+def _cell_indices(values: np.ndarray, b: int, level: int) -> np.ndarray:
+    scaled = values * float(b) ** level
+    if not np.max(np.abs(scaled)) < 2.0**62:  # also false for NaN
+        raise ValueError("values are non-finite or too large: cell indices would overflow")
+    return np.floor(scaled).astype(np.int64)
+
+
+class _CellCounts:
+    """Dense counts of the cells floor(v * b^level) of values added block by block.
+
+    The count array grows when a block widens the index range.  Once the
+    range passes max(4 n, 2^22) cells for the n values expected in all,
+    ``add`` returns False and the counts are no longer kept: sorting is
+    then the cheaper way to the histogram.
+    """
+
+    def __init__(self, b: int, level: int, n: int):
+        self.b, self.level = b, level
+        self.limit = max(4 * n, 1 << 22)
+        self.lo = 0
+        self.counts = np.zeros(0, dtype=np.int64)
+
+    def add(self, values: np.ndarray) -> bool:
+        idx = _cell_indices(values, self.b, self.level)
+        blo, bhi = int(idx.min()), int(idx.max())
+        lo, hi = blo, bhi
+        if len(self.counts):
+            lo, hi = min(lo, self.lo), max(hi, self.lo + len(self.counts) - 1)
+        if hi - lo + 1 > self.limit:
+            return False
+        if hi - lo + 1 > len(self.counts):
+            grown = np.zeros(hi - lo + 1, dtype=np.int64)
+            grown[self.lo - lo:self.lo - lo + len(self.counts)] = self.counts
+            self.lo, self.counts = lo, grown
+        self.counts[blo - self.lo:bhi - self.lo + 1] += np.bincount(idx - blo)
+        return True
+
+    def histogram(self, meta: dict | None = None) -> BadicHistogram:
+        nz = np.flatnonzero(self.counts)
+        return _pack_histogram(self.b, self.level, nz + self.lo,
+                               self.counts[nz].astype(np.float64), meta)
+
+
 def histogram_from_values(
     values: np.ndarray,
     b: int,
@@ -160,20 +203,12 @@ def histogram_from_values(
     values = np.asarray(values, dtype=np.float64)
     if len(values) == 0:
         raise ValueError("histogram needs at least one value")
-    scaled = values * float(b) ** level
-    if not np.max(np.abs(scaled)) < 2.0**62:  # also false for NaN
-        raise ValueError("values are non-finite or too large: cell indices would overflow")
-    idx = np.floor(scaled).astype(np.int64)
-    lo = int(idx.min())
-    hi = int(idx.max())
-    span = hi - lo + 1
-    if weights is None and span <= max(4 * len(idx), 1 << 22):
-        counts = np.bincount(idx - lo, minlength=span)
-        keys = np.flatnonzero(counts) + lo
-        masses = counts[keys - lo].astype(np.float64)
-        return _pack_histogram(b, level, keys.astype(np.int64), masses, meta)
-    w = np.ones(len(idx)) if weights is None else np.asarray(weights, dtype=np.float64)
-    return _pack_histogram(b, level, idx, w, meta)
+    if weights is None:
+        counts = _CellCounts(b, level, len(values))
+        if counts.add(values):
+            return counts.histogram(meta)
+    w = np.ones(len(values)) if weights is None else np.asarray(weights, dtype=np.float64)
+    return _pack_histogram(b, level, _cell_indices(values, b, level), w, meta)
 
 
 def histogram_from_points(
@@ -538,10 +573,21 @@ def alpha_estimate(
     n = params.b**s_level
     xs = stratified_x(n, 0, n, seed)
     w = _chunked(lambda sl: eval_w_vec(params, phi, xs[sl], tol), n)
+    codes = list(codes)
+    dense: list[_CellCounts | None] = [_CellCounts(params.b, top, n) for _ in codes]
+    for sl, gammas in _gamma_blocks(params, phi, xs, codes, tol):
+        vals = w[sl, None] - gammas
+        for j, counts in enumerate(dense):
+            if counts is not None and not counts.add(vals[:, j]):
+                dense[j] = None
     curves = []
-    for code in codes:
-        vals = _chunked(lambda sl: w[sl] - eval_gamma_vec(params, phi, xs[sl], code, tol), n)
-        curves.append(_entropy_curve(histogram_from_values(vals, params.b, top), levels))
+    for code, counts in zip(codes, dense):
+        if counts is None:  # a range too wide to count densely
+            hist = histogram_from_values(w - eval_gamma_vec(params, phi, xs, code, tol),
+                                         params.b, top)
+        else:
+            hist = counts.histogram()
+        curves.append(_entropy_curve(hist, levels))
     arr = np.array([curve.slope for curve in curves])
     q1, q3 = np.percentile(arr, [25, 75])
     return AlphaReport(

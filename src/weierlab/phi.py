@@ -36,6 +36,7 @@ __all__ = [
     "phi_diff_vec",
     "phi_diff_offsets",
     "phi_diff_exact",
+    "piecewise_deriv_exact",
     "sup_deriv",
     "renormalize",
     "pre_renormalize",
@@ -501,6 +502,18 @@ def phi_diff_exact(phi: Phi, o: Fraction, h: Fraction) -> float:
         pos += step
         remaining -= step
     return float(total)
+
+
+def piecewise_deriv_exact(phi: PiecewisePhi, o: Fraction) -> float:
+    """Right-limit phi'(o) at an exact rational point of piecewise data.
+
+    The piece is found by exact comparison, so a point just below a
+    breakpoint keeps its own piece even where its float rounds onto the
+    breakpoint, as 1 - 2^-60 rounds to 1.
+    """
+    a = o - math.floor(o)
+    piece = phi.coeffs[phi.piece_index(a)]
+    return float(_poly_eval_frac(tuple(d * c for d, c in enumerate(piece))[1:], a))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ counts, never adaptive stopping: the term count N is the smallest integer
 with lam^(N+1) sup|phi| / (1 - lam) <= tol, computed before any evaluation.
 Scalar evaluation reduces b^n x mod 1 with exact integer arithmetic on the
 dyadic value of x; the vectorized path iterates t -> frac(b t) in float64,
-which is exact for b = 2 and accurate to about (lam b)^n ulp otherwise,
-far below histogram cell widths at the scales used here.
+which is exact for b = 2 only.  For other bases the rounding error grows
+like b^n: at tol 1e-12 the vectorized W is off by up to 5.9e-10 at
+(b, lam) = (3, 0.5) and by 0.19 at (3, 0.9) (ROADMAP defect D2, item 2).
 """
 
 from __future__ import annotations
@@ -86,10 +87,10 @@ def make_params(b: int, lam: float) -> SystemParams:
 
 def term_count(lam: float, sup: float, tol: float) -> int:
     """Smallest N >= 0 with lam^(N+1) * sup / (1 - lam) <= tol, closed form."""
+    if not 0.0 < tol < math.inf:  # also false for NaN
+        raise ValueError("tol must be a finite positive number")
     if sup <= 0.0:
         return 0
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     target = tol * (1.0 - lam) / sup
     if target >= lam:
         n = 0

@@ -65,9 +65,14 @@ def test_version_flag_is_exit_0(capsys):
     assert main(["--version"]) == 0
 
 
-def test_non_numeric_option_is_exit_2(capsys):
+def test_non_numeric_option_is_exit_2(tmp_path, capsys):
     assert main(["sample", "--points", "many"]) == 2
     assert "points" in capsys.readouterr().err
+    # a tolerance that is not a finite positive number would leave no terms
+    for bad in ("inf", "nan", "-1"):
+        assert main(["sample", "--points", "16", "--tol", bad, "--out", str(tmp_path)]) == 2
+        assert "tol must be a finite positive number" in capsys.readouterr().err
+    assert not (tmp_path / "sample.csv").exists()
     # integer options reject fractions and values past float range instead
     # of truncating them; float notation of a whole number (4e6) stays valid
     for argv in (["params", "--b", "2.5"], ["sample", "--points", "3.7"],
@@ -83,6 +88,11 @@ def test_every_default_key_is_a_flag(capsys):
             flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
             assert getattr(parser.parse_args([name, flag, "7"]), key) == "7"
     assert main(["params", "--threads", "1"]) == 2
+
+
+def test_tol_only_where_a_series_is_evaluated(tmp_path):
+    for command in ("params", "renorm", "period-scan", "convolve"):
+        assert main([command, "--tol", "1e-9", "--out", str(tmp_path)]) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,71 @@ def test_gamma_at_zero_and_vectorized():
     assert np.max(np.abs(gv - gs)) < 1e-9
 
 
+def _gamma_loop(params, phi, xs, code, tol=1e-10):
+    """Gamma per code as stable increments down to x / b^m < 2^-24, then x
+    times the linear coefficient of the deeper depths: the sum that
+    eval_gamma_many factors into a matrix product."""
+    import weierlab.weier as W
+
+    n = W.term_count(params.gamma, P.sup_deriv(phi, 1), tol)
+    offs = K.code_offsets(code, n)
+    n0 = 0
+    while n0 < n and float(params.b) ** -n0 > 2.0**-24:
+        n0 += 1
+    out = np.zeros_like(xs)
+    for m in range(1, n0 + 1):
+        h = xs / float(params.b) ** m
+        out -= params.lam**-m * P.phi_diff_vec(phi, float(offs[m - 1]), h)
+    if isinstance(phi, P.PiecewisePhi):
+        derivs = [P.piecewise_deriv_exact(phi, o) for o in K.code_offsets_exact(code, n)]
+    else:
+        derivs = [P.eval_phi(phi, float(o), 1) for o in offs]
+    coef = sum(params.gamma**m * derivs[m - 1] for m in range(n0 + 1, n + 1))
+    return out - coef * xs
+
+
+@pytest.mark.parametrize("b, lam", [(2, 0.7), (3, 0.5), (5, 0.3), (2, 0.52)])
+def test_eval_gamma_many_matches_per_code_sums(b, lam):
+    """Every column equals the per-code increment sum to 1e-12 (relative to
+    the column's size) and the exact scalar Gamma to 1e-9 plus the
+    documented linearization bound.  lam = 0.52 at b = 2 needs about 700
+    terms (the scalar path overflows lam^-m past about a thousand); 3^9
+    points are not a whole number of row blocks.  The
+    code (b-1)^infinity has offsets 1 - b^-m, which round to 1 in float,
+    a breakpoint of the triangle wave, beyond m = 53 for b = 2."""
+    params = make_params(b, lam)
+    phis = [
+        P.cos_phi(),
+        P.cos_phi(0.3),
+        P.FourierPhi({1: 0.5, -1: 0.5, 2: 0.1 + 0.2j, -2: 0.1 - 0.2j, 5: 0.03j, -5: -0.03j}),
+        P.triangle_phi(),
+    ]
+    codes = [K.periodic_code(b, (1,), (0, b - 1)), K.periodic_code(b, (), (b - 1,)),
+             K.seeded_code(b, 7, 0), K.seeded_code(b, 7, 1)]
+    xs = np.random.default_rng(b).random(3**9)
+    for phi in phis:
+        got = K.eval_gamma_many(params, phi, xs, codes)
+        assert got.shape == (len(xs), len(codes))
+        lin = 0.0
+        if isinstance(phi, P.FourierPhi):
+            lin = (2.0**-24 * P.sup_deriv(phi, 2) * params.gamma**(24 / math.log2(b))
+                   / (2.0 * (1.0 - params.gamma)))
+        for j, code in enumerate(codes):
+            ref = _gamma_loop(params, phi, xs, code)
+            assert np.max(np.abs(got[:, j] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+            for i in range(4):
+                exact = K.eval_gamma(params, phi, float(xs[i]), code)
+                assert abs(got[i, j] - exact) <= 1e-9 + lin
+
+
+def test_eval_gamma_many_empty_and_zero():
+    params = _p2()
+    codes = [K.seeded_code(2, 1), K.periodic_code(2, (), (0, 1))]
+    assert K.eval_gamma_many(params, P.cos_phi(), np.array([]), codes).shape == (0, 2)
+    zero = K.eval_gamma_many(params, P.zero_phi(), np.linspace(0, 1, 100), codes)
+    assert zero.shape == (100, 2) and not zero.any()
+
+
 def test_gamma_first_order_at_tiny_arguments():
     """Far below machine epsilon the increment linearizes without noise."""
     p = _p2()

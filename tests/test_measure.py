@@ -54,6 +54,22 @@ def test_histogram_guards():
         M.histogram_from_values(np.array([]), 2, 3)
 
 
+def test_cell_counts_grow_and_reject_non_finite_blocks():
+    """Blocks that widen the range either way pack to the one-shot
+    histogram; a NaN block fails the overflow guard; a range past
+    max(4 n, 2^22) cells stops the dense counts."""
+    blocks = [np.array([0.30, 0.41]), np.array([-0.52, 0.33]), np.array([1.9, 0.3])]
+    counts = M._CellCounts(2, 5, 6)
+    assert all(counts.add(v) for v in blocks)
+    whole = M.histogram_from_values(np.concatenate(blocks), 2, 5)
+    packed = counts.histogram()
+    assert packed.keys.tolist() == whole.keys.tolist()
+    assert packed.masses.tolist() == whole.masses.tolist()
+    with pytest.raises(ValueError, match="non-finite"):
+        counts.add(np.array([0.2, np.nan]))
+    assert not M._CellCounts(2, 30, 4).add(np.array([0.0, 0.9]))
+
+
 def test_histogram_from_points_2d():
     h = M.histogram_from_points(np.array([0.1, 0.6]), np.array([0.2, 0.9]), 2, 1)
     assert h.dim == 2
@@ -205,6 +221,29 @@ def test_alpha_estimate_small_run():
         assert np.all(np.diff(vals) >= -1e-12)
         assert curve.value_at(curve.levels[0]) == curve.values[0]
         assert set(curve.window) == set(range(4, 9))
+
+
+@pytest.mark.parametrize("b, lam, phi, n", [
+    (2, 0.7, P.cos_phi(), 1 << 13),
+    (2, 0.7, P.cos_phi(), 1 << 15),  # four row blocks of the cosine's Gamma
+    (3, 0.5, P.cos_phi(0.3), 3**8),
+    (3, 0.5, P.triangle_phi(), 3**8),
+])
+def test_alpha_estimate_equals_per_code_histograms(b, lam, phi, n):
+    """Counting every code's cells block by block gives exactly the slopes
+    of one histogram of W - Gamma per code."""
+    from weierlab.kernel import eval_gamma_vec
+    from weierlab.weier import eval_w_vec
+
+    p = make_params(b, lam)
+    levels = range(3, 9)
+    codes = [seeded_code(b, 4, i) for i in range(4)] + [periodic_code(b, (1,), (0,))]
+    rep = M.alpha_estimate(p, phi, codes, levels, n, seed=9)
+    xs = M.stratified_x(n, 0, n, 9)
+    w = eval_w_vec(p, phi, xs, 1e-9)
+    ref = [M._entropy_curve(M.histogram_from_values(
+        w - eval_gamma_vec(p, phi, xs, code, 1e-9), b, 8), levels).slope for code in codes]
+    assert rep.alphas == tuple(ref)
 
 
 def test_alpha_estimate_needs_two_levels():

@@ -34,6 +34,14 @@ def test_make_params_validation():
         make_params(1, 0.7)
 
 
+def test_term_count_rejects_bad_tol():
+    """Checked before the sup <= 0 shortcut, so a zero generator is no exception."""
+    for sup in (1.0, 0.0):
+        for tol in (math.inf, math.nan, -1.0, 0.0):
+            with pytest.raises(ValueError, match="tol must be a finite positive number"):
+                W.term_count(0.5, sup, tol)
+
+
 def test_w_matches_high_precision_sum():
     """Scalar evaluation agrees with a 50-digit independent partial sum."""
     cos = P.cos_phi()
