@@ -29,6 +29,7 @@ from .weier import (
     make_params,
     eval_w,
     eval_w_vec,
+    WLattice,
     self_affinity_residual,
     fourier_of_w,
     holder_constant_estimate,

@@ -252,10 +252,11 @@ def cmd_sample(args) -> int:
 def cmd_dim_box(args) -> int:
     opt = _resolve("dim-box", args)
     params, phi = _make_system(opt)
+    requested = opt.get_int("samples")
     rep = ms.graph_box_dimension(
         params, phi,
         levels=opt.get_range("levels"),
-        n_samples=opt.get_int("samples"),
+        n_samples=requested,
         seed=opt.get_int("seed"),
         column_margin=opt.get_int("column_margin"),
         tol=opt.get_float("tol"),
@@ -270,6 +271,9 @@ def cmd_dim_box(args) -> int:
         "d_reference": rep.d_reference, "n_samples": rep.n_samples,
         "column_level": rep.column_level,
     })
+    if rep.n_samples > requested:
+        print(f"evaluated {rep.n_samples} points for {requested} requested "
+              f"(one per column of level {rep.column_level})")
     print(f"box-count slope {rep.slope:.4f} (reference {rep.d_reference:.4f})")
     return 0
 

@@ -30,7 +30,7 @@ from . import phi as phimod
 from ._util import floor_scaled_log, substream
 from .kernel import Code, apply_word, eval_gamma, eval_gamma_vec
 from .measure import BadicHistogram, entropy, histogram_from_values, n_hat
-from .weier import eval_w_vec, term_count
+from .weier import WLattice, eval_w_vec, term_count
 
 __all__ = [
     "ContactMap",
@@ -196,25 +196,17 @@ class ThetaMeasure:
         )
 
 
-def _origin_constants(params, phi: phimod.Phi, code: Code, idx: np.ndarray,
-                      width: int, tol: float) -> np.ndarray:
+def _origin_constants(params, phi: phimod.Phi, code: Code, heights: WLattice,
+                      idx: np.ndarray, tol: float) -> np.ndarray:
     """c = pi_code(g_word(0, 0)) for all word indices at once.
 
     The image of the origin under the word with index r is (r / b^width,
-    sum_m lam^m phi(b^m r / b^width mod 1)); the projection subtracts
-    Gamma at the x image.
+    sum_{m < width} lam^m phi(b^m r / b^width mod 1)); that sum is
+    ``heights``, the unshifted level-width lattice started from 0.  The
+    projection subtracts Gamma at the x image.
     """
-    scale = float(params.b) ** width
-    xs = idx.astype(np.float64) / scale
-    t = xs.copy()
-    y = np.zeros_like(xs)
-    lp = 1.0
-    for _ in range(width):
-        y += lp * phimod.eval_phi(phi, t)
-        t *= params.b
-        t -= np.floor(t)
-        lp *= params.lam
-    return y - eval_gamma_vec(params, phi, xs, code, tol)
+    xs = idx.astype(np.float64) / float(params.b) ** heights.level
+    return heights(idx) - eval_gamma_vec(params, phi, xs, code, tol)
 
 
 def build_theta(
@@ -247,9 +239,10 @@ def build_theta(
         indices = np.unique(draw)[:subsample].astype(np.int64)
         sub = True
     c = np.empty(len(indices), dtype=np.float64)
+    heights = WLattice(params, phi, nh, start=0.0)
     for a in range(0, len(indices), chunk):
         c[a : a + chunk] = _origin_constants(
-            params, phi, code, indices[a : a + chunk], nh, tol
+            params, phi, code, heights, indices[a : a + chunk], tol
         )
     return ThetaMeasure(
         params=params, phi=phi, code=code, n=n, n_hat=nh,
@@ -454,7 +447,8 @@ def separation_constant_c(
     for n in range(1, n_max + 1):
         count = params.b**n
         idx = np.arange(count, dtype=np.int64)
-        cvals = _origin_constants(params, phi, code, idx, n, tol)
+        heights = WLattice(params, phi, n, start=0.0)
+        cvals = _origin_constants(params, phi, code, heights, idx, tol)
         psi = [
             gamma_at_many_words(params, phi, k / m_grid, idx, n, code, tol)
             for k in range(1, m_grid + 1)

@@ -34,6 +34,7 @@ generators, which do not factor, loop over codes on the same blocks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -299,7 +300,11 @@ def eval_gamma(params, phi: phimod.Phi, x: float, code: Code, tol: float = 1e-10
     and each bracket is a stable increment (product formulas for Fourier
     data, exact rational splitting for piecewise data), so no cancellation
     occurs even when x / b^n is far below machine epsilon.  Gamma(0) = 0
-    exactly.
+    exactly.  Each term is carried as g_n times the increment over h_n, with
+    h_n = x / b^n and the decaying g_n = gamma^n x, so no factor leaves
+    float range even past a thousand terms (lam near 1/b); where h_n
+    underflows, Fourier data take the first-order limit phi'(o_n), and
+    piecewise quotients are exact rationals.
     """
     _require_c1(phi, "eval_gamma")
     if x == 0.0:
@@ -308,24 +313,28 @@ def eval_gamma(params, phi: phimod.Phi, x: float, code: Code, tol: float = 1e-10
     if n == 0:
         return 0.0
     terms = []
-    lam_inv = 1.0 / params.lam
-    scale = 1.0
+    g = x
     if isinstance(phi, phimod.PiecewisePhi):
         xf = Fraction(float(x))
         offs_exact = code_offsets_exact(code, n)
         bn = 1
         for m in range(1, n + 1):
             bn *= params.b
-            scale *= lam_inv
-            diff = phimod.phi_diff_exact(phi, offs_exact[m - 1], xf / bn)
-            terms.append(-scale * diff)
+            g *= params.gamma
+            h = xf / bn
+            terms.append(-g * float(phimod._piecewise_diff(phi, offs_exact[m - 1], h) / h))
     else:
         offs = code_offsets(code, n)
+        h = x
         for m in range(1, n + 1):
-            scale *= lam_inv
-            h = x / float(params.b) ** m
-            diff = float(phimod.phi_diff_vec(phi, float(offs[m - 1]), np.array([h]))[0])
-            terms.append(-scale * diff)
+            g *= params.gamma
+            h /= params.b
+            o = float(offs[m - 1])
+            if abs(h) < sys.float_info.min:
+                quotient = phimod.eval_phi(phi, o, 1)
+            else:
+                quotient = float(phimod.phi_diff_vec(phi, o, np.array([h]))[0]) / h
+            terms.append(-g * quotient)
     return math.fsum(terms)
 
 

@@ -9,9 +9,11 @@ identities hold to rounding rather than to statistical error.
 
 Entropies are reported in log base b throughout, so entropy-per-level
 slopes are dimension estimates directly comparable with D = 2 + log_b lam.
-Sampling is stratified by default (one point per fine cell of [0, 1)) with
-jitter drawn from fixed-width substream blocks, so a histogram assembled
-in any number of shards is identical to the single-shard result.
+Sampling is stratified by default: the points are the shifted b-adic
+lattice x_s = (s + u) / b^L, one per fine cell of [0, 1), with one seeded
+shift u (a Cranley-Patterson rotation).  Any shard of the index range
+reproduces the same points, and ``weier.WLattice`` evaluates W on the
+lattice with one phi evaluation per point.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from . import phi as phimod
 from ._util import ceil_log_ratio, ols_fit, substream
 from .kernel import Code, _gamma_blocks, eval_gamma_vec, seeded_code
-from .weier import eval_w_vec
+from .weier import WLattice, eval_w_vec
 
 __all__ = [
     "BadicHistogram",
@@ -431,32 +433,21 @@ def curve_to_csv(curve: EntropyCurve) -> str:
 # sampling
 
 
-_JITTER_BLOCK = 1 << 16
+def _lattice_shift(seed: int, key: int) -> float:
+    """The one seeded shift u in [0, 1) of the sampling lattice (s + u) / n."""
+    return float(substream(seed, 0x5A17, key).random())
 
 
 def stratified_x(n_strata: int, lo_stratum: int, hi_stratum: int, seed: int,
                  key: int = 0) -> np.ndarray:
-    """Jittered stratified points (s + u_s) / n_strata for s in [lo, hi).
+    """Stratified points (s + u) / n_strata for s in [lo, hi), one seeded shift u.
 
-    Jitter comes from fixed-width substream blocks keyed by the global
-    stratum index, so any partition of the stratum range into shards
-    reproduces the same points.  ``key`` separates independent sampling
-    contexts under one root seed.
+    Every stratum shares the shift, so any partition of the stratum range
+    into shards reproduces the same points.  ``key`` separates independent
+    sampling contexts under one root seed.
     """
-    out = np.empty(hi_stratum - lo_stratum, dtype=np.float64)
-    pos = 0
-    blk = lo_stratum // _JITTER_BLOCK
-    while pos < len(out):
-        blk_lo = blk * _JITTER_BLOCK
-        blk_hi = min(blk_lo + _JITTER_BLOCK, n_strata)
-        u = substream(seed, 0x5A17, key, blk).random(blk_hi - blk_lo)
-        a = max(lo_stratum, blk_lo)
-        b_ = min(hi_stratum, blk_hi)
-        out[pos : pos + (b_ - a)] = u[a - blk_lo : b_ - blk_lo]
-        pos += b_ - a
-        blk += 1
-    idx = np.arange(lo_stratum, hi_stratum, dtype=np.float64)
-    return (idx + out) / n_strata
+    u = _lattice_shift(seed, key)
+    return (np.arange(lo_stratum, hi_stratum, dtype=np.float64) + u) / n_strata
 
 
 def _strata_level(b: int, n_samples: int) -> int:
@@ -468,17 +459,13 @@ def _strata_level(b: int, n_samples: int) -> int:
     return level
 
 
-def _chunked(fn, n: int, chunk: int = 1 << 22) -> np.ndarray:
-    """fn(sl) over consecutive slices sl of range(n), gathered into one array.
-
-    Callers look ``eval_w_vec`` and ``eval_gamma_vec`` up inside ``fn`` so
-    that each call goes through this module's attributes.
-    """
-    out = np.empty(n, dtype=np.float64)
-    for a in range(0, n, chunk):
-        sl = slice(a, a + chunk)
-        out[sl] = fn(sl)
-    return out
+def _lattice_sample(params, phi: phimod.Phi, level: int, seed: int, tol: float,
+                    key: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The points of ``stratified_x`` at n = b^level and W there, from the lattice."""
+    n = params.b**level
+    xs = stratified_x(n, 0, n, seed, key)
+    w = WLattice(params, phi, level, _lattice_shift(seed, key), tol)(np.arange(n))
+    return xs, w
 
 
 def projected_values(
@@ -491,11 +478,12 @@ def projected_values(
 ) -> np.ndarray:
     """Values W(x) - Gamma(x, code) of the projected measure, chunked."""
     xs = np.asarray(xs, dtype=np.float64)
-    return _chunked(
-        lambda sl: eval_w_vec(params, phi, xs[sl], tol)
-        - eval_gamma_vec(params, phi, xs[sl], code, tol),
-        len(xs), chunk,
-    )
+    out = np.empty(len(xs))
+    for a in range(0, len(xs), chunk):
+        sl = slice(a, a + chunk)
+        x = xs[sl]
+        out[sl] = eval_w_vec(params, phi, x, tol) - eval_gamma_vec(params, phi, x, code, tol)
+    return out
 
 
 def sample_projected_measure(
@@ -511,22 +499,23 @@ def sample_projected_measure(
     """Histogram at ``level`` of the flow projection of the graph measure.
 
     Stratified mode places one x per cell of the level-ceil(log_b
-    n_samples) partition of [0, 1); the histogram is then deterministic
-    given the seed and independent of sharding.  The ``undersampled``
-    meta flag marks n_samples < b^level.
+    n_samples) partition of [0, 1), all cells sharing one seeded shift; the
+    histogram is then deterministic given the seed and independent of
+    sharding.  The ``undersampled`` meta flag marks n_samples < b^level.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     if stratified:
         s_level = _strata_level(params.b, n_samples)
         n = params.b**s_level
-        xs = stratified_x(n, 0, n, seed)
+        xs, vals = _lattice_sample(params, phi, s_level, seed, tol)
+        vals -= eval_gamma_vec(params, phi, xs, code, tol)
         meta_sampling = {"stratified": True, "strata_level": s_level}
     else:
         n = n_samples
         xs = substream(seed, 0x11D).random(n)
+        vals = projected_values(params, phi, code, xs, tol)
         meta_sampling = {"stratified": False}
-    vals = projected_values(params, phi, code, xs, tol)
     meta = {
         "seed": seed,
         "n_samples": int(n),
@@ -571,8 +560,7 @@ def alpha_estimate(
     top = levels[-1]
     s_level = _strata_level(params.b, n_samples)
     n = params.b**s_level
-    xs = stratified_x(n, 0, n, seed)
-    w = _chunked(lambda sl: eval_w_vec(params, phi, xs[sl], tol), n)
+    xs, w = _lattice_sample(params, phi, s_level, seed, tol)
     codes = list(codes)
     dense: list[_CellCounts | None] = [_CellCounts(params.b, top, n) for _ in codes]
     for sl, gammas in _gamma_blocks(params, phi, xs, codes, tol):
@@ -630,7 +618,8 @@ def graph_box_dimension(
 ) -> BoxDimReport:
     """Box-counting dimension estimate of the graph of W.
 
-    One stratified sample per level-L column, with L the larger of
+    W is sampled at the lattice points (s + u) / b^L, one per level-L
+    column, all sharing one seeded shift u, with L the larger of
     ceil(log_b n_samples) and max(levels) + column_margin; per-column
     minima and maxima of W then yield the number of level-n squares the
     sampled graph meets, N_n = sum over columns of floor(b^n max) -
@@ -650,10 +639,10 @@ def graph_box_dimension(
     col_min = np.full(n_cols_fine, np.inf)
     col_max = np.full(n_cols_fine, -np.inf)
     step = max(chunk_columns, 1) * per_col
+    lattice = WLattice(params, phi, col_level, _lattice_shift(seed, 0), tol)
     for start in range(0, total, step):
         stop = min(start + step, total)
-        xs = stratified_x(total, start, stop, seed)
-        ys = eval_w_vec(params, phi, xs, tol)
+        ys = lattice(np.arange(start, stop))
         cols = (stop - start) // per_col
         blk = ys.reshape(cols, per_col)
         c0 = start // per_col
@@ -711,10 +700,7 @@ def dim_mu_check(
     if len(levels) < 2:
         raise ValueError("dim_mu_check needs at least two levels")
     top = levels[-1]
-    s_level = _strata_level(params.b, n_samples)
-    n = params.b**s_level
-    xs = stratified_x(n, 0, n, seed)
-    ys = _chunked(lambda sl: eval_w_vec(params, phi, xs[sl], tol), n)
+    xs, ys = _lattice_sample(params, phi, _strata_level(params.b, n_samples), seed, tol)
     curve = _entropy_curve(histogram_from_points(xs, ys, params.b, top), levels)
     codes = [seeded_code(params.b, seed, i) for i in range(code_count)]
     alpha = alpha_estimate(params, phi, codes, levels, n_samples, seed, tol)
@@ -784,8 +770,7 @@ def decompose_projection(
     comps: list[tuple[float, BadicHistogram]] = []
     lam = params.lam
     for ci in range(n_comp):
-        xs = stratified_x(m, 0, m, seed, key=ci + 1)
-        ys = eval_w_vec(params, phi, xs, tol)
+        xs, ys = _lattice_sample(params, phi, s_level, seed, tol, key=ci + 1)
         gx = xs
         gy = ys
         digits = []

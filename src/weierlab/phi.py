@@ -483,10 +483,13 @@ def phi_diff_exact(phi: Phi, o: Fraction, h: Fraction) -> float:
     """Exact-rational phi(o + h) - phi(o) for piecewise data; stable float otherwise."""
     if isinstance(phi, FourierPhi):
         return float(phi_diff_vec(phi, float(o), np.array([float(h)]))[0])
-    if h == 0:
-        return 0.0
+    return float(_piecewise_diff(phi, o, h))
+
+
+def _piecewise_diff(phi: PiecewisePhi, o: Fraction, h: Fraction) -> Fraction:
+    """phi(o + h) - phi(o) as an exact rational, piece by piece."""
     if h < 0:
-        return -phi_diff_exact(phi, o + h, -h)
+        return -_piecewise_diff(phi, o + h, -h)
     o = o - math.floor(o)
     total = Fraction(0)
     pos = o
@@ -501,7 +504,7 @@ def phi_diff_exact(phi: Phi, o: Fraction, h: Fraction) -> float:
         total += _poly_eval_frac(piece, b_) - _poly_eval_frac(piece, a)
         pos += step
         remaining -= step
-    return float(total)
+    return total
 
 
 def piecewise_deriv_exact(phi: PiecewisePhi, o: Fraction) -> float:

@@ -3,11 +3,14 @@
 Everything here works at a declared tolerance with closed-form truncation
 counts, never adaptive stopping: the term count N is the smallest integer
 with lam^(N+1) sup|phi| / (1 - lam) <= tol, computed before any evaluation.
-Scalar evaluation reduces b^n x mod 1 with exact integer arithmetic on the
-dyadic value of x; the vectorized path iterates t -> frac(b t) in float64,
-which is exact for b = 2 only.  For other bases the rounding error grows
-like b^n: at tol 1e-12 the vectorized W is off by up to 5.9e-10 at
-(b, lam) = (3, 0.5) and by 0.19 at (3, 0.9) (ROADMAP defect D2, item 2).
+No path iterates t -> frac(b t) in float64, whose rounding error grows like
+b^n for b != 2.  Scalar evaluation reduces b^n x mod 1 with exact integer
+arithmetic on the dyadic value of x; the vectorized path holds x >= 2^-11
+as the integer x 2^64 in a uint64, where multiplying by b wraps modulo 2^64
+and so keeps frac(b^n x) exact for every base.  On a shifted b-adic lattice
+``WLattice`` needs no orbit at all: the self-affinity W(x) = phi(x) +
+lam W(b x mod 1) maps each lattice point to one of the next coarser lattice,
+so W there costs one phi evaluation per point.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "term_count",
     "eval_w",
     "eval_w_vec",
+    "WLattice",
     "self_affinity_residual",
     "WFourier",
     "fourier_of_w",
@@ -113,21 +117,93 @@ def eval_w(params: SystemParams, phi: phimod.Phi, x: float, tol: float = 1e-12) 
     return math.fsum((lam_pows * vals).tolist())
 
 
+_EXACT_FROM = 2.0**-11  # from here up, x * 2^64 is an integer that a uint64 holds exactly
+
+
 def eval_w_vec(
     params: SystemParams, phi: phimod.Phi, xs: np.ndarray, tol: float = 1e-12
 ) -> np.ndarray:
-    """Vectorized W over an array of points; see the module note on precision."""
+    """Vectorized W over an array of points, with exact phases for every base.
+
+    A point t >= 2^-11 of [0, 1) is k / 2^64 for the integer k = t 2^64, and
+    frac(b^n t) = (k b^n mod 2^64) / 2^64, which the wrapping uint64 product
+    keeps exactly.  Nonzero points below 2^-11 go through the scalar ``eval_w``.
+    """
     sup = phimod.sup_deriv(phi, 0)
     n = term_count(params.lam, sup, tol)
-    t = np.asarray(xs, dtype=np.float64) % 1.0
+    x = np.asarray(xs, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("W needs finite points")
+    t = np.mod(x, 1.0).ravel()
+    t[t >= 1.0] = 0.0  # a tiny negative x wraps to 1.0 in float
+    small = t < _EXACT_FROM
+    k = (np.where(small, 0.0, t) * 2.0**64).astype(np.uint64)
+    b = np.uint64(params.b)
     acc = np.zeros_like(t)
     lam_pow = 1.0
     for _ in range(n + 1):
-        acc += lam_pow * phimod.eval_phi(phi, t)
+        acc += lam_pow * phimod.eval_phi(phi, k * 2.0**-64)
         lam_pow *= params.lam
-        t = t * params.b
-        t -= np.floor(t)
-    return acc
+        k *= b
+    for i in np.flatnonzero(small & (t > 0.0)):
+        acc[i] = eval_w(params, phi, float(t[i]), tol)
+    return acc.reshape(x.shape)
+
+
+_LATTICE_TABLE = 1 << 22  # entries of the largest table a WLattice keeps resident
+_LATTICE_BLOCK = 1 << 16  # points per pass of the phase arithmetic, bounding its temporaries
+
+
+class WLattice:
+    """W at the points x_s = (s + shift) / b^level of one shifted b-adic lattice.
+
+    b x_s mod 1 is the point s mod b^(level-1) of the next coarser lattice
+    with the same shift, so W(x) = phi(x) + lam W(b x mod 1) reads
+
+        W_l[s] = phi((s + shift) / b^l) + lam W_(l-1)[s mod b^(l-1)],   W_0 = W(shift).
+
+    The table W_R at the largest R <= level with b^R <= ``_LATTICE_TABLE``
+    is built once by this recursion.  A call adds the first level - R terms
+    from the exact integer phases ((s mod b^j) + shift) / b^j, j = R+1 ..
+    level, with the same operations, so values do not depend on R.  The
+    error is rounding plus lam^level times the error of W(shift) at ``tol``.
+    ``start`` replaces W(shift) as W_0: 0 gives the finite sum of the first
+    ``level`` terms.  W is 1-periodic, so every integer s is a valid index.
+    """
+
+    def __init__(self, params: SystemParams, phi: phimod.Phi, level: int,
+                 shift: float = 0.0, tol: float = 1e-12, start: float | None = None):
+        if level < 0 or params.b**level >= 2**63:
+            raise ValueError(f"level must satisfy 0 <= b^level < 2^63, got {level}")
+        if not 0.0 <= shift < 1.0:
+            raise ValueError(f"shift must lie in [0, 1), got {shift!r}")
+        self.params, self.phi, self.level, self.shift = params, phi, level, float(shift)
+        table = np.array([eval_w(params, phi, shift, tol) if start is None else float(start)])
+        self.table_level = 0
+        while self.table_level < level and table.size * params.b <= _LATTICE_TABLE:
+            self.table_level += 1
+            below = table
+            table = np.empty(below.size * params.b)
+            table.reshape(params.b, below.size)[:] = below  # entry s holds W_(l-1)[s mod b^(l-1)]
+            self._add_levels(table, np.arange(table.size), [self.table_level])
+        self.table = table
+
+    def _add_levels(self, acc: np.ndarray, s: np.ndarray, levels) -> None:
+        """acc <- phi(((s mod b^j) + shift) / b^j) + lam acc for each j in turn, in place."""
+        b, lam = self.params.b, self.params.lam
+        for a in range(0, acc.size, _LATTICE_BLOCK):
+            blk, sb = acc[a : a + _LATTICE_BLOCK], s[a : a + _LATTICE_BLOCK]
+            for j in levels:
+                blk *= lam
+                blk += phimod.eval_phi(self.phi, (sb % b**j + self.shift) / b**j)
+
+    def __call__(self, idx: np.ndarray) -> np.ndarray:
+        """W at the lattice points with integer indices ``idx``."""
+        s = np.asarray(idx, dtype=np.int64)
+        flat = s.reshape(-1)
+        acc = self.table[flat % self.table.size]
+        self._add_levels(acc, flat, range(self.table_level + 1, self.level + 1))
+        return acc.reshape(s.shape)
 
 
 def self_affinity_residual(

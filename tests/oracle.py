@@ -33,6 +33,26 @@ def mp_w_cos(b: int, lam: float, x, theta: float = 0.0, terms: int = 220) -> flo
     return float(total)
 
 
+def mp_w_cos_rational(b: int, lam: float, x: Fraction, theta: float = 0.0,
+                      tail: float = 1e-17) -> float:
+    """W(x) for the cosine generator at an exact rational x, 50 digits.
+
+    b^n x mod 1 is reduced in rational arithmetic, so no digit is lost
+    however large b^n grows; terms run until lam^n / (1 - lam) < tail.
+    """
+    lam_mp = mpmath.mpf(float(lam))
+    th_mp = mpmath.mpf(float(theta))
+    t = Fraction(x) % 1
+    total = mpmath.mpf(0)
+    weight = mpmath.mpf(1)
+    while weight / (1 - lam_mp) >= tail:
+        total += weight * mpmath.cos(2 * mpmath.pi * mpmath.mpf(t.numerator) / t.denominator
+                                     + th_mp)
+        weight *= lam_mp
+        t = (t * b) % 1
+    return float(total)
+
+
 def mp_y_cos(b: int, lam: float, x, offsets_exact: list[Fraction],
              theta: float = 0.0) -> float:
     """Stable-direction kernel for the cosine generator, high precision.

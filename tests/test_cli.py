@@ -230,6 +230,17 @@ def test_dim_box_small_run(tmp_path, capsys):
     assert "# slope = " in meta and "# d_reference = " in meta
 
 
+def test_dim_box_notes_extra_points(tmp_path, capsys):
+    """Base 3 evaluates one point per column of level max(levels) +
+    column_margin, far more than requested, and says so on stdout."""
+    assert main(["dim-box", "--b", "3", "--lambda", "0.5", "--levels", "3:6",
+                 "--samples", "2e4", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "evaluated 59049 points for 20000 requested (one per column of level 10)"
+    assert len(lines) == 2 and lines[1].startswith("box-count slope")
+    assert "# n_samples = 59049" in _read(tmp_path / "dim-box.meta")
+
+
 def test_dim_entropy_small_run(tmp_path, capsys):
     assert main(["dim-entropy", "--codes", "2", "--levels", "4:7",
                  "--samples", "2e4", "--out", str(tmp_path)]) == 0

@@ -167,13 +167,13 @@ def _gamma_loop(params, phi, xs, code, tol=1e-10):
     return out - coef * xs
 
 
-@pytest.mark.parametrize("b, lam", [(2, 0.7), (3, 0.5), (5, 0.3), (2, 0.52)])
+@pytest.mark.parametrize("b, lam", [(2, 0.7), (3, 0.5), (5, 0.3), (2, 0.52), (2, 0.51)])
 def test_eval_gamma_many_matches_per_code_sums(b, lam):
     """Every column equals the per-code increment sum to 1e-12 (relative to
     the column's size) and the exact scalar Gamma to 1e-9 plus the
     documented linearization bound.  lam = 0.52 at b = 2 needs about 700
-    terms (the scalar path overflows lam^-m past about a thousand); 3^9
-    points are not a whole number of row blocks.  The
+    terms and lam = 0.51 about 1,450, past b^m and lam^-m in float range;
+    3^9 points are not a whole number of row blocks.  The
     code (b-1)^infinity has offsets 1 - b^-m, which round to 1 in float,
     a breakpoint of the triangle wave, beyond m = 53 for b = 2."""
     params = make_params(b, lam)

@@ -231,16 +231,17 @@ def test_alpha_estimate_small_run():
 ])
 def test_alpha_estimate_equals_per_code_histograms(b, lam, phi, n):
     """Counting every code's cells block by block gives exactly the slopes
-    of one histogram of W - Gamma per code."""
+    of one histogram of W - Gamma per code, with W from the sampling lattice."""
     from weierlab.kernel import eval_gamma_vec
-    from weierlab.weier import eval_w_vec
+    from weierlab.weier import WLattice
 
     p = make_params(b, lam)
     levels = range(3, 9)
     codes = [seeded_code(b, 4, i) for i in range(4)] + [periodic_code(b, (1,), (0,))]
     rep = M.alpha_estimate(p, phi, codes, levels, n, seed=9)
     xs = M.stratified_x(n, 0, n, 9)
-    w = eval_w_vec(p, phi, xs, 1e-9)
+    level = round(math.log(n, b))
+    w = WLattice(p, phi, level, M._lattice_shift(9, 0), 1e-9)(np.arange(n))
     ref = [M._entropy_curve(M.histogram_from_values(
         w - eval_gamma_vec(p, phi, xs, code, 1e-9), b, 8), levels).slope for code in codes]
     assert rep.alphas == tuple(ref)
