@@ -462,7 +462,7 @@ def cmd_theta(args) -> int:
               + (f" ({rep.message})" if rep.message else ""))
         return 0
     theta = fs.build_theta(params, phi, code, n, cap, subsample, seed, tol)
-    rep = fs.theta_entropy(params, phi, code, n, i_level, m_grid, theta=theta)
+    rep = fs.theta_entropy(params, phi, code, n, i_level, m_grid, tol=tol, theta=theta)
     header = "n,n_hat,i_level,M,entropy,n_atoms,n_cells,subsampled"
     row = (f"{rep.n},{rep.n_hat},{rep.i_level},{rep.m_grid},{rep.entropy!r},"
            f"{rep.n_atoms},{rep.n_cells},{int(rep.subsampled)}")

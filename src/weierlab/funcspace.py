@@ -22,15 +22,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from . import phi as phimod
 from ._util import floor_scaled_log, substream
-from .kernel import Code, apply_word, eval_gamma, eval_gamma_vec
+from .kernel import (Code, _y_term_count, apply_word, code_offsets, code_offsets_exact,
+                     eval_gamma, eval_gamma_vec)
 from .measure import BadicHistogram, entropy, histogram_from_values, n_hat
-from .weier import WLattice, eval_w_vec, term_count
+from .weier import WLattice, eval_w_vec
 
 __all__ = [
     "ContactMap",
@@ -233,6 +235,11 @@ def build_theta(
         raise ValueError(
             f"b^{nh} = {total} atoms exceed the cap {cap}; pass a subsample size"
         )
+    elif total > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"b^{nh} atoms: word indices past 2^63 - 1 do not fit int64, "
+            f"so theta at n = {n} cannot be subsampled; lower n"
+        )
     else:
         rng = substream(seed, 0x7E7A)
         draw = rng.integers(0, total, size=int(subsample * 1.2) + 16)
@@ -264,19 +271,20 @@ def gamma_at_many_words(
     Depth m <= width uses the identity that the reversed prefix of the
     word with index r has value r mod b^m, so the offset array is one
     modulo per depth; deeper offsets shift the shared base-code offsets
-    by the full reversed word.
+    by the full reversed word.  That float sum can round across a
+    breakpoint of piecewise data (1 - 2^-60 rounds onto 1), so where it or
+    its end lies within rounding of one, the increment is the exact one at
+    the exact offset r / b^m + o_(m - width)(base).
     """
     idx = np.asarray(idx, dtype=np.int64)
     if x == 0.0:
         return np.zeros(len(idx), dtype=np.float64)
-    sup1 = phimod.sup_deriv(phi, 1)
-    n_terms = term_count(params.gamma, sup1, tol)
+    n_terms = _y_term_count(params, phi, tol)
     out = np.zeros(len(idx), dtype=np.float64)
     if n_terms == 0:
         return out
-    from .kernel import code_offsets
-
     base_offs = code_offsets(base, max(n_terms - width, 0)) if n_terms > width else None
+    base_exact = None
     rev_val = idx.astype(np.float64) / float(params.b) ** width
     lam_inv = 1.0 / params.lam
     scale = 1.0
@@ -290,7 +298,15 @@ def gamma_at_many_words(
         else:
             s = m_depth - width
             o = rev_val / float(params.b) ** s + base_offs[s - 1]
-        out -= scale * phimod.phi_diff_offsets(phi, o, h)
+        diff = phimod.phi_diff_offsets(phi, o, h)  # by this name: traced as its own layer
+        if m_depth > width and isinstance(phi, phimod.PiecewisePhi):
+            near = phimod.near_breakpoint(phi, o) | phimod.near_breakpoint(phi, o + h)
+            for i in np.flatnonzero(near):
+                if base_exact is None:
+                    base_exact = code_offsets_exact(base, n_terms - width)
+                o_exact = Fraction(int(idx[i]), bm) + base_exact[s - 1]
+                diff[i] = float(phimod._piecewise_diff(phi, o_exact, Fraction(x) / bm))
+        out -= scale * diff
     return out
 
 
@@ -674,11 +690,7 @@ def entropy_increase_experiment(
         line_vals = params.lam**theta.n_hat * (y0 - g0) + theta.c[members]
         rep = theta.contact_map(int(members[0]))
         xs = substream(seed, 0x7A0, int(comp_id)).random(n_tau)
-        ws = eval_w_vec(params, phi, xs, tol)
-        gx, gy = xs, ws
-        for s_sym in reversed(u):
-            gx = (gx + s_sym) / params.b
-            gy = params.lam * gy + phimod.eval_phi(phi, gx)
+        gx, gy = apply_word(params, phi, u, xs, eval_w_vec(params, phi, xs, tol))
         tau_vals = rep.apply_vec(gx, gy, tol)
         diam = max(
             float(line_vals.max() - line_vals.min()),

@@ -9,12 +9,15 @@ orbit of x -> b x mod 1.  The kernel
 is the direction field whose flow projection pi_j(x, y) = y - Gamma_j(x),
 with Gamma_j the antiderivative of Y(., j) vanishing at 0, intertwines the
 graph IFS g_i(x, y) = ((x + i) / b, lam y + phi((x + i) / b)) up to an
-affine change recorded by the transition identity.
+affine change recorded by the transition identity.  ``apply_word`` pushes
+a single point or a whole array of points through a word's maps.
 
 Offsets o_n are kept as exact integers r_n / b^n, and Gamma sums stable
-increments of phi rather than differences of nearby evaluations, so the
-identities hold to within a few units of the requested tolerance even at
-term counts near one hundred.
+increments of phi (``phi.phi_diff_vec``) rather than differences of nearby
+evaluations, so the identities hold to within a few units of the requested
+tolerance even at term counts near one hundred.  For a piecewise generator
+Y takes phi' on the piece of the exact argument wherever the float argument
+lies within rounding of a breakpoint.
 
 On arrays, Gamma for a real Fourier generator factors into an x-only and a
 code-only matrix.  With h_m = x / b^m and z = (c_k + conj c_-k) e^{2 pi i k o_m},
@@ -28,7 +31,8 @@ sin(2 pi k h_m) for the shallow depths, C the matching code factors
 2 lam^-m Re z and lam^-m Im z, and one column of x times each code's linear-tail coefficient
 covers the depths where h_m < 2^-24 (the increment is first order there).
 ``eval_gamma_many`` builds C once and E in row blocks; piecewise
-generators, which do not factor, loop over codes on the same blocks.
+generators, which do not factor, take one increment per depth over the
+block's points and all codes at once.
 """
 
 from __future__ import annotations
@@ -162,10 +166,6 @@ class Code:
     def prepend(self, symbols: Sequence[int]) -> "Code":
         return replace(self, preperiod=tuple(int(s) for s in symbols) + self.preperiod)
 
-    @property
-    def eventually_periodic(self) -> bool:
-        return bool(self.cycle)
-
 
 def periodic_code(b: int, preperiod: Sequence[int] = (), cycle: Sequence[int] = (0,)) -> Code:
     return Code(b=b, preperiod=tuple(preperiod), cycle=tuple(cycle))
@@ -179,20 +179,20 @@ def seeded_code(b: int, *key: int) -> Code:
 _offset_cache: dict[tuple[Code, int], tuple[float, ...]] = {}
 
 
+def _offset_ratios(code: Code, count: int):
+    """(r_n, b^n) for n = 1 .. count, with o_n = r_n / b^n."""
+    r, bn = 0, 1
+    for n in range(count):
+        r += code.symbol(n) * bn
+        bn *= code.b
+        yield r, bn
+
+
 def code_offsets(code: Code, count: int) -> np.ndarray:
     """Offsets o_1 .. o_count as floats, each correctly rounded from r_n / b^n."""
     hit = _offset_cache.get((code, count))
     if hit is None:
-        out = []
-        r = 0
-        power = 1  # b^(n-1)
-        bn = 1
-        for n in range(1, count + 1):
-            r += code.symbol(n - 1) * power
-            power *= code.b
-            bn *= code.b
-            out.append(r / bn)
-        hit = tuple(out)
+        hit = tuple(r / bn for r, bn in _offset_ratios(code, count))
         if len(_offset_cache) > 65536:
             _offset_cache.clear()
         _offset_cache[(code, count)] = hit
@@ -200,16 +200,7 @@ def code_offsets(code: Code, count: int) -> np.ndarray:
 
 
 def code_offsets_exact(code: Code, count: int) -> list[Fraction]:
-    out = []
-    r = 0
-    power = 1
-    bn = 1
-    for n in range(1, count + 1):
-        r += code.symbol(n - 1) * power
-        power *= code.b
-        bn *= code.b
-        out.append(Fraction(r, bn))
-    return out
+    return [Fraction(r, bn) for r, bn in _offset_ratios(code, count)]
 
 
 def _require_c1(phi: phimod.Phi, opname: str) -> None:
@@ -225,22 +216,43 @@ def _y_term_count(params, phi: phimod.Phi, tol: float) -> int:
     return term_count(params.gamma, sup1, tol)
 
 
+def _phi_prime(params, phi: phimod.Phi, code: Code, x, m, args: np.ndarray):
+    """phi' at ``args``, the floats of x / b^m + o_m (x and m broadcast to
+    them).  For piecewise data an argument within rounding of a breakpoint
+    takes phi' at the exact argument instead, with o_m from
+    ``code_offsets_exact``, since o_m = 1 - 2^-60 rounds onto 1."""
+    vals = phimod.eval_phi(phi, args, 1)
+    near = (np.flatnonzero(phimod.near_breakpoint(phi, args))
+            if isinstance(phi, phimod.PiecewisePhi) else [])
+    if len(near) == 0:
+        return vals
+    vals = np.array(vals, dtype=np.float64)
+    xs = np.broadcast_to(x, args.shape).ravel()
+    ms = np.broadcast_to(m, args.shape).ravel()
+    offs = code_offsets_exact(code, int(ms[near].max()))
+    for i in near:
+        point = Fraction(float(xs[i])) / params.b ** int(ms[i]) + offs[ms[i] - 1]
+        vals.flat[i] = phimod.piecewise_deriv_exact(phi, point)
+    return vals
+
+
 def eval_y(params, phi: phimod.Phi, x: float, code: Code, tol: float = 1e-10) -> float:
     """Kernel value Y(x, code) to within tol.
 
     The truncation count N satisfies gamma^(N+1) sup|phi'| / (1 - gamma)
     <= tol in closed form.  Piecewise generators use their right-limit
-    derivative at breakpoints; a discontinuous wave is rejected.
+    derivative at breakpoints, on the piece of the exact argument; a
+    discontinuous wave is rejected.
     """
     _require_c1(phi, "eval_y")
     n = _y_term_count(params, phi, tol)
     if n == 0:
         return 0.0
     offs = code_offsets(code, n)
-    scales = float(params.b) ** -np.arange(1, n + 1)
-    args = x * scales + offs
-    vals = phimod.eval_phi(phi, args, 1)
-    gam = params.gamma ** np.arange(1, n + 1)
+    depths = np.arange(1, n + 1)
+    args = x * float(params.b) ** -depths + offs
+    vals = _phi_prime(params, phi, code, x, depths, args)
+    gam = params.gamma ** depths
     return -math.fsum((gam * vals).tolist())
 
 
@@ -259,7 +271,8 @@ def eval_y_vec(
     inv_b = 1.0
     for m in range(1, n + 1):
         inv_b /= params.b
-        acc -= g * phimod.eval_phi(phi, xs * inv_b + offs[m - 1], 1)
+        args = xs * inv_b + offs[m - 1]
+        acc -= g * _phi_prime(params, phi, code, xs, m, args)
         g *= gam
     return acc
 
@@ -333,7 +346,7 @@ def eval_gamma(params, phi: phimod.Phi, x: float, code: Code, tol: float = 1e-10
             if abs(h) < sys.float_info.min:
                 quotient = phimod.eval_phi(phi, o, 1)
             else:
-                quotient = float(phimod.phi_diff_vec(phi, o, np.array([h]))[0]) / h
+                quotient = float(phimod.phi_diff_vec(phi, o, h)) / h
             terms.append(-g * quotient)
     return math.fsum(terms)
 
@@ -399,12 +412,10 @@ def _gamma_blocks(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code]
             yield sl, e.T @ cmat
             continue
         out = np.zeros((len(x), len(codes)))
-        for j in range(len(codes)):
-            col = out[:, j]
-            for m in range(n0):
-                col -= scales[m] * phimod.phi_diff_vec(phi, float(offs[j, m]), x / powers[m])
-            if linear:
-                col -= tail[j] * x
+        for m in range(n0):
+            out -= scales[m] * phimod.phi_diff_vec(phi, offs[:, m], (x / powers[m])[:, None])
+        if linear:
+            out -= x[:, None] * tail
         yield sl, out
 
 
@@ -444,21 +455,25 @@ def project(params, phi: phimod.Phi, x: float, y: float, code: Code,
     return y - eval_gamma(params, phi, x, code, tol)
 
 
-def apply_ifs(params, phi: phimod.Phi, i: int, x: float, y: float) -> tuple[float, float]:
-    """One graph map g_i(x, y) = ((x + i) / b, lam y + phi((x + i) / b))."""
+def apply_ifs(params, phi: phimod.Phi, i: int, x, y):
+    """One graph map g_i(x, y) = ((x + i) / b, lam y + phi((x + i) / b)).
+
+    x and y are floats or arrays of points; arrays map elementwise.
+    """
     if not 0 <= i < params.b:
         raise ValueError(f"symbol {i} out of range for b = {params.b}")
     xn = (x + i) / params.b
-    return xn, params.lam * y + float(phimod.eval_phi(phi, xn))
+    return xn, params.lam * y + phimod.eval_phi(phi, xn)
 
 
-def apply_word(params, phi: phimod.Phi, word: Word | Sequence[int], x: float, y: float
-               ) -> tuple[float, float]:
+def apply_word(params, phi: phimod.Phi, word: Word | Sequence[int], x, y):
     """Compose the maps named by the word, rightmost symbol acting first.
 
     The word lists the base-b digits of the image interval most significant
     first, so the x image of (x, y) under the word u is
     (x + u_n + u_{n-1} b + ... ) / b^n and the empty word is the identity.
+    Points are floats or arrays, as in ``apply_ifs``: this is the one word
+    push, for single points and for whole samples alike.
     """
     syms = word.symbols if isinstance(word, Word) else tuple(int(s) for s in word)
     for s in reversed(syms):

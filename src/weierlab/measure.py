@@ -26,8 +26,10 @@ import numpy as np
 
 from . import phi as phimod
 from ._util import ceil_log_ratio, ols_fit, substream
-from .kernel import Code, _gamma_blocks, eval_gamma_vec, seeded_code
-from .weier import WLattice, eval_w_vec
+from .kernel import Code, _gamma_blocks, apply_word, eval_gamma_vec, seeded_code
+from .weier import WLattice
+# no caller in this module: kept because perfbench/tracing.py patches it here by name
+from .weier import eval_w_vec  # noqa: F401
 
 __all__ = [
     "BadicHistogram",
@@ -45,7 +47,6 @@ __all__ = [
     "EntropyCurve",
     "curve_to_csv",
     "sample_projected_measure",
-    "projected_values",
     "stratified_x",
     "alpha_estimate",
     "AlphaReport",
@@ -92,12 +93,6 @@ class BadicHistogram:
     @property
     def n_cells(self) -> int:
         return int(len(self.masses))
-
-    def window_cell_count(self) -> int:
-        out = 1
-        for lo, hi in self.window:
-            out *= max(hi - lo, 1)
-        return out
 
 
 def _window_of(keys: np.ndarray, b: int, level: int) -> tuple[tuple[int, int], ...]:
@@ -468,24 +463,6 @@ def _lattice_sample(params, phi: phimod.Phi, level: int, seed: int, tol: float,
     return xs, w
 
 
-def projected_values(
-    params,
-    phi: phimod.Phi,
-    code: Code,
-    xs: np.ndarray,
-    tol: float = 1e-9,
-    chunk: int = 1 << 22,
-) -> np.ndarray:
-    """Values W(x) - Gamma(x, code) of the projected measure, chunked."""
-    xs = np.asarray(xs, dtype=np.float64)
-    out = np.empty(len(xs))
-    for a in range(0, len(xs), chunk):
-        sl = slice(a, a + chunk)
-        x = xs[sl]
-        out[sl] = eval_w_vec(params, phi, x, tol) - eval_gamma_vec(params, phi, x, code, tol)
-    return out
-
-
 def sample_projected_measure(
     params,
     phi: phimod.Phi,
@@ -493,34 +470,26 @@ def sample_projected_measure(
     n_samples: int,
     level: int,
     seed: int = 0,
-    stratified: bool = True,
     tol: float = 1e-9,
 ) -> BadicHistogram:
     """Histogram at ``level`` of the flow projection of the graph measure.
 
-    Stratified mode places one x per cell of the level-ceil(log_b
-    n_samples) partition of [0, 1), all cells sharing one seeded shift; the
-    histogram is then deterministic given the seed and independent of
-    sharding.  The ``undersampled`` meta flag marks n_samples < b^level.
+    One x per cell of the level-ceil(log_b n_samples) partition of [0, 1),
+    all cells sharing one seeded shift, so the histogram is deterministic
+    given the seed and independent of sharding.  The ``undersampled`` meta
+    flag marks n_samples < b^level.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    if stratified:
-        s_level = _strata_level(params.b, n_samples)
-        n = params.b**s_level
-        xs, vals = _lattice_sample(params, phi, s_level, seed, tol)
-        vals -= eval_gamma_vec(params, phi, xs, code, tol)
-        meta_sampling = {"stratified": True, "strata_level": s_level}
-    else:
-        n = n_samples
-        xs = substream(seed, 0x11D).random(n)
-        vals = projected_values(params, phi, code, xs, tol)
-        meta_sampling = {"stratified": False}
+    s_level = _strata_level(params.b, n_samples)
+    xs, vals = _lattice_sample(params, phi, s_level, seed, tol)
+    vals -= eval_gamma_vec(params, phi, xs, code, tol)
     meta = {
         "seed": seed,
-        "n_samples": int(n),
+        "n_samples": int(params.b**s_level),
         "undersampled": bool(n_samples < params.b**level),
-        **meta_sampling,
+        "stratified": True,
+        "strata_level": s_level,
     }
     return histogram_from_values(vals, params.b, level, meta=meta)
 
@@ -606,6 +575,9 @@ class BoxDimReport:
     d_reference: float
 
 
+_BLOCK_COLUMNS = 1 << 16  # columns per block of graph_box_dimension
+
+
 def graph_box_dimension(
     params,
     phi: phimod.Phi,
@@ -614,7 +586,6 @@ def graph_box_dimension(
     seed: int = 0,
     column_margin: int = 3,
     tol: float = 1e-9,
-    chunk_columns: int = 1 << 16,
 ) -> BoxDimReport:
     """Box-counting dimension estimate of the graph of W.
 
@@ -626,7 +597,9 @@ def graph_box_dimension(
     floor(b^n min) + 1, for every n at once.  The slope of log_b N_n
     over the declared window estimates the dimension (a constant wave
     gives exactly 1).  The margin keeps several samples in every counted
-    column so that sampled column ranges track the true oscillation.
+    column so that sampled column ranges track the true oscillation.  W
+    is evaluated, and boxes counted, in blocks of ``_BLOCK_COLUMNS`` columns,
+    so no temporary grows with the column count.
     """
     levels = sorted(int(lv) for lv in levels)
     if len(levels) < 2:
@@ -638,7 +611,7 @@ def graph_box_dimension(
     total = params.b**col_level
     col_min = np.full(n_cols_fine, np.inf)
     col_max = np.full(n_cols_fine, -np.inf)
-    step = max(chunk_columns, 1) * per_col
+    step = _BLOCK_COLUMNS * per_col
     lattice = WLattice(params, phi, col_level, _lattice_shift(seed, 0), tol)
     for start in range(0, total, step):
         stop = min(start + step, total)
@@ -650,13 +623,17 @@ def graph_box_dimension(
         col_max[c0 : c0 + cols] = blk.max(axis=1)
     all_levels = list(range(1, n_max + 1))
     counts = []
-    for n in all_levels:
-        fold = params.b ** (n_max - n)
-        mn = col_min.reshape(-1, fold).min(axis=1)
-        mx = col_max.reshape(-1, fold).max(axis=1)
+    mn, mx = col_min, col_max
+    for n in reversed(all_levels):  # each coarser level folds b columns of the last
+        if n < n_max:
+            mn = mn.reshape(-1, params.b).min(axis=1)
+            mx = mx.reshape(-1, params.b).max(axis=1)
         scale = float(params.b) ** n
-        boxes = np.floor(mx * scale) - np.floor(mn * scale) + 1.0
-        counts.append(int(boxes.sum()))
+        count = 0
+        for a in range(0, len(mn), _BLOCK_COLUMNS):
+            sl = slice(a, a + _BLOCK_COLUMNS)
+            count += int((np.floor(mx[sl] * scale) - np.floor(mn[sl] * scale) + 1.0).sum())
+        counts.insert(0, count)
     logs = [math.log(c) / math.log(params.b) for c in counts]
     curve = _fit_curve(all_levels, logs, levels)
     return BoxDimReport(
@@ -768,19 +745,10 @@ def decompose_projection(
     s_level = _strata_level(params.b, per)
     m = params.b**s_level
     comps: list[tuple[float, BadicHistogram]] = []
-    lam = params.lam
     for ci in range(n_comp):
         xs, ys = _lattice_sample(params, phi, s_level, seed, tol, key=ci + 1)
-        gx = xs
-        gy = ys
-        digits = []
-        v = ci
-        for _ in range(n_decomp):
-            digits.append(v % params.b)
-            v //= params.b
-        for s in digits:  # rightmost word symbol first
-            gx = (gx + s) / params.b
-            gy = lam * gy + phimod.eval_phi(phi, gx)
+        word = [(ci // params.b**k) % params.b for k in reversed(range(n_decomp))]
+        gx, gy = apply_word(params, phi, word, xs, ys)
         vals = gy - eval_gamma_vec(params, phi, gx, code, tol)
         comps.append((1.0 / n_comp, histogram_from_values(vals, params.b, level)))
     mixture = add_histograms([h for _, h in comps], [w for w, _ in comps])

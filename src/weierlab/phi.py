@@ -6,6 +6,10 @@ including the workhorse cosine with a phase.  ``PiecewisePhi`` keeps exact
 polynomial pieces over a partition of [0, 1) and covers the triangle wave
 and the square (rademacher) wave.  Both evaluate 1-periodically.
 
+The stable increment phi(o + h) - phi(o), of which the kernels' sums are
+made, has one implementation, ``phi_diff_vec``, elementwise over o and h
+broadcast together; ``_piecewise_diff`` is its exact rational reference.
+
 The module also hosts the frequency-filter operators used by the
 renormalization layer: keep every p-th frequency (compressed or in place),
 the complementary remainder, frequency rescaling, and recovery of a
@@ -34,8 +38,7 @@ __all__ = [
     "rademacher_phi",
     "eval_phi",
     "phi_diff_vec",
-    "phi_diff_offsets",
-    "phi_diff_exact",
+    "near_breakpoint",
     "piecewise_deriv_exact",
     "sup_deriv",
     "renormalize",
@@ -82,11 +85,6 @@ class FourierPhi:
     real_valued : bool
         Declares conjugate symmetry c_{-k} = conj(c_k); validated, not
         silently repaired.
-    decay_rate, decay_constant : float
-        Geometric envelope |c_k| <= decay_constant * decay_rate**|k|.
-        Computed as the tightest rate-1/2 envelope when omitted.  The tail
-        bound beyond frequency K is
-        decay_constant * decay_rate**(K+1) / (1 - decay_rate).
     cos_phase : float or None
         Set on the built-in cosine; evaluation then uses the closed form
         (2 pi)^k cos(2 pi x + phase + k pi / 2) for every derivative order.
@@ -94,37 +92,11 @@ class FourierPhi:
 
     coeffs: dict[int, complex]
     real_valued: bool = True
-    decay_rate: float | None = None
-    decay_constant: float | None = None
     cos_phase: float | None = None
     label: str = ""
 
     def __post_init__(self) -> None:
         self.coeffs = _canonicalize(self.coeffs, self.real_valued)
-        if self.decay_rate is None or self.decay_constant is None:
-            rate = 0.5
-            const = 0.0
-            for k, v in self.coeffs.items():
-                const = max(const, abs(v) / rate ** abs(k))
-            self.decay_rate = rate
-            self.decay_constant = 2.0 * const
-        if not 0.0 < self.decay_rate < 1.0:
-            if self.coeffs:
-                raise ValueError("decay_rate must lie in (0, 1)")
-            self.decay_rate = 0.5
-
-    @property
-    def smoothness(self) -> float:
-        return math.inf
-
-    @property
-    def max_freq(self) -> int:
-        return max((abs(k) for k in self.coeffs), default=0)
-
-    def tail_bound(self, K: int) -> float:
-        """Bound on the sup norm of the series beyond frequency K."""
-        r = self.decay_rate
-        return self.decay_constant * r ** (K + 1) / (1.0 - r)
 
     def __call__(self, x, deriv: int = 0):
         return eval_phi(self, x, deriv)
@@ -158,17 +130,10 @@ class PiecewisePhi:
         self.breakpoints = bp
         self.coeffs = tuple(tuple(Fraction(c) for c in piece) for piece in self.coeffs)
         self._bp_float = np.array([float(t) for t in bp])
-        self._poly_float = [
-            np.array([float(c) for c in piece], dtype=np.float64) for piece in self.coeffs
-        ]
 
     @property
     def degree(self) -> int:
         return max(len(p) - 1 for p in self.coeffs)
-
-    @property
-    def max_freq(self) -> int:
-        return 0
 
     def piece_index(self, x: Fraction) -> int:
         xm = x - math.floor(x)
@@ -352,19 +317,26 @@ def _poly_deriv_coeffs(piece: tuple[Fraction, ...], deriv: int) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# stable increments phi(o + h) - phi(o)
+# the stable increment phi(o + h) - phi(o)
 
 
-def phi_diff_vec(phi: Phi, o: float, h: np.ndarray) -> np.ndarray:
-    """phi(o + h) - phi(o) for an array of increments, without cancellation.
+_DIRECT_FROM = 2.0**-12  # |h| from which a piecewise increment is the plain difference
+
+
+def phi_diff_vec(phi: Phi, o, h) -> np.ndarray:
+    """phi(o + h) - phi(o) elementwise, o broadcast against h, without cancellation.
 
     For Fourier data each frequency contributes
-    c_k e^{2 pi i k o} (e^{2 pi i k h} - 1) and the bracket is written as
-    2i sin(pi k h) e^{i pi k h}, which stays fully accurate for tiny h.
-    Piecewise data uses the factored polynomial difference inside a piece
-    and falls back to exact rational splitting for the few increments that
-    cross a breakpoint.
+    c_k e^{2 pi i k o} (e^{2 pi i k h} - 1) = 2i c_k sin(pi k h) e^{i t},
+    t = 2 pi k o + pi k h, which stays fully accurate for tiny h and is
+    summed in real arithmetic, so every element equals its scalar call; the
+    cosine takes the closed form -2 sin(pi h) sin(2 pi o + phase + pi h).
+    Piecewise data takes the plain difference for |h| >= 2^-12 and the
+    factored polynomial difference inside o's piece below that; the few
+    small increments that cross a breakpoint go to the exact rational
+    ``_piecewise_diff``, which reads o and h as the values of their floats.
     """
+    o = np.asarray(o, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     if isinstance(phi, FourierPhi):
         if phi.cos_phase is not None:
@@ -372,67 +344,44 @@ def phi_diff_vec(phi: Phi, o: float, h: np.ndarray) -> np.ndarray:
             return -2.0 * np.sin(math.pi * h) * np.sin(
                 _TWO_PI * o + phi.cos_phase + math.pi * h
             )
-        if not phi.coeffs:
-            return np.zeros_like(h)
-        acc = np.zeros(h.shape, dtype=np.complex128)
+        re = np.zeros(np.broadcast_shapes(o.shape, h.shape))
+        im = np.zeros_like(re)
         for k, c in phi.coeffs.items():
-            w = 2j * np.sin(math.pi * k * h) * np.exp(1j * math.pi * k * h)
-            acc += (c * cmath.exp(2j * math.pi * k * o)) * w
-        return acc.real.copy() if phi.real_valued else acc
-    return _piecewise_diff_vec(phi, o, h)
-
-
-def phi_diff_offsets(phi: Phi, o: np.ndarray, h: float) -> np.ndarray:
-    """phi(o + h) - phi(o) for an array of offsets at one increment.
-
-    The transpose of ``phi_diff_vec``: same stable formulas, vectorized
-    over o instead of h.  Piecewise data takes the direct difference when
-    h is large enough to be cancellation-safe; for tiny h the factored
-    polynomial difference covers offsets staying inside one piece and an
-    exact rational loop handles the few that straddle a breakpoint.
-    """
-    o = np.asarray(o, dtype=np.float64)
-    h = float(h)
-    if isinstance(phi, FourierPhi):
-        if phi.cos_phase is not None:
-            return -2.0 * math.sin(math.pi * h) * np.sin(
-                _TWO_PI * o + phi.cos_phase + math.pi * h
-            )
-        if not phi.coeffs:
-            return np.zeros_like(o)
-        acc = np.zeros(o.shape, dtype=np.complex128)
-        for k, c in phi.coeffs.items():
-            w = 2j * math.sin(math.pi * k * h) * cmath.exp(1j * math.pi * k * h)
-            acc += (c * w) * np.exp((2j * math.pi * k) * o)
-        return acc.real.copy() if phi.real_valued else acc
-    if h == 0.0:
-        return np.zeros_like(o)
-    if h < 0.0:
-        return -phi_diff_offsets(phi, o + h, -h)
-    if h >= 2.0**-12:
-        a = o - np.floor(o)
-        w2 = o + h
-        w2 -= np.floor(w2)
-        return eval_phi(phi, w2) - eval_phi(phi, a)
-    a = o - np.floor(o)
-    idx = np.searchsorted(phi._bp_float, a, side="right") - 1
-    idx = np.clip(idx, 0, len(phi.coeffs) - 1)
-    rights = phi._bp_float[idx + 1]
-    inside = a + h < rights
-    out = np.empty_like(a)
+            s2 = 2.0 * np.sin(math.pi * k * h)
+            t = _TWO_PI * k * o + math.pi * k * h
+            cos_t, sin_t = np.cos(t), np.sin(t)
+            re -= s2 * (c.imag * cos_t + c.real * sin_t)
+            im += s2 * (c.real * cos_t - c.imag * sin_t)
+        return re if phi.real_valued else re + 1j * im
+    o, h = np.broadcast_arrays(o, h)
+    out = np.empty(o.shape)
+    direct = np.abs(h) >= _DIRECT_FROM
+    out[direct] = eval_phi(phi, o[direct] + h[direct]) - eval_phi(phi, o[direct])
+    small = ~direct
+    flip = h[small] < 0.0  # then phi(o + h) - phi(o) = -(phi(o' + |h|) - phi(o')), o' = o + h
+    lo = o[small] + np.where(flip, h[small], 0.0)
+    step = np.abs(h[small])
+    a = lo - np.floor(lo)
+    idx = np.clip(np.searchsorted(phi._bp_float, a, side="right") - 1, 0, len(phi.coeffs) - 1)
+    inside = a + step < phi._bp_float[idx + 1]
+    d = np.empty(len(a))
     for j, piece in enumerate(phi.coeffs):
         mask = inside & (idx == j)
         if mask.any():
-            out[mask] = _poly_diff_offsets(piece, a[mask], h)
-    crossers = np.nonzero(~inside)[0]
-    if len(crossers):
-        hf = Fraction(h)
-        for i in crossers:
-            out[i] = phi_diff_exact(phi, Fraction(float(a[i])), hf)
+            d[mask] = _poly_diff(piece, a[mask], step[mask])
+    for i in np.flatnonzero(~inside):
+        d[i] = float(_piecewise_diff(phi, Fraction(float(a[i])), Fraction(float(step[i]))))
+    out[small] = np.where(flip, -d, d)
     return out
 
 
-def _poly_diff_offsets(piece: tuple[Fraction, ...], o: np.ndarray, h: float) -> np.ndarray:
+# Traced by name in perfbench/tracing.py as the per-offset layer, which
+# funcspace.gamma_at_many_words calls under this name; kept off __all__.
+phi_diff_offsets = phi_diff_vec
+
+
+def _poly_diff(piece: tuple[Fraction, ...], o: np.ndarray, h: np.ndarray) -> np.ndarray:
+    # p(o+h) - p(o) = h * sum_d a_d * sum_{i<d} (o+h)^i o^(d-1-i), no cancellation
     acc = np.zeros_like(o)
     oh = o + h
     for d in range(1, len(piece)):
@@ -444,46 +393,6 @@ def _poly_diff_offsets(piece: tuple[Fraction, ...], o: np.ndarray, h: float) -> 
             inner += oh**i * o ** (d - 1 - i)
         acc += a * inner
     return h * acc
-
-
-def _piecewise_diff_vec(phi: PiecewisePhi, o: float, h: np.ndarray) -> np.ndarray:
-    of = Fraction(o)
-    of -= math.floor(of)
-    j = phi.piece_index(of)
-    right = phi.breakpoints[j + 1]
-    gap = float(right - of)
-    inside = h < gap if gap > 0 else np.zeros(h.shape, dtype=bool)
-    inside &= h >= 0.0
-    out = np.empty_like(h)
-    piece = phi.coeffs[j]
-    out[inside] = _poly_diff_float(piece, float(of), h[inside])
-    rest = ~inside
-    if rest.any():
-        for i in np.nonzero(rest)[0]:
-            out[i] = phi_diff_exact(phi, of, Fraction(float(h[i])))
-    return out
-
-
-def _poly_diff_float(piece: tuple[Fraction, ...], o: float, h: np.ndarray) -> np.ndarray:
-    # p(o+h) - p(o) = h * sum_d a_d * sum_{i<d} (o+h)^i o^(d-1-i), no cancellation
-    acc = np.zeros_like(h)
-    oh = o + h
-    for d in range(1, len(piece)):
-        a = float(piece[d])
-        if a == 0.0:
-            continue
-        inner = np.zeros_like(h)
-        for i in range(d):
-            inner += oh**i * o ** (d - 1 - i)
-        acc += a * inner
-    return h * acc
-
-
-def phi_diff_exact(phi: Phi, o: Fraction, h: Fraction) -> float:
-    """Exact-rational phi(o + h) - phi(o) for piecewise data; stable float otherwise."""
-    if isinstance(phi, FourierPhi):
-        return float(phi_diff_vec(phi, float(o), np.array([float(h)]))[0])
-    return float(_piecewise_diff(phi, o, h))
 
 
 def _piecewise_diff(phi: PiecewisePhi, o: Fraction, h: Fraction) -> Fraction:
@@ -517,6 +426,17 @@ def piecewise_deriv_exact(phi: PiecewisePhi, o: Fraction) -> float:
     a = o - math.floor(o)
     piece = phi.coeffs[phi.piece_index(a)]
     return float(_poly_eval_frac(tuple(d * c for d, c in enumerate(piece))[1:], a))
+
+
+def near_breakpoint(phi: PiecewisePhi, x: np.ndarray) -> np.ndarray:
+    """Where a float point lies within 2^-44 (relative) of a breakpoint.
+
+    A point rounded from an exact one may sit on the wrong side of such a
+    breakpoint (1 - 2^-60 rounds onto 1), so there the piece must come from
+    the exact point; anywhere else the float's own piece is the exact one.
+    """
+    gap = np.abs((x - np.floor(x))[..., None] - phi._bp_float).min(axis=-1)
+    return gap <= 2.0**-44 * (1.0 + np.abs(x))
 
 
 # ---------------------------------------------------------------------------

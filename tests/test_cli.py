@@ -354,6 +354,27 @@ def test_theta_dump_cells_over_cap_is_exit_2(tmp_path, capsys):
     assert "65536" in capsys.readouterr().err
 
 
+def test_theta_subsample_past_int64_is_exit_2(tmp_path, capsys):
+    assert main(["theta", "--b", "10", "--lambda", "0.95", "--n", "4",
+                 "--subsample", "1000", "--out", str(tmp_path)]) == 2
+    assert "2^63" in capsys.readouterr().err
+
+
+def test_theta_passes_tol_to_labels(tmp_path, capsys, monkeypatch):
+    from weierlab import funcspace as fs
+
+    seen = []
+    labels = fs.theta_cell_labels
+
+    def spy(theta, i_level, m_grid, tol=1e-9):
+        seen.append(tol)
+        return labels(theta, i_level, m_grid, tol)
+
+    monkeypatch.setattr(fs, "theta_cell_labels", spy)
+    assert main(["theta", "--n", "4", "--tol", "1e-6", "--out", str(tmp_path)]) == 0
+    assert seen == [1e-6]
+
+
 def test_theta_experiment(tmp_path, capsys):
     assert main(["theta", "--experiment", "--n", "6", "--i-level", "0",
                  "--k", "2", "--max-components", "10",

@@ -155,6 +155,30 @@ def test_gamma_at_many_words_matches_scalar():
         assert np.max(np.abs(fast - slow)) < 1e-8
 
 
+def test_gamma_at_many_words_piecewise_exact_offsets():
+    """On the base 1^infinity the deep offsets r / 2^m + 1 - 2^-(m - 6) round
+    onto the triangle's breakpoint 1; the sweep still equals the exact
+    scalar Gamma of every word."""
+    from weierlab.kernel import eval_gamma
+
+    p = _p2()
+    tri = P.triangle_phi()
+    base = periodic_code(2, (), (1,))
+    idx = np.arange(64)
+    fast = F.gamma_at_many_words(p, tri, 0.5, idx, 6, base, 1e-10)
+    words = [tuple(int(c) for c in format(i, "06b")) for i in idx]
+    slow = np.array([eval_gamma(p, tri, 0.5, base.prepend(tuple(reversed(w))), 1e-10)
+                     for w in words])
+    assert np.max(np.abs(fast - slow)) <= 1e-12
+
+
+def test_build_theta_rejects_subsample_past_int64():
+    """b^n_hat = 10^180 atoms at (10, 0.95), n = 4: no int64 word index."""
+    with pytest.raises(ValueError, match="2\\^63"):
+        F.build_theta(make_params(10, 0.95), P.cos_phi(), seeded_code(10, 0), 4,
+                      subsample=1000)
+
+
 def test_theta_entropy_matches_direct_count():
     p = _p2()
     cos = P.cos_phi()

@@ -265,6 +265,33 @@ def test_transition_identity():
     assert worst < 1e-11
 
 
+def test_apply_word_on_arrays_matches_points():
+    """Pushing whole arrays through a word equals pushing each point alone,
+    bit for bit."""
+    p = make_params(3, 0.5)
+    rng = np.random.default_rng(5)
+    xs, ys = rng.random(40), rng.random(40) * 4 - 2
+    for phi in (P.cos_phi(0.3), P.triangle_phi()):
+        for word in [(), (2,), (0, 1, 2, 1)]:
+            gx, gy = K.apply_word(p, phi, word, xs, ys)
+            pts = [K.apply_word(p, phi, word, float(x), float(y)) for x, y in zip(xs, ys)]
+            assert gx.tolist() == [a for a, _ in pts]
+            assert gy.tolist() == [b for _, b in pts]
+
+
+def test_piecewise_kernel_takes_pieces_from_exact_offsets():
+    """The code 1^infinity has offsets o_m = 1 - 2^-m, so the triangle's
+    argument x / 2^m + o_m = 1 - 0.7 2^-m at x = 0.3 lies in the falling
+    piece at every depth, and Y = gamma / (1 - gamma) = 2.5 up to tol; past
+    m = 53 its float rounds onto the breakpoint 1."""
+    p = make_params(2, 0.7)
+    tri = P.triangle_phi()
+    code = K.periodic_code(2, (), (1,))
+    exact = p.gamma / (1.0 - p.gamma)
+    assert abs(K.eval_y(p, tri, 0.3, code, 1e-10) - exact) <= 1e-10
+    assert np.max(np.abs(K.eval_y_vec(p, tri, np.full(3, 0.3), code, 1e-10) - exact)) <= 1e-10
+
+
 def test_transition_identity_triangle():
     p = make_params(2, 0.6)
     tri = P.triangle_phi()

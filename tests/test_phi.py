@@ -88,24 +88,48 @@ def test_phi_diff_vec_cancellation():
     assert got == pytest.approx(exact, rel=1e-6)
 
 
-def test_phi_diff_offsets_matches_diff_vec():
-    """The offset-vectorized difference is the transpose of the h-vectorized one."""
-    rng = np.random.default_rng(1)
-    os_ = rng.random(64)
-    for phi in [P.cos_phi(), P.cos_phi(0.3), P.triangle_phi()]:
-        for h in [0.0, 1e-9, 0.37, 2.0 ** -15]:
-            byo = P.phi_diff_offsets(phi, os_, h)
-            ref = np.array([P.phi_diff_vec(phi, float(o), np.array([h]))[0] for o in os_])
-            assert np.max(np.abs(byo - ref)) < 1e-12
+_DIFF_PHIS = [
+    P.cos_phi(),
+    P.cos_phi(0.3),
+    P.FourierPhi({1: 0.5, -1: 0.5, 2: 0.1 + 0.2j, -2: 0.1 - 0.2j, 5: 0.03j, -5: -0.03j}),
+    P.triangle_phi(),
+]
+
+
+def test_phi_diff_vec_broadcasts_elementwise():
+    """One increment for every shape: o array with h scalar, o scalar with
+    h array, o column against h row.  Fourier entries equal their scalar
+    calls bit for bit; triangle entries match the exact rational difference
+    to 1e-15, for the offsets just below 1/2 and 1 that small steps carry
+    across a breakpoint too."""
+    hs = np.array([0.0, -0.2, -1e-9, 1e-9, 2.0**-15, 0.37])
+    os_ = np.concatenate([np.random.default_rng(1).random(12),
+                          [0.5 - 1e-10, 0.5 - 2.0**-16, 1.0 - 1e-12, 0.25, 0.5]])
+    for phi in _DIFF_PHIS:
+        grid = P.phi_diff_vec(phi, os_[:, None], hs[None, :])
+        assert grid.shape == (len(os_), len(hs))
+        for j, h in enumerate(hs):
+            assert np.array_equal(P.phi_diff_vec(phi, os_, h), grid[:, j])
+        for i, o in enumerate(os_):
+            assert np.array_equal(P.phi_diff_vec(phi, o, hs), grid[i])
+        if isinstance(phi, P.PiecewisePhi):
+            exact = np.array([[float(P._piecewise_diff(phi, Fraction(o), Fraction(h)))
+                               for h in hs] for o in os_])
+            assert np.max(np.abs(grid - exact)) <= 1e-15
+        else:
+            scalar = np.array([[P.phi_diff_vec(phi, o, h) for h in hs] for o in os_])
+            assert np.array_equal(grid, scalar)
 
 
 def test_phi_diff_exact_fractions():
-    """Exact-offset differences for the triangle wave come out as exact values."""
+    """At dyadic floats the triangle's increments come out exact, for steps
+    within a piece, onto a breakpoint, and small ones across it."""
     tri = P.triangle_phi()
-    got = P.phi_diff_exact(tri, Fraction(1, 8), Fraction(1, 8))
-    assert got == pytest.approx(0.125)
-    assert P.phi_diff_exact(tri, Fraction(0), Fraction(1, 2)) == pytest.approx(0.5)
-    assert P.phi_diff_exact(tri, Fraction(3, 4), Fraction(1, 4)) == pytest.approx(-0.25)
+    assert P.phi_diff_vec(tri, 0.125, 0.125) == 0.125
+    assert P.phi_diff_vec(tri, 0.0, 0.5) == 0.5
+    assert P.phi_diff_vec(tri, 0.75, 0.25) == -0.25
+    assert P.phi_diff_vec(tri, 0.5 - 2.0**-20, 2.0**-18) == -(2.0**-19)
+    assert P.phi_diff_vec(tri, 1.0 - 2.0**-20, 2.0**-18) == 2.0**-19
 
 
 def test_renormalize_keeps_multiples():
