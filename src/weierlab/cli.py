@@ -594,7 +594,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:  # TypeError: a generator the operation cannot take
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import phi as phimod
 from ._util import floor_scaled_log, substream
-from .kernel import (Code, _y_term_count, apply_word, code_offsets, code_offsets_exact,
-                     eval_gamma, eval_gamma_vec)
+from .kernel import (_BLOCK_BYTES, _LINEARIZE_BELOW, Code, _sin_vers, _y_term_count, apply_word,
+                     code_offsets, code_offsets_exact, eval_gamma, eval_gamma_vec)
 from .measure import BadicHistogram, entropy, histogram_from_values, n_hat
 from .weier import WLattice, eval_w_vec
 
@@ -260,39 +260,45 @@ def build_theta(
 def gamma_at_many_words(
     params,
     phi: phimod.Phi,
-    x: float,
+    x,
     idx: np.ndarray,
     width: int,
     base: Code,
     tol: float = 1e-9,
 ) -> np.ndarray:
-    """Gamma(x) along the codes reverse(word) + base, vectorized over words.
+    """Gamma(x) along the codes reverse(word) + base, for every word index
+    and every point of ``x``; shape (len(idx),) + np.shape(x).
 
     Depth m <= width uses the identity that the reversed prefix of the
     word with index r has value r mod b^m, so the offset array is one
-    modulo per depth; deeper offsets shift the shared base-code offsets
-    by the full reversed word.  That float sum can round across a
-    breakpoint of piecewise data (1 - 2^-60 rounds onto 1), so where it or
-    its end lies within rounding of one, the increment is the exact one at
-    the exact offset r / b^m + o_(m - width)(base).
+    modulo per depth.  Deeper offsets m = width + s are u / b^s + o_s(base)
+    with u = r / b^width.  For a real Fourier generator those depths are
+    the product E(u) @ C(x) of ``_deep_word_depths``: E depends on the
+    words only, so all points share it.  Its depths with 2 pi k / b^s <
+    2^-24 keep alpha_s to first order, an error of at most 2^-48 sum_k
+    2 pi k |c_k + conj c_-k| |x| gamma^(width+1) / (1 - gamma) beyond the
+    scalar ``eval_gamma``'s rounding.  Other generators sum the increments
+    at the float offsets.  For piecewise data that float sum can round
+    across a breakpoint (1 - 2^-60 rounds onto 1), and lam^-m magnifies its
+    rounding wherever a step crosses one, so there the increment is the
+    exact one at the exact offset r / b^m + o_s(base).
     """
     idx = np.asarray(idx, dtype=np.int64)
-    if x == 0.0:
-        return np.zeros(len(idx), dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    xv = x.reshape(-1, 1)
     n_terms = _y_term_count(params, phi, tol)
-    out = np.zeros(len(idx), dtype=np.float64)
-    if n_terms == 0:
-        return out
-    base_offs = code_offsets(base, max(n_terms - width, 0)) if n_terms > width else None
+    out = np.zeros((len(xv), len(idx)))  # one row per point: long rows for numpy's loops
+    separable = isinstance(phi, phimod.FourierPhi) and phi.real_valued
+    base_offs = code_offsets(base, max(n_terms - width, 0))
     base_exact = None
     rev_val = idx.astype(np.float64) / float(params.b) ** width
     lam_inv = 1.0 / params.lam
     scale = 1.0
     bm = 1
-    for m_depth in range(1, n_terms + 1):
+    for m_depth in range(1, (min(width, n_terms) if separable else n_terms) + 1):
         bm *= params.b
         scale *= lam_inv
-        h = x / bm
+        h = xv / bm
         if m_depth <= width:
             o = (idx % bm).astype(np.float64) / bm
         else:
@@ -300,13 +306,63 @@ def gamma_at_many_words(
             o = rev_val / float(params.b) ** s + base_offs[s - 1]
         diff = phimod.phi_diff_offsets(phi, o, h)  # by this name: traced as its own layer
         if m_depth > width and isinstance(phi, phimod.PiecewisePhi):
-            near = phimod.near_breakpoint(phi, o) | phimod.near_breakpoint(phi, o + h)
-            for i in np.flatnonzero(near):
+            for j, i in zip(*np.nonzero(phimod.crosses_breakpoint(phi, o, o + h))):
                 if base_exact is None:
                     base_exact = code_offsets_exact(base, n_terms - width)
                 o_exact = Fraction(int(idx[i]), bm) + base_exact[s - 1]
-                diff[i] = float(phimod._piecewise_diff(phi, o_exact, Fraction(x) / bm))
+                diff[j, i] = float(phimod._piecewise_diff(phi, o_exact, Fraction(xv[j, 0]) / bm))
         out -= scale * diff
+    if separable and n_terms > width:
+        out += _deep_word_depths(params, phi, xv[:, 0], rev_val, width, base_offs)
+    return out.T.reshape(idx.shape + x.shape)
+
+
+def _deep_word_depths(params, phi: phimod.FourierPhi, xs: np.ndarray, u: np.ndarray,
+                      width: int, base_offs: np.ndarray) -> np.ndarray:
+    """The depths m = width + s > width of Gamma(xs) along reverse(word) + base
+    for a real Fourier generator, shape (len(xs), len(u)).
+
+    With alpha_s = 2 pi k u / b^s and R = lam^-m (c_k + conj c_-k)
+    e^{2 pi i k o_s(base)} (e^{2 pi i k x / b^m} - 1), frequency k adds
+    -Re(R e^{i alpha_s}) = -Re R + Re R (1 - cos alpha_s) + Im R sin alpha_s.
+    So the sum is E(u) @ C(xs): E holds 1, u and, per frequency, the
+    versines and sines of alpha_s from ``kernel._sin_vers``; C holds R per
+    point.  A depth with 2 pi k / b^s < 2^-24 keeps only the first-order
+    sin alpha_s = alpha_s, so it joins the column u.  E is built in row
+    blocks of about 4 MB and shared by every point.
+    """
+    b = params.b
+    s = np.arange(1, len(base_offs) + 1)
+    bneg = float(b) ** -(width + s)[:, None]  # b^-m, zero below float range
+    c_rows, freqs = [np.zeros(len(xs)), np.zeros(len(xs))], []
+    for k in sorted({abs(k) for k in phi.coeffs if k}):
+        ck = phi.coeffs.get(k, 0j) + phi.coeffs.get(-k, 0j).conjugate()
+        t = k * xs * bneg
+        # lam^-m (e^{2 pi i t} - 1) = 2 pi k x gamma^m (i sinc(2t) - sin(pi t) sinc(t))
+        r = ((2.0 * math.pi * k * ck * np.exp(2j * math.pi * k * base_offs)
+              * params.gamma ** (width + s))[:, None]
+             * xs * (1j * np.sinc(2.0 * t) - np.sin(math.pi * t) * np.sinc(t)))
+        slope = 2.0 * math.pi * k * float(b) ** -s  # alpha_s / u
+        rows = int(np.sum(slope >= _LINEARIZE_BELOW))
+        c_rows[0] -= r.real.sum(axis=0)
+        c_rows[1] += slope[rows:] @ r.imag[rows:]
+        c_rows += [*r.real[:rows], *r.imag[:rows]]
+        freqs.append((rows, slope[rows - 1] if rows else 0.0))
+    cmat = np.array(c_rows)
+    out = np.empty((len(xs), len(u)))
+    block = 1 << max(0, (_BLOCK_BYTES // (8 * len(cmat))).bit_length() - 1)
+    e_buf = np.empty((len(cmat), min(block, len(u))))
+    for a in range(0, len(u), block):
+        ub = u[a:a + block]
+        e = e_buf[:, :len(ub)]
+        e[0] = 1.0
+        e[1] = ub
+        row = 2
+        for rows, deepest in freqs:
+            if rows:
+                _sin_vers(deepest * ub, b, e[row + rows:row + 2 * rows], e[row:row + rows])
+            row += 2 * rows
+        out[:, a:a + block] = cmat.T @ e
     return out
 
 
@@ -340,12 +396,9 @@ def theta_cell_labels(
         return inverse, len(uniq)
     sub_idx = theta.indices[collided]
     pscale = float(params.b) ** i_level
-    cols = [key_c[collided]]
-    for k in range(1, m_grid + 1):
-        g = gamma_at_many_words(
-            params, theta.phi, k / m_grid, sub_idx, theta.n_hat, theta.code, tol
-        )
-        cols.append(np.floor(g * pscale).astype(np.int64))
+    grid = np.arange(1, m_grid + 1) / m_grid
+    psi = gamma_at_many_words(params, theta.phi, grid, sub_idx, theta.n_hat, theta.code, tol)
+    cols = [key_c[collided], *np.floor(psi * pscale).astype(np.int64).T]
     order = np.lexsort(cols[::-1])
     stacked = np.stack([c[order] for c in cols], axis=1)
     new_group = np.empty(n_coll, dtype=bool)
@@ -357,8 +410,10 @@ def theta_cell_labels(
     coll_labels = np.empty(n_coll, dtype=np.int64)
     coll_labels[order] = len(uniq) + group_ids
     labels[collided] = coll_labels
-    _, labels = np.unique(labels, return_inverse=True)
-    return labels, int(labels.max()) + 1
+    used = np.zeros(len(uniq) + n_coll, dtype=bool)
+    used[labels] = True
+    rank = np.cumsum(used) - 1  # the labels in use, renumbered 0 .. n_cells-1 in order
+    return rank[labels], int(rank[-1]) + 1
 
 
 @dataclass
@@ -465,10 +520,8 @@ def separation_constant_c(
         idx = np.arange(count, dtype=np.int64)
         heights = WLattice(params, phi, n, start=0.0)
         cvals = _origin_constants(params, phi, code, heights, idx, tol)
-        psi = [
-            gamma_at_many_words(params, phi, k / m_grid, idx, n, code, tol)
-            for k in range(1, m_grid + 1)
-        ]
+        psi = gamma_at_many_words(params, phi, np.arange(1, m_grid + 1) / m_grid,
+                                  idx, n, code, tol).T
         q = q_height(params, n)
         n_pairs = count * (count - 1) // 2
         if n_pairs <= pair_cap:

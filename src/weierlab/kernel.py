@@ -24,15 +24,24 @@ code-only matrix.  With h_m = x / b^m and z = (c_k + conj c_-k) e^{2 pi i k o_m}
 each increment is
 
     lam^-m [phi(o_m + h_m) - phi(o_m)]
-        = sum_{k > 0} lam^-m (Re z (-2 sin^2(pi k h_m)) - Im z sin(2 pi k h_m)),
+        = - sum_{k > 0} lam^-m (Re z vers(2 pi k h_m) + Im z sin(2 pi k h_m)),
 
-so Gamma(X, codes) = E(X) @ C(codes): E holds sin^2(pi k h_m) and
-sin(2 pi k h_m) for the shallow depths, C the matching code factors
-2 lam^-m Re z and lam^-m Im z, and one column of x times each code's linear-tail coefficient
-covers the depths where h_m < 2^-24 (the increment is first order there).
-``eval_gamma_many`` builds C once and E in row blocks; piecewise
-generators, which do not factor, take one increment per depth over the
-block's points and all codes at once.
+with vers t = 1 - cos t, so Gamma(X, codes) = E(X) @ C(codes): E holds
+vers(2 pi k h_m) and sin(2 pi k h_m) for the shallow depths, C the matching
+code factors lam^-m Re z and lam^-m Im z, and one column of x times each
+code's linear-tail coefficient covers the depths where h_m < 2^-24 (the
+increment is first order there).  The angles of E are 2 pi k x / b^m, each
+b times the next deeper one, so ``_sin_vers`` takes two sines per point and
+frequency at the deepest depth and climbs to the others by doubling and
+angle addition in (sin, vers) form; that stays within about 1e-15 of
+direct sines, where a (cos, sin) rotation would drift by b^n0 ulps.
+``eval_gamma_many`` builds C once and E in row blocks.  Piecewise
+generators, which do not factor, sum one exact-offset increment per code
+and depth over the block's points (``phi._piecewise_quotient``), for the
+shallow depths and for every deeper one whose step interval [o_m, o_m +
+max|x| / b^m] meets a breakpoint; only the remaining deep depths are
+linear.  ``funcspace.gamma_at_many_words`` factors the deep depths of its
+word codes through the same climb.
 """
 
 from __future__ import annotations
@@ -355,11 +364,55 @@ _LINEARIZE_BELOW = 2.0**-24  # x / b^m below this: the increment is first order 
 _BLOCK_BYTES = 1 << 22  # largest matrix of one row block of Gamma
 
 
+def _sin_vers(ang: np.ndarray, b: int, sin_out: np.ndarray, vers_out: np.ndarray) -> None:
+    """Fill sin_out[r] and vers_out[r] with sin and 1 - cos of b^(n-1-r) ang, n = len(sin_out).
+
+    Two sines give the last row; each row above is b times the angle of the
+    row below, by doubling and angle addition in (sin, 1 - cos) form:
+
+        sin 2t = 2 sin t (1 - vers t),  vers 2t = 2 sin^2 t,
+        sin(t + u) = sin t (1 - vers u) + sin u (1 - vers t),
+        vers(t + u) = vers t (1 - vers u) + vers u + sin t sin u.
+
+    Every term scales with the angle, so rounding stays relative to the
+    row's own size; a (cos, sin) rotation instead carries an absolute error
+    of about one ulp of cos ~ 1 that the climb multiplies by b per row.
+    Against 40-digit sines it is within 1e-15 for b in 2..10 over the
+    depths of ``_gamma_blocks``.
+    """
+    np.sin(ang, out=sin_out[-1])
+    np.sin(0.5 * ang, out=vers_out[-1])
+    vers_out[-1] **= 2
+    vers_out[-1] *= 2.0
+    cos_u, tmp, prod = np.empty_like(ang), np.empty_like(ang), np.empty_like(ang)
+    for r in range(len(sin_out) - 2, -1, -1):
+        s_u, v_u = sin_out[r + 1], vers_out[r + 1]
+        s, v = sin_out[r], vers_out[r]
+        src_s, src_v = s_u, v_u
+        for bit in bin(b)[3:]:  # b's binary digits after the leading one
+            np.subtract(1.0, src_v, out=tmp)  # double
+            np.multiply(src_s, src_s, out=v)
+            v *= 2.0
+            np.multiply(src_s, tmp, out=s)
+            s *= 2.0
+            src_s, src_v = s, v
+            if bit == "1":  # add u
+                np.subtract(1.0, v_u, out=cos_u)
+                np.subtract(1.0, v, out=tmp)
+                tmp *= s_u
+                np.multiply(s, s_u, out=prod)
+                s *= cos_u
+                s += tmp
+                v *= cos_u
+                v += v_u
+                v += prod
+
+
 def _gamma_blocks(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code],
                   tol: float):
     """Yield (slice, Gamma on xs[slice] for every code) over row blocks of the
     flat array ``xs``; each block is a (rows, len(codes)) matrix of at most
-    about 4 MB, as is each block of the sine matrix E behind it.
+    about 4 MB, as is each block of the matrix E behind it.
     """
     _require_c1(phi, "eval_gamma_many")
     codes = list(codes)
@@ -370,23 +423,35 @@ def _gamma_blocks(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code]
         n0 += 1
         width /= params.b
     offs = np.array([code_offsets(c, n) for c in codes]).reshape(len(codes), n)
-    powers = float(params.b) ** np.arange(1, n0 + 1)
-    scales = np.cumprod(np.full(n0, 1.0 / params.lam))  # lam^-m
+    gam = params.gamma ** np.arange(1, n + 1)
     linear = n0 < n
-    if linear:  # sum over the deeper m of gamma^m phi'(o_m), per code
-        if isinstance(phi, phimod.PiecewisePhi):  # deep float offsets can round onto a breakpoint
-            d1 = np.array([[phimod.piecewise_deriv_exact(phi, o)
-                            for o in code_offsets_exact(c, n)[n0:]] for c in codes])
-        else:
-            d1 = phimod.eval_phi(phi, offs[:, n0:], 1)
-        tail = d1.reshape(len(codes), n - n0) @ params.gamma ** np.arange(n0 + 1, n + 1)
+    piecewise = isinstance(phi, phimod.PiecewisePhi)
+    if piecewise:
+        # Exact offsets, and the depths each code sums as increments: the
+        # shallow ones, and any deeper one whose step interval meets a
+        # breakpoint, where the increment is not linear in x.
+        ends = [0.0, float(xs.min()), float(xs.max())] if len(xs) else [0.0]
+        lo, hi = Fraction(min(ends)), Fraction(max(ends))
+        steps, d1 = [], np.zeros((len(codes), n))
+        for j, code in enumerate(codes):
+            steps.append([])
+            for m, o in enumerate(code_offsets_exact(code, n), 1):
+                scale = Fraction(1, params.b**m)
+                if m <= n0 or phimod._breakpoint_between(phi, o + lo * scale, o + hi * scale):
+                    steps[j].append((m, o, scale))
+                else:
+                    d1[j, m - 1] = phimod.piecewise_deriv_exact(phi, o)
+    else:
+        d1 = phimod.eval_phi(phi, offs, 1).reshape(len(codes), n)
+    tail = d1[:, n0:] @ gam[n0:]  # sum over the linear depths of gamma^m phi'(o_m), per code
     separable = isinstance(phi, phimod.FourierPhi) and phi.real_valued
-    freqs = sorted({abs(k) for k in phi.coeffs if k}) if separable else []
+    freqs = sorted({abs(k) for k in phi.coeffs if k}) if separable and n0 else []
+    scales = np.cumprod(np.full(n0, 1.0 / params.lam))  # lam^-m
     parts = []
     for k in freqs:
         ck = phi.coeffs.get(k, 0j) + phi.coeffs.get(-k, 0j).conjugate()
         z = scales * ck * np.exp(2j * math.pi * k * offs[:, :n0])
-        parts += [2.0 * z.real, z.imag]
+        parts += [z.real, z.imag]
     if linear:
         parts.append(-tail[:, None])
     cmat = np.concatenate(parts, axis=1).T if parts else np.zeros((0, len(codes)))
@@ -399,21 +464,22 @@ def _gamma_blocks(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code]
         x = xs[sl]
         if separable:
             e = e_buf[:, :len(x)]
-            for i, k in enumerate(freqs):
-                ang = e[2 * i * n0:(2 * i + 1) * n0]
-                np.multiply((math.pi * k / powers)[:, None], x, out=ang)  # pi k h_m
-                dbl = e[(2 * i + 1) * n0:(2 * i + 2) * n0]
-                np.multiply(ang, 2.0, out=dbl)
-                np.sin(dbl, out=dbl)
-                np.sin(ang, out=ang)
-                ang *= ang
+            for i, k in enumerate(freqs):  # 1 - cos and sin of 2 pi k h_m, m = 1 .. n0
+                _sin_vers((2.0 * math.pi * k / float(params.b) ** n0) * x, params.b,
+                          e[(2 * i + 1) * n0:(2 * i + 2) * n0], e[2 * i * n0:(2 * i + 1) * n0])
             if linear:
                 e[-1] = x
             yield sl, e.T @ cmat
             continue
         out = np.zeros((len(x), len(codes)))
-        for m in range(n0):
-            out -= scales[m] * phimod.phi_diff_vec(phi, offs[:, m], (x / powers[m])[:, None])
+        if piecewise:
+            for j, code_steps in enumerate(steps):
+                for m, o, scale in code_steps:
+                    out[:, j] -= gam[m - 1] * phimod._piecewise_quotient(phi, o, x, scale)
+        else:
+            for m in range(n0):
+                h = x / float(params.b) ** (m + 1)
+                out -= scales[m] * phimod.phi_diff_vec(phi, offs[:, m], h[:, None])
         if linear:
             out -= x[:, None] * tail
         yield sl, out
@@ -425,14 +491,18 @@ def eval_gamma_many(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Cod
 
     For a real Fourier generator this is the product E(xs) @ C(codes) of
     the module docstring, with C built once per call and E one row block at
-    a time; other generators run the stable-increment loop per code on the
-    same blocks.  For points in [0, 1), depths m <= n0, the first with
-    b^-n0 <= 2^-24, sum stable increments; below that the increment is first
-    order in x and the deeper depths collapse into x times one linear
-    coefficient per code, sum_{m > n0} gamma^m phi'(o_m).  The linearization
-    error is bounded by 2^-24 sup|phi''| gamma^n0 / (2 (1 - gamma)) for
-    smooth generators; identity-grade comparisons should use the scalar
-    ``eval_gamma``.
+    a time; E's sines and versines come from two sines per point and
+    frequency and the multiple-angle climb, within about 1e-15 of direct
+    sines.  Other generators sum increments per code on the same blocks.
+    For points in [0, 1), depths m <= n0, the first with b^-n0 <= 2^-24,
+    sum stable increments; below that the increment is first order in x
+    and the deeper depths collapse into x times one linear coefficient per
+    code, sum_{m > n0} gamma^m phi'(o_m).  The linearization error is
+    bounded by 2^-24 sup|phi''| gamma^n0 / (2 (1 - gamma)) for smooth
+    generators.  A piecewise generator sums as an exact-offset increment
+    every deep depth whose step meets a breakpoint, so no step it
+    linearizes leaves its piece.  Identity-grade comparisons should use the
+    scalar ``eval_gamma``.
     """
     xs = np.asarray(xs, dtype=np.float64)
     codes = list(codes)

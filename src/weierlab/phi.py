@@ -39,6 +39,7 @@ __all__ = [
     "eval_phi",
     "phi_diff_vec",
     "near_breakpoint",
+    "crosses_breakpoint",
     "piecewise_deriv_exact",
     "sup_deriv",
     "renormalize",
@@ -368,7 +369,7 @@ def phi_diff_vec(phi: Phi, o, h) -> np.ndarray:
     for j, piece in enumerate(phi.coeffs):
         mask = inside & (idx == j)
         if mask.any():
-            d[mask] = _poly_diff(piece, a[mask], step[mask])
+            d[mask] = step[mask] * _poly_slope(piece, a[mask], step[mask])
     for i in np.flatnonzero(~inside):
         d[i] = float(_piecewise_diff(phi, Fraction(float(a[i])), Fraction(float(step[i]))))
     out[small] = np.where(flip, -d, d)
@@ -380,19 +381,19 @@ def phi_diff_vec(phi: Phi, o, h) -> np.ndarray:
 phi_diff_offsets = phi_diff_vec
 
 
-def _poly_diff(piece: tuple[Fraction, ...], o: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # p(o+h) - p(o) = h * sum_d a_d * sum_{i<d} (o+h)^i o^(d-1-i), no cancellation
-    acc = np.zeros_like(o)
+def _poly_slope(piece: tuple[Fraction, ...], o, h) -> np.ndarray:
+    # (p(o+h) - p(o)) / h = sum_d a_d * sum_{i<d} (o+h)^i o^(d-1-i), no cancellation
+    acc = np.zeros(np.broadcast(o, h).shape)
     oh = o + h
     for d in range(1, len(piece)):
         a = float(piece[d])
         if a == 0.0:
             continue
-        inner = np.zeros_like(o)
+        inner = np.zeros_like(acc)
         for i in range(d):
             inner += oh**i * o ** (d - 1 - i)
         acc += a * inner
-    return h * acc
+    return acc
 
 
 def _piecewise_diff(phi: PiecewisePhi, o: Fraction, h: Fraction) -> Fraction:
@@ -416,6 +417,41 @@ def _piecewise_diff(phi: PiecewisePhi, o: Fraction, h: Fraction) -> Fraction:
     return total
 
 
+def _piecewise_quotient(phi: PiecewisePhi, o: Fraction, x: np.ndarray,
+                        scale: Fraction) -> np.ndarray:
+    """(phi(o + x scale) - phi(o)) / scale for one exact offset o and float x.
+
+    Each piece met between o + min(x, 0) scale and o + max(x, 0) scale adds
+    its extent, measured exactly from o in units of scale, times its
+    polynomial's divided difference.  So a step crosses a breakpoint where
+    the exact one lies, even where float(o) has rounded past it, and a scale
+    below float range still gives the first-order quotient.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros_like(x)
+    if x.size == 0:
+        return out
+    xl, xh = Fraction(min(float(x.min()), 0.0)), Fraction(max(float(x.max()), 0.0))
+    lo, hi = o + xl * scale, o + xh * scale
+    k, j = math.floor(lo), phi.piece_index(lo)
+    while k + phi.breakpoints[j] <= hi:
+        a, a2 = k + phi.breakpoints[j], k + phi.breakpoints[j + 1]
+        e0, e1 = (float(min(max((e - o) / scale, xl), xh)) for e in (a, a2))
+        start = o if a <= o < a2 else (a if a > o else a2)  # the piece's point nearest o
+        step = np.clip(x, e0, e1) - float((start - o) / scale)
+        out += step * _poly_slope(phi.coeffs[j], float(start - k), step * float(scale))
+        j += 1
+        if j == len(phi.coeffs):
+            j, k = 0, k + 1
+    return out
+
+
+def _breakpoint_between(phi: PiecewisePhi, lo: Fraction, hi: Fraction) -> bool:
+    """Whether the exact interval [lo, hi] holds a breakpoint of phi, periodically."""
+    k, j = math.floor(lo), phi.piece_index(lo)
+    return lo == k + phi.breakpoints[j] or hi >= k + phi.breakpoints[j + 1]
+
+
 def piecewise_deriv_exact(phi: PiecewisePhi, o: Fraction) -> float:
     """Right-limit phi'(o) at an exact rational point of piecewise data.
 
@@ -437,6 +473,16 @@ def near_breakpoint(phi: PiecewisePhi, x: np.ndarray) -> np.ndarray:
     """
     gap = np.abs((x - np.floor(x))[..., None] - phi._bp_float).min(axis=-1)
     return gap <= 2.0**-44 * (1.0 + np.abs(x))
+
+
+def crosses_breakpoint(phi: PiecewisePhi, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Where a float step from start to end meets a breakpoint or ends within
+    rounding of one: there the float points may not give the exact pieces."""
+    def piece(t):
+        whole = np.floor(t)
+        return whole * len(phi.coeffs) + np.searchsorted(phi._bp_float, t - whole, side="right")
+    return ((piece(start) != piece(end)) | near_breakpoint(phi, start)
+            | near_breakpoint(phi, end))
 
 
 # ---------------------------------------------------------------------------

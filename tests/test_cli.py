@@ -210,6 +210,12 @@ def test_renorm_removes_pure_cosine(tmp_path, capsys):
 def test_renorm_unknown_op_is_exit_2(tmp_path, capsys):
     assert main(["renorm", "--op", "fold", "--out", str(tmp_path)]) == 2
     assert "unknown renorm op" in capsys.readouterr().err
+    # the Fourier-only commands reject a piecewise generator the same way
+    for command in ("renorm", "period-scan"):
+        assert main([command, "--phi", "triangle", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Fourier" in err and len(err.splitlines()) == 1
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Contact maps, theta measures, separation constant, and entropy gains."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -139,20 +140,43 @@ def test_build_theta_subsample_reproducible():
 
 
 def test_gamma_at_many_words_matches_scalar():
-    """The vectorized word sweep equals per-word projections of Gamma."""
+    """The word sweep over an array of points equals the per-word scalar
+    Gamma to 1e-12 plus the documented bound of the collapsed deep depths,
+    for b = 2, 3, 5, at widths 1 to 14, on a seeded and the 1^infinity base."""
     from weierlab.kernel import eval_gamma
 
-    p = _p2()
-    cos = P.cos_phi()
-    code = seeded_code(2, 0)
-    th = F.build_theta(p, cos, code, 3)
-    for x in [0.5, 1.0]:
-        fast = F.gamma_at_many_words(p, cos, x, th.indices, th.n_hat, code)
-        slow = np.array([
-            eval_gamma(p, cos, x, code.prepend(tuple(reversed(th.word(i)))))
-            for i in range(len(th))
-        ])
-        assert np.max(np.abs(fast - slow)) < 1e-8
+    phis = [P.cos_phi(), P.cos_phi(0.3),
+            P.FourierPhi({1: 0.5, -1: 0.5, 2: 0.1 + 0.2j, -2: 0.1 - 0.2j, 5: 0.03j, -5: -0.03j})]
+    xs = np.array([0.25, 0.5, 1.0, 0.9])
+    for b, lam in [(2, 0.7), (3, 0.5), (5, 0.3)]:
+        p = make_params(b, lam)
+        rng = np.random.default_rng(b)
+        for base, width in itertools.product([seeded_code(b, 0), periodic_code(b, (), (1,))],
+                                             (1, 2, 5, 9, 14)):
+            idx = np.unique(np.r_[0, b**width - 1, rng.integers(0, b**width, 6)])
+            for phi in phis:
+                fast = F.gamma_at_many_words(p, phi, xs, idx, width, base, 1e-10)
+                assert fast.shape == (len(idx), len(xs))
+                bound = 2.0**-48 * sum(
+                    2 * math.pi * k * abs(c) for k, c in phi.coeffs.items() if k > 0
+                ) * 2 * p.gamma ** (width + 1) / (1.0 - p.gamma)
+                for i, r in enumerate(idx):
+                    rev = tuple(int(r) // b**j % b for j in range(width))  # reverse(word)
+                    for j, x in enumerate(xs):
+                        slow = eval_gamma(p, phi, float(x), base.prepend(rev), 1e-10)
+                        assert abs(fast[i, j] - slow) <= 1e-12 + bound * x
+                one = F.gamma_at_many_words(p, phi, 0.9, idx, width, base, 1e-10)
+                assert one.shape == (len(idx),)
+                assert np.allclose(one, fast[:, 3], rtol=1e-14, atol=1e-14)
+    # about 1,360 terms at (2, 0.51): b^m and lam^-m leave float range (an
+    # OverflowError before the deep depths were factored)
+    p, base, idx = make_params(2, 0.51), seeded_code(2, 0), np.array([0, 5, 7])
+    fast = F.gamma_at_many_words(p, phis[1], xs[:2], idx, 3, base, 1e-10)
+    for i, r in enumerate(idx):
+        rev = tuple(int(r) // 2**j % 2 for j in range(3))
+        for j, x in enumerate(xs[:2]):
+            slow = eval_gamma(p, phis[1], float(x), base.prepend(rev), 1e-10)
+            assert abs(fast[i, j] - slow) <= 1e-12 * max(1.0, abs(slow))
 
 
 def test_gamma_at_many_words_piecewise_exact_offsets():
@@ -169,6 +193,23 @@ def test_gamma_at_many_words_piecewise_exact_offsets():
     words = [tuple(int(c) for c in format(i, "06b")) for i in idx]
     slow = np.array([eval_gamma(p, tri, 0.5, base.prepend(tuple(reversed(w))), 1e-10)
                      for w in words])
+    assert np.max(np.abs(fast - slow)) <= 1e-12
+
+
+def test_gamma_at_many_words_piecewise_steps_across_breakpoint():
+    """At (3, 0.5) on the base 1^infinity the word 1 has deep offsets
+    1/2 - 3^-m / 2, and for x > 1/2 each step crosses the breakpoint 1/2.
+    float(o) carries an error of up to 2^-55 there, which lam^-m = 2^m
+    magnified to 5.9e-9 until such steps took the exact offset."""
+    from weierlab.kernel import eval_gamma
+
+    p = make_params(3, 0.5)
+    tri = P.triangle_phi()
+    base = periodic_code(3, (), (1,))
+    xs = np.array([0.25, 0.75, 0.9, 1.0])
+    fast = F.gamma_at_many_words(p, tri, xs, np.arange(3), 1, base, 1e-10)
+    slow = np.array([[eval_gamma(p, tri, float(x), base.prepend((r,)), 1e-10) for x in xs]
+                     for r in range(3)])
     assert np.max(np.abs(fast - slow)) <= 1e-12
 
 
@@ -202,6 +243,19 @@ def test_theta_entropy_analytic_collapses():
     rep = F.theta_entropy(p, an, seeded_code(2, 0), 4, 0, 2)
     assert rep.n_cells == 1
     assert rep.entropy == 0.0
+
+
+def test_theta_cell_labels_match_partition_cells():
+    """Labels number the scalar partition cells: two atoms share a label
+    exactly when ``partition_cell`` agrees, and the labels are 0 ..
+    n_cells - 1, each in use."""
+    p = _p2()
+    th = F.build_theta(p, P.cos_phi(), seeded_code(2, 0), 4)
+    for level in (0, 1, 3):  # at level 1, 73 constant-coordinate cells hold several atoms
+        labels, n_cells = F.theta_cell_labels(th, level, 2)
+        assert np.array_equal(np.unique(labels), np.arange(n_cells))
+        cells = [F.partition_cell(th.contact_map(i), level, 2, 1e-9) for i in range(len(th))]
+        assert len(set(zip(labels.tolist(), cells))) == len(set(cells)) == n_cells
 
 
 def test_theta_labels_refine_with_level():

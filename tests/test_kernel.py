@@ -167,7 +167,8 @@ def _gamma_loop(params, phi, xs, code, tol=1e-10):
     return out - coef * xs
 
 
-@pytest.mark.parametrize("b, lam", [(2, 0.7), (3, 0.5), (5, 0.3), (2, 0.52), (2, 0.51)])
+@pytest.mark.parametrize("b, lam", [(2, 0.7), (3, 0.5), (5, 0.3), (7, 0.2), (10, 0.15),
+                                    (2, 0.52), (2, 0.51)])
 def test_eval_gamma_many_matches_per_code_sums(b, lam):
     """Every column equals the per-code increment sum to 1e-12 (relative to
     the column's size) and the exact scalar Gamma to 1e-9 plus the
@@ -199,6 +200,40 @@ def test_eval_gamma_many_matches_per_code_sums(b, lam):
             for i in range(4):
                 exact = K.eval_gamma(params, phi, float(xs[i]), code)
                 assert abs(got[i, j] - exact) <= 1e-9 + lin
+
+
+def test_eval_gamma_vec_piecewise_steps_across_breakpoint():
+    """At (3, 0.5) the code 1^infinity has offsets o_m = 1/2 - 3^-m / 2, so
+    for x > 1/2 every step x / 3^m crosses the triangle's breakpoint 1/2,
+    also at the depths below 2^-24 that would otherwise be linear, and from
+    m = 34 on float(o_m) is 1/2 itself.  The vector path equals the scalar
+    one; at the parent it was 1.5e-3 off at x = 0.75."""
+    params = make_params(3, 0.5)
+    tri = P.triangle_phi()
+    xs = np.array([-0.8, -0.3, 0.25, 0.5, 0.75, 0.9, 1.0, 1.7])
+    for code in [K.periodic_code(3, (), (1,)), K.periodic_code(3, (2,), (1,))]:
+        got = K.eval_gamma_vec(params, tri, xs, code)
+        exact = np.array([K.eval_gamma(params, tri, float(x), code) for x in xs])
+        assert np.max(np.abs(got - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("b", [2, 3, 5, 7, 10])
+def test_sin_vers_climb_matches_direct_sines(b):
+    """Sine and versine climbed from the deepest depth of Gamma's factored
+    sum, against 40-digit values at every depth; angles up to 5 pi, as for
+    the fifth harmonic."""
+    import mpmath
+
+    n0 = 1 + int(24 / math.log2(b))
+    x = np.random.default_rng(b).random(64) * 5.0
+    sin_out, vers_out = np.empty((n0, len(x))), np.empty((n0, len(x)))
+    K._sin_vers(math.pi * x / float(b) ** (n0 - 1), b, sin_out, vers_out)
+    with mpmath.workdps(40):
+        for r in range(n0):
+            for i in range(0, len(x), 7):
+                ang = mpmath.pi * mpmath.mpf(float(x[i])) / mpmath.mpf(b) ** r
+                assert abs(sin_out[r, i] - float(mpmath.sin(ang))) <= 2e-14
+                assert abs(vers_out[r, i] - float(1 - mpmath.cos(ang))) <= 2e-14
 
 
 def test_eval_gamma_many_empty_and_zero():
