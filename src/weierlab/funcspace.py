@@ -29,7 +29,7 @@ import numpy as np
 
 from . import phi as phimod
 from ._util import floor_scaled_log, substream
-from .kernel import (_BLOCK_BYTES, _LINEARIZE_BELOW, Code, _sin_vers, _y_term_count, apply_word,
+from .kernel import (_LINEARIZE_BELOW, Code, _block_rows, _sin_vers, _y_term_count, apply_word,
                      code_offsets, code_offsets_exact, eval_gamma, eval_gamma_vec)
 from .measure import BadicHistogram, entropy, histogram_from_values, n_hat
 from .weier import WLattice, eval_w_vec
@@ -350,7 +350,7 @@ def _deep_word_depths(params, phi: phimod.FourierPhi, xs: np.ndarray, u: np.ndar
         freqs.append((rows, slope[rows - 1] if rows else 0.0))
     cmat = np.array(c_rows)
     out = np.empty((len(xs), len(u)))
-    block = 1 << max(0, (_BLOCK_BYTES // (8 * len(cmat))).bit_length() - 1)
+    block = _block_rows(len(cmat))
     e_buf = np.empty((len(cmat), min(block, len(u))))
     for a in range(0, len(u), block):
         ub = u[a:a + block]

@@ -364,6 +364,12 @@ _LINEARIZE_BELOW = 2.0**-24  # x / b^m below this: the increment is first order 
 _BLOCK_BYTES = 1 << 22  # largest matrix of one row block of Gamma
 
 
+def _block_rows(cols: int) -> int:
+    """Rows per block: the largest power of two whose rows of ``cols``
+    floats fit in _BLOCK_BYTES."""
+    return 1 << max(0, (_BLOCK_BYTES // (8 * cols)).bit_length() - 1)
+
+
 def _sin_vers(ang: np.ndarray, b: int, sin_out: np.ndarray, vers_out: np.ndarray) -> None:
     """Fill sin_out[r] and vers_out[r] with sin and 1 - cos of b^(n-1-r) ang, n = len(sin_out).
 
@@ -456,7 +462,7 @@ def _gamma_blocks(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code]
         parts.append(-tail[:, None])
     cmat = np.concatenate(parts, axis=1).T if parts else np.zeros((0, len(codes)))
     width_cols = max(len(cmat) if separable else 0, len(codes), 1)
-    rows = 1 << max(0, (_BLOCK_BYTES // (8 * width_cols)).bit_length() - 1)
+    rows = _block_rows(width_cols)
     # E is held transposed, one contiguous row per column, and reused by every block
     e_buf = np.empty((len(cmat), min(rows, len(xs)))) if separable else None
     for a in range(0, len(xs), rows):
