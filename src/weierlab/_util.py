@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 import tempfile
-from fractions import Fraction
 
 import numpy as np
 
@@ -13,6 +14,7 @@ __all__ = [
     "badic_offsets_exact",
     "floor_scaled_log",
     "ceil_log_ratio",
+    "depth_index",
     "grid_sup",
     "golden_refine",
     "ols_fit",
@@ -41,25 +43,61 @@ def badic_offsets_exact(x: float, b: int, count: int) -> np.ndarray:
     return out
 
 
-def _scale_le(b: int, q: int, num: int, den: int, t: int) -> bool:
-    """b^q * lam^t <= 1 for lam = num / den, decided in integers."""
+# Rounding bound of the float sign test in _scale_le, as a share of
+# q log b + t log(1/lam): 8 units of roundoff, twice the worst case.
+_MARGIN = 2.0**-50
+
+
+@functools.lru_cache(maxsize=256)
+def _scale_constants(b: int, lam: float):
+    """(num, den, log b, log(1/lam), tie exponents) for lam = num / den.
+
+    A float lam is num / 2^e with num odd, so b^q lam^t = 1 with t > 0
+    needs num^t = 1 and b^q = 2^(e t): num = 1 and b = 2^k.  Only then are
+    the exponents (k, e) given; otherwise they are None and no tie exists.
+    """
+    num, den = lam.as_integer_ratio()
+    ties = (b.bit_length() - 1, den.bit_length() - 1) if num == 1 and b & (b - 1) == 0 else None
+    return num, den, math.log(b), -math.log(lam), ties
+
+
+def _scale_le(b: int, q: int, lam: float, t: int) -> bool:
+    """b^q * lam^t <= 1, decided exactly.
+
+    Where ties can happen (lam = 2^-e, b = 2^k) this is the integer compare
+    k q <= e t.  Elsewhere the sign of s = q log b - t log(1/lam) decides,
+    computed in floats: each log is within one ulp, and the two products
+    and the difference round once each, so the float s is within 4 units
+    of roundoff (2^-53) of (q log b + t log(1/lam)) of the true one, and a
+    float s beyond ``_MARGIN`` times that sum has the true sign.  Inside
+    that band the integers b^q num^t and den^t are compared.  The band
+    holds q = t = 0 and, for lam within rounding of some b^(-j/k), about
+    the t that are multiples of k; for other lam it is practically empty.
+    """
+    num, den, log_b, log_inv, ties = _scale_constants(b, lam)
+    if ties is not None:
+        k, e = ties
+        return k * q <= e * t
+    up, down = q * log_b, t * log_inv
+    if abs(up - down) > _MARGIN * (up + down):
+        return up < down
     return b**q * num**t <= den**t
 
 
 def floor_scaled_log(t: int, b: int, lam: float) -> int:
     """floor(t * log_b(1/lam)) for 0 < lam < 1, decided exactly.
 
-    The float estimate only seeds the search: the answer is the largest
-    q >= 0 with b^q * lam^t <= 1, settled by exact integer comparisons, so
-    boundary cases such as b = 4, lam = 0.25 where the product is an exact
-    integer come out right.
+    The answer is the largest q >= 0 with b^q * lam^t <= 1.  A float
+    estimate seeds q and ``_scale_le`` settles each step: an integer
+    compare of exponents where ties can happen (b = 4, lam = 0.25, where
+    the product is exactly 1 and the tie goes to q), a float log margin
+    test elsewhere, and a compare of exact integers only inside that
+    test's rounding band.
     """
-    lam_frac = Fraction(lam)
-    num, den = lam_frac.numerator, lam_frac.denominator
     q = max(0, math.floor(t * -math.log(lam) / math.log(b)))
-    while q > 0 and not _scale_le(b, q, num, den, t):
+    while q > 0 and not _scale_le(b, q, lam, t):
         q -= 1
-    while _scale_le(b, q + 1, num, den, t):
+    while _scale_le(b, q + 1, lam, t):
         q += 1
     return q
 
@@ -67,17 +105,27 @@ def floor_scaled_log(t: int, b: int, lam: float) -> int:
 def ceil_log_ratio(n: int, b: int, lam: float) -> int:
     """Smallest integer m >= 0 with lam^m <= b^(-n), for 0 < lam < 1.
 
-    Exact in the same sense as :func:`floor_scaled_log`.  Ties, where
+    Decided as in :func:`floor_scaled_log`, by ``_scale_le``.  Ties, where
     lam^m equals b^(-n) exactly, resolve to that m.
     """
-    lam_frac = Fraction(lam)
-    num, den = lam_frac.numerator, lam_frac.denominator
     m = max(0, math.ceil(n * math.log(b) / -math.log(lam)))
-    while not _scale_le(b, n, num, den, m):
+    while not _scale_le(b, n, lam, m):
         m += 1
-    while m > 0 and _scale_le(b, n, num, den, m - 1):
+    while m > 0 and _scale_le(b, n, lam, m - 1):
         m -= 1
     return m
+
+
+def depth_index(value, name: str) -> int:
+    """A nonnegative integer depth argument, taken exactly through
+    ``operator.index``: numpy integers give Python ints, while floats and
+    bools raise TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not a bool")
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return value
 
 
 def golden_refine(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:

@@ -312,8 +312,8 @@ def cmd_kernel(args) -> int:
     points = opt.get_int("points")
     tol = opt.get_float("tol")
     xs = (np.arange(points) + 0.5) / points
+    gs = kn.eval_gamma_vec(params, phi, xs, code, tol)  # first: it rejects a non-real phi
     ys = kn.eval_y_vec(params, phi, xs, code, tol)
-    gs = kn.eval_gamma_vec(params, phi, xs, code, tol)
     lines = ["x,y_stable,gamma"]
     for x, y, g in zip(xs, ys, gs):
         lines.append(f"{float(x)!r},{float(y)!r},{float(g)!r}")

@@ -21,6 +21,7 @@ subsampling beyond it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -28,9 +29,9 @@ from typing import Sequence
 import numpy as np
 
 from . import phi as phimod
-from ._util import floor_scaled_log, substream
-from .kernel import (_LINEARIZE_BELOW, Code, _block_rows, _sin_vers, _y_term_count, apply_word,
-                     code_offsets, code_offsets_exact, eval_gamma, eval_gamma_vec)
+from ._util import depth_index, floor_scaled_log, substream
+from .kernel import (_LINEARIZE_BELOW, Code, _block_rows, _require_real, _sin_vers, _y_term_count,
+                     apply_word, code_offsets, code_offsets_exact, eval_gamma, eval_gamma_vec)
 from .measure import BadicHistogram, entropy, histogram_from_values, n_hat
 from .weier import WLattice, eval_w_vec
 
@@ -95,11 +96,15 @@ class ContactMap:
 def q_height(params, t: int) -> int:
     """Extra resolution floor(t log_b(1/lam)) of the constant coordinate.
 
-    Settled in exact integer arithmetic; ties at integer values of the
-    product go downward.
+    The largest q with b^q lam^t <= 1, so ties at integer values of
+    t log_b(1/lam) go to that integer.  ``t`` is taken through
+    ``operator.index``: numpy integers are exact, floats and bools raise
+    TypeError.  Each comparison is exact, as in ``measure.n_hat``: integer
+    exponents where ties can happen, otherwise a float log difference
+    whose sign is taken outside a band of 2^-50 (q log b + t log(1/lam)),
+    and big integers only inside it.
     """
-    if t < 0:
-        raise ValueError("height must be nonnegative")
+    t = depth_index(t, "height")
     return floor_scaled_log(t, params.b, params.lam)
 
 
@@ -277,44 +282,70 @@ def gamma_at_many_words(
     words only, so all points share it.  Its depths with 2 pi k / b^s <
     2^-24 keep alpha_s to first order, an error of at most 2^-48 sum_k
     2 pi k |c_k + conj c_-k| |x| gamma^(width+1) / (1 - gamma) beyond the
-    scalar ``eval_gamma``'s rounding.  Other generators sum the increments
-    at the float offsets.  For piecewise data that float sum can round
-    across a breakpoint (1 - 2^-60 rounds onto 1), and lam^-m magnifies its
-    rounding wherever a step crosses one, so there the increment is the
-    exact one at the exact offset r / b^m + o_s(base).
+    scalar ``eval_gamma``'s rounding.  Piecewise data sum those depths as
+    increments, in ``_deep_piecewise_depths``.  A generator that is not
+    real-valued raises TypeError.
     """
+    _require_real(phi)
     idx = np.asarray(idx, dtype=np.int64)
     x = np.asarray(x, dtype=np.float64)
     xv = x.reshape(-1, 1)
     n_terms = _y_term_count(params, phi, tol)
     out = np.zeros((len(xv), len(idx)))  # one row per point: long rows for numpy's loops
-    separable = isinstance(phi, phimod.FourierPhi) and phi.real_valued
-    base_offs = code_offsets(base, max(n_terms - width, 0))
-    base_exact = None
-    rev_val = idx.astype(np.float64) / float(params.b) ** width
     lam_inv = 1.0 / params.lam
     scale = 1.0
     bm = 1
-    for m_depth in range(1, (min(width, n_terms) if separable else n_terms) + 1):
+    for _ in range(min(width, n_terms)):  # b^m <= b^width < 2^63: all in float range
         bm *= params.b
         scale *= lam_inv
-        h = xv / bm
-        if m_depth <= width:
-            o = (idx % bm).astype(np.float64) / bm
+        o = (idx % bm).astype(np.float64) / bm
+        # by this name: traced as its own layer
+        out -= scale * phimod.phi_diff_offsets(phi, o, xv / bm)
+    if n_terms > width:
+        base_offs = code_offsets(base, n_terms - width)
+        rev_val = idx.astype(np.float64) / float(params.b) ** width
+        if isinstance(phi, phimod.FourierPhi):
+            out += _deep_word_depths(params, phi, xv[:, 0], rev_val, width, base_offs)
         else:
-            s = m_depth - width
-            o = rev_val / float(params.b) ** s + base_offs[s - 1]
-        diff = phimod.phi_diff_offsets(phi, o, h)  # by this name: traced as its own layer
-        if m_depth > width and isinstance(phi, phimod.PiecewisePhi):
-            for j, i in zip(*np.nonzero(phimod.crosses_breakpoint(phi, o, o + h))):
-                if base_exact is None:
-                    base_exact = code_offsets_exact(base, n_terms - width)
-                o_exact = Fraction(int(idx[i]), bm) + base_exact[s - 1]
-                diff[j, i] = float(phimod._piecewise_diff(phi, o_exact, Fraction(xv[j, 0]) / bm))
-        out -= scale * diff
-    if separable and n_terms > width:
-        out += _deep_word_depths(params, phi, xv[:, 0], rev_val, width, base_offs)
+            out -= _deep_piecewise_depths(params, phi, xv, idx, rev_val, width, base, base_offs)
     return out.T.reshape(idx.shape + x.shape)
+
+
+def _deep_piecewise_depths(params, phi: phimod.PiecewisePhi, xv: np.ndarray, idx: np.ndarray,
+                           u: np.ndarray, width: int, base: Code,
+                           base_offs: np.ndarray) -> np.ndarray:
+    """sum over m = width + s > width of lam^-m (phi(o_s + x b^-m) - phi(o_s)),
+    o_s = u b^-s + o_s(base), for piecewise data; shape (len(xv), len(u)).
+
+    Each depth is gamma^m times b^m times the increment, as in the scalar
+    ``eval_gamma``, so nothing leaves float range past b^m = 2^1024.
+    While b^-m is a normal float the increment at step x b^-m is divided by
+    it; below that the step is under float resolution and the depth takes
+    x phi'(o_s).  The float offsets can round across a breakpoint (1 -
+    2^-60 rounds onto 1), and b^m magnifies the rounding of any step that
+    crosses one, so there the depth is the exact increment at the exact
+    offset idx / b^m + o_s(base).
+    """
+    b = params.b
+    out = np.zeros((len(xv), len(u)))
+    base_exact = None
+    for s, o_base in enumerate(base_offs, 1):
+        m = width + s
+        bneg = float(b) ** -m  # 0.0 once b^-m underflows
+        o = u * float(b) ** -s + o_base
+        h = xv * bneg
+        if bneg >= sys.float_info.min:
+            dq = phimod.phi_diff_offsets(phi, o, h) / bneg  # x times the difference quotient
+        else:
+            dq = xv * phimod.eval_phi(phi, o, 1)
+        for j, i in zip(*np.nonzero(phimod.crosses_breakpoint(phi, o, o + h))):
+            if base_exact is None:
+                base_exact = code_offsets_exact(base, len(base_offs))
+            bm = b**m
+            o_exact = Fraction(int(idx[i]), bm) + base_exact[s - 1]
+            dq[j, i] = float(phimod._piecewise_diff(phi, o_exact, Fraction(xv[j, 0]) / bm) * bm)
+        out += params.gamma**m * dq
+    return out
 
 
 def _deep_word_depths(params, phi: phimod.FourierPhi, xs: np.ndarray, u: np.ndarray,

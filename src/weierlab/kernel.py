@@ -218,6 +218,11 @@ def _require_c1(phi: phimod.Phi, opname: str) -> None:
                          f"{phi.kind} is discontinuous")
 
 
+def _require_real(phi: phimod.Phi) -> None:
+    if isinstance(phi, phimod.FourierPhi) and not phi.real_valued:
+        raise TypeError("Gamma needs a real-valued generator")
+
+
 def _y_term_count(params, phi: phimod.Phi, tol: float) -> int:
     from .weier import term_count
 
@@ -326,9 +331,11 @@ def eval_gamma(params, phi: phimod.Phi, x: float, code: Code, tol: float = 1e-10
     h_n = x / b^n and the decaying g_n = gamma^n x, so no factor leaves
     float range even past a thousand terms (lam near 1/b); where h_n
     underflows, Fourier data take the first-order limit phi'(o_n), and
-    piecewise quotients are exact rationals.
+    piecewise quotients are exact rationals.  The paper's phi is real, and a
+    generator that is not real-valued raises TypeError.
     """
     _require_c1(phi, "eval_gamma")
+    _require_real(phi)
     if x == 0.0:
         return 0.0
     n = _y_term_count(params, phi, tol)
@@ -421,6 +428,7 @@ def _gamma_blocks(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code]
     about 4 MB, as is each block of the matrix E behind it.
     """
     _require_c1(phi, "eval_gamma_many")
+    _require_real(phi)
     codes = list(codes)
     n = _y_term_count(params, phi, tol)
     n0 = 0
@@ -450,8 +458,7 @@ def _gamma_blocks(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code]
     else:
         d1 = phimod.eval_phi(phi, offs, 1).reshape(len(codes), n)
     tail = d1[:, n0:] @ gam[n0:]  # sum over the linear depths of gamma^m phi'(o_m), per code
-    separable = isinstance(phi, phimod.FourierPhi) and phi.real_valued
-    freqs = sorted({abs(k) for k in phi.coeffs if k}) if separable and n0 else []
+    freqs = sorted({abs(k) for k in phi.coeffs if k}) if n0 and not piecewise else []
     scales = np.cumprod(np.full(n0, 1.0 / params.lam))  # lam^-m
     parts = []
     for k in freqs:
@@ -461,14 +468,14 @@ def _gamma_blocks(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code]
     if linear:
         parts.append(-tail[:, None])
     cmat = np.concatenate(parts, axis=1).T if parts else np.zeros((0, len(codes)))
-    width_cols = max(len(cmat) if separable else 0, len(codes), 1)
+    width_cols = max(0 if piecewise else len(cmat), len(codes), 1)
     rows = _block_rows(width_cols)
     # E is held transposed, one contiguous row per column, and reused by every block
-    e_buf = np.empty((len(cmat), min(rows, len(xs)))) if separable else None
+    e_buf = None if piecewise else np.empty((len(cmat), min(rows, len(xs))))
     for a in range(0, len(xs), rows):
         sl = slice(a, a + rows)
         x = xs[sl]
-        if separable:
+        if not piecewise:
             e = e_buf[:, :len(x)]
             for i, k in enumerate(freqs):  # 1 - cos and sin of 2 pi k h_m, m = 1 .. n0
                 _sin_vers((2.0 * math.pi * k / float(params.b) ** n0) * x, params.b,
@@ -478,14 +485,9 @@ def _gamma_blocks(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code]
             yield sl, e.T @ cmat
             continue
         out = np.zeros((len(x), len(codes)))
-        if piecewise:
-            for j, code_steps in enumerate(steps):
-                for m, o, scale in code_steps:
-                    out[:, j] -= gam[m - 1] * phimod._piecewise_quotient(phi, o, x, scale)
-        else:
-            for m in range(n0):
-                h = x / float(params.b) ** (m + 1)
-                out -= scales[m] * phimod.phi_diff_vec(phi, offs[:, m], h[:, None])
+        for j, code_steps in enumerate(steps):
+            for m, o, scale in code_steps:
+                out[:, j] -= gam[m - 1] * phimod._piecewise_quotient(phi, o, x, scale)
         if linear:
             out -= x[:, None] * tail
         yield sl, out
@@ -499,7 +501,7 @@ def eval_gamma_many(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Cod
     the module docstring, with C built once per call and E one row block at
     a time; E's sines and versines come from two sines per point and
     frequency and the multiple-angle climb, within about 1e-15 of direct
-    sines.  Other generators sum increments per code on the same blocks.
+    sines.  Piecewise generators sum increments per code on the same blocks.
     For points in [0, 1), depths m <= n0, the first with b^-n0 <= 2^-24,
     sum stable increments; below that the increment is first order in x
     and the deeper depths collapse into x times one linear coefficient per

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import phi as phimod
-from ._util import ceil_log_ratio, ols_fit, substream
+from ._util import ceil_log_ratio, depth_index, ols_fit, substream
 from .kernel import Code, _gamma_blocks, apply_word, eval_gamma_vec, seeded_code
 from .weier import WLattice
 # no caller in this module: kept because perfbench/tracing.py patches it here by name
@@ -694,11 +694,16 @@ def dim_mu_check(
 def n_hat(params, n: int) -> int:
     """Depth at which lam-scale first falls below the b-adic scale b^-n.
 
-    The returned m satisfies lam^m <= b^-n < lam^(m-1); the comparison is
-    settled in exact integer arithmetic, so no float log can misround it.
+    The returned m satisfies lam^m <= b^-n < lam^(m-1).  ``n`` is taken
+    through ``operator.index``, so numpy integers are exact and floats or
+    bools raise TypeError.  Each comparison b^n lam^m <= 1 is exact
+    (``_util._scale_le``): an integer compare of exponents when
+    lam = 2^-e and b = 2^k, the only case with ties; otherwise the sign of
+    n log b - m log(1/lam) in floats, taken when it clears 2^-50 times
+    n log b + m log(1/lam), twice the worst rounding of that difference;
+    and big-integer powers only inside that band.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = depth_index(n, "n")
     return ceil_log_ratio(n, params.b, params.lam)
 
 

@@ -281,6 +281,18 @@ def test_kernel_code_digit_out_of_base_is_exit_2(tmp_path, capsys):
     assert "outside base" in capsys.readouterr().err
 
 
+def test_kernel_non_real_phi_is_exit_2(tmp_path, capsys):
+    """A coefficient file without conjugate symmetry gives a complex phi,
+    which Gamma refuses with one line rather than a numpy casting error."""
+    spec = tmp_path / "phi.txt"
+    spec.write_text("1 0.5 0\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["kernel", "--phi", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: Gamma needs a real-valued generator\n"
+    assert not any(out.iterdir())
+
+
 def test_kernel_seeded_code_spec(tmp_path, capsys):
     assert main(["kernel", "--code", "seed:3", "--points", "8",
                  "--out", str(tmp_path)]) == 0

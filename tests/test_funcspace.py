@@ -168,15 +168,17 @@ def test_gamma_at_many_words_matches_scalar():
                 one = F.gamma_at_many_words(p, phi, 0.9, idx, width, base, 1e-10)
                 assert one.shape == (len(idx),)
                 assert np.allclose(one, fast[:, 3], rtol=1e-14, atol=1e-14)
-    # about 1,360 terms at (2, 0.51): b^m and lam^-m leave float range (an
-    # OverflowError before the deep depths were factored)
+    # 1,361 terms at (2, 0.51): b^m and lam^-m leave float range (an
+    # OverflowError before the deep depths were factored, and for the
+    # triangle until they were weighted by gamma^m)
     p, base, idx = make_params(2, 0.51), seeded_code(2, 0), np.array([0, 5, 7])
-    fast = F.gamma_at_many_words(p, phis[1], xs[:2], idx, 3, base, 1e-10)
-    for i, r in enumerate(idx):
-        rev = tuple(int(r) // 2**j % 2 for j in range(3))
-        for j, x in enumerate(xs[:2]):
-            slow = eval_gamma(p, phis[1], float(x), base.prepend(rev), 1e-10)
-            assert abs(fast[i, j] - slow) <= 1e-12 * max(1.0, abs(slow))
+    for phi in (phis[1], P.triangle_phi()):
+        fast = F.gamma_at_many_words(p, phi, xs[:2], idx, 3, base, 1e-10)
+        for i, r in enumerate(idx):
+            rev = tuple(int(r) // 2**j % 2 for j in range(3))
+            for j, x in enumerate(xs[:2]):
+                slow = eval_gamma(p, phi, float(x), base.prepend(rev), 1e-10)
+                assert abs(fast[i, j] - slow) <= 1e-12 * max(1.0, abs(slow))
 
 
 def test_gamma_at_many_words_piecewise_exact_offsets():

@@ -3,11 +3,14 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weierlab._util as _util
+import weierlab.funcspace as F
 import weierlab.measure as M
 import weierlab.phi as P
 from weierlab import make_params
@@ -299,6 +302,67 @@ def test_n_hat_double_inequality():
                 continue
             assert lam_q**m <= target
             assert lam_q ** (m - 1) > target
+
+
+# lam = 2^-e with b = 2^k (ties b^q lam^t = 1), no tie near, and lam
+# within rounding of b^(-j/k), where the float log test is inconclusive;
+# at (5, 5^(-2/3)) a float sign taken without the margin is wrong from n = 2
+_DEPTH_PAIRS = [(4, 0.5), (8, 0.25), (32, 0.0625),
+                (2, 0.7), (3, 0.34), (10, 0.95),
+                (3, 3**-0.5), (2, 2**-0.5), (5, 5**-0.25), (5, 5 ** (-2 / 3))]
+
+
+def _exact_scale_le(b, lam):
+    """b^q lam^t <= 1 from logs scaled by 2^256, each within 1 of exact, so
+    q + t + 1 bounds their rounding; integer powers decide inside that."""
+    frac = Fraction(lam)
+    num, den = frac.numerator, frac.denominator
+    with mpmath.workprec(400):
+        log_b = int(mpmath.nint(mpmath.ln(b) * mpmath.mpf(2) ** 256))
+        log_inv = int(mpmath.nint(mpmath.ln(mpmath.mpf(den) / num) * mpmath.mpf(2) ** 256))
+
+    def le(q, t):
+        s = q * log_b - t * log_inv
+        if abs(s) > q + t + 1:
+            return s < 0
+        return b**q * num**t <= den**t
+    return le
+
+
+def test_depth_maps_match_exact_predicate():
+    """n_hat(n) is the least m with b^n lam^m <= 1 and q_height(t) the
+    largest q with b^q lam^t <= 1, for every n in 0..2000."""
+    for b, lam in _DEPTH_PAIRS:
+        p = make_params(b, lam)
+        le = _exact_scale_le(b, p.lam)
+        for n in range(2001):
+            m = M.n_hat(p, n)
+            assert le(n, m) and (m == 0 or not le(n, m - 1)), (b, lam, n, m)
+            q = F.q_height(p, n)
+            assert le(q, n) and not le(q + 1, n), (b, lam, n, q)
+
+
+def test_depth_maps_exact_fallback_alone(monkeypatch):
+    """With the float margin at infinity every comparison but the tie pairs'
+    exponent compare takes the big-integer fallback: the same answers."""
+    params = [make_params(b, lam) for b, lam in _DEPTH_PAIRS]
+    ns = range(201)
+    fast = [[(M.n_hat(p, n), F.q_height(p, n)) for n in ns] for p in params]
+    monkeypatch.setattr(_util, "_MARGIN", math.inf)
+    assert [[(M.n_hat(p, n), F.q_height(p, n)) for n in ns] for p in params] == fast
+
+
+def test_depth_maps_take_integer_arguments():
+    """numpy integers are exact (b**n once wrapped in int64), while floats
+    and bools are refused rather than truncated."""
+    p = make_params(3, 0.5)
+    assert M.n_hat(p, np.int64(40)) == M.n_hat(p, 40) == 64
+    assert F.q_height(p, np.int64(64)) == F.q_height(p, 64) == 40
+    for bad in (2.5, 2.0, True, np.float64(3.0)):
+        with pytest.raises(TypeError):
+            M.n_hat(p, bad)
+        with pytest.raises(TypeError):
+            F.q_height(p, bad)
 
 
 def test_decompose_projection_mixture_matches_direct():
