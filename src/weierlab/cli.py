@@ -312,7 +312,7 @@ def cmd_kernel(args) -> int:
     points = opt.get_int("points")
     tol = opt.get_float("tol")
     xs = (np.arange(points) + 0.5) / points
-    gs = kn.eval_gamma_vec(params, phi, xs, code, tol)  # first: it rejects a non-real phi
+    gs = kn.eval_gamma_vec(params, phi, xs, code, tol)
     ys = kn.eval_y_vec(params, phi, xs, code, tol)
     lines = ["x,y_stable,gamma"]
     for x, y, g in zip(xs, ys, gs):

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import phi as phimod
 from ._util import depth_index, floor_scaled_log, substream
-from .kernel import (_LINEARIZE_BELOW, Code, _block_rows, _require_real, _sin_vers, _y_term_count,
+from .kernel import (_LINEARIZE_BELOW, Code, _block_rows, _sin_vers, _y_term_count,
                      apply_word, code_offsets, code_offsets_exact, eval_gamma, eval_gamma_vec)
 from .measure import BadicHistogram, entropy, histogram_from_values, n_hat
 from .weier import WLattice, eval_w_vec
@@ -283,10 +283,9 @@ def gamma_at_many_words(
     2^-24 keep alpha_s to first order, an error of at most 2^-48 sum_k
     2 pi k |c_k + conj c_-k| |x| gamma^(width+1) / (1 - gamma) beyond the
     scalar ``eval_gamma``'s rounding.  Piecewise data sum those depths as
-    increments, in ``_deep_piecewise_depths``.  A generator that is not
-    real-valued raises TypeError.
+    increments, in ``_deep_piecewise_depths``, and at every depth a step
+    across a breakpoint takes the exact offset.
     """
-    _require_real(phi)
     idx = np.asarray(idx, dtype=np.int64)
     x = np.asarray(x, dtype=np.float64)
     xv = x.reshape(-1, 1)
@@ -298,9 +297,13 @@ def gamma_at_many_words(
     for _ in range(min(width, n_terms)):  # b^m <= b^width < 2^63: all in float range
         bm *= params.b
         scale *= lam_inv
-        o = (idx % bm).astype(np.float64) / bm
-        # by this name: traced as its own layer
-        out -= scale * phimod.phi_diff_offsets(phi, o, xv / bm)
+        res = idx % bm
+        o = res.astype(np.float64) / bm
+        h = xv / bm
+        d = phimod.phi_diff_offsets(phi, o, h)  # by this name: traced as its own layer
+        if isinstance(phi, phimod.PiecewisePhi):
+            _exact_crossing_steps(phi, d, o, h, xv, res, bm)
+        out -= scale * d
     if n_terms > width:
         base_offs = code_offsets(base, n_terms - width)
         rev_val = idx.astype(np.float64) / float(params.b) ** width
@@ -321,14 +324,12 @@ def _deep_piecewise_depths(params, phi: phimod.PiecewisePhi, xv: np.ndarray, idx
     ``eval_gamma``, so nothing leaves float range past b^m = 2^1024.
     While b^-m is a normal float the increment at step x b^-m is divided by
     it; below that the step is under float resolution and the depth takes
-    x phi'(o_s).  The float offsets can round across a breakpoint (1 -
-    2^-60 rounds onto 1), and b^m magnifies the rounding of any step that
-    crosses one, so there the depth is the exact increment at the exact
-    offset idx / b^m + o_s(base).
+    x phi'(o_s).  A step across a breakpoint takes the exact increment at
+    the exact offset idx / b^m + o_s(base).
     """
     b = params.b
     out = np.zeros((len(xv), len(u)))
-    base_exact = None
+    base_exact = code_offsets_exact(base, len(base_offs))
     for s, o_base in enumerate(base_offs, 1):
         m = width + s
         bneg = float(b) ** -m  # 0.0 once b^-m underflows
@@ -338,14 +339,27 @@ def _deep_piecewise_depths(params, phi: phimod.PiecewisePhi, xv: np.ndarray, idx
             dq = phimod.phi_diff_offsets(phi, o, h) / bneg  # x times the difference quotient
         else:
             dq = xv * phimod.eval_phi(phi, o, 1)
-        for j, i in zip(*np.nonzero(phimod.crosses_breakpoint(phi, o, o + h))):
-            if base_exact is None:
-                base_exact = code_offsets_exact(base, len(base_offs))
-            bm = b**m
-            o_exact = Fraction(int(idx[i]), bm) + base_exact[s - 1]
-            dq[j, i] = float(phimod._piecewise_diff(phi, o_exact, Fraction(xv[j, 0]) / bm) * bm)
+        _exact_crossing_steps(phi, dq, o, h, xv, idx, b**m, base_exact[s - 1], b**m)
         out += params.gamma**m * dq
     return out
+
+
+def _exact_crossing_steps(phi: phimod.PiecewisePhi, d: np.ndarray, o: np.ndarray,
+                          h: np.ndarray, xv: np.ndarray, res: np.ndarray, bm: int,
+                          o_base=0, unit=1) -> None:
+    """Where the float step from o to o + h, h = xv / bm, crosses a
+    breakpoint, set d to unit times the exact increment at step xv / bm
+    from res / bm + o_base, the exact offset of o.  A float offset can
+    round across a breakpoint (1 - 2^-60 rounds onto 1), and lam^-m
+    magnifies the rounding of any step that crosses one.  The exact step
+    depends on the point and res alone, so each distinct pair is computed
+    once.
+    """
+    jj, ii = np.nonzero(phimod.crosses_breakpoint(phi, o, o + h))
+    pairs, inv = np.unique(np.stack([jj, res[ii]]), axis=1, return_inverse=True)
+    exact = [float(phimod._piecewise_diff(phi, Fraction(int(r), bm) + o_base,
+                                          Fraction(xv[j, 0]) / bm) * unit) for j, r in pairs.T]
+    d[jj, ii] = np.array(exact)[inv.ravel()]
 
 
 def _deep_word_depths(params, phi: phimod.FourierPhi, xs: np.ndarray, u: np.ndarray,

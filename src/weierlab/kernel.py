@@ -218,11 +218,6 @@ def _require_c1(phi: phimod.Phi, opname: str) -> None:
                          f"{phi.kind} is discontinuous")
 
 
-def _require_real(phi: phimod.Phi) -> None:
-    if isinstance(phi, phimod.FourierPhi) and not phi.real_valued:
-        raise TypeError("Gamma needs a real-valued generator")
-
-
 def _y_term_count(params, phi: phimod.Phi, tol: float) -> int:
     from .weier import term_count
 
@@ -294,14 +289,10 @@ def eval_y_vec(
 def eval_y_deriv(
     params, phi: phimod.Phi, x: float, code: Code, k: int, tol: float = 1e-8
 ) -> float:
-    """k-th derivative of Y(., code) at x, k >= 1; needs a C^(k+1) generator."""
+    """k-th derivative of Y(., code) at x, k >= 1; needs a C^(k+1) generator,
+    so ``sup_deriv`` refuses a piecewise linear one with ValueError."""
     if k < 1:
         raise ValueError("k must be at least 1; use eval_y for the kernel itself")
-    if isinstance(phi, phimod.PiecewisePhi):
-        raise ValueError(
-            f"eval_y_deriv needs {k + 1} classical derivatives; "
-            f"a piecewise generator of smoothness {phi.smoothness} has too few"
-        )
     from .weier import term_count
 
     ratio = params.gamma / float(params.b) ** k
@@ -331,11 +322,9 @@ def eval_gamma(params, phi: phimod.Phi, x: float, code: Code, tol: float = 1e-10
     h_n = x / b^n and the decaying g_n = gamma^n x, so no factor leaves
     float range even past a thousand terms (lam near 1/b); where h_n
     underflows, Fourier data take the first-order limit phi'(o_n), and
-    piecewise quotients are exact rationals.  The paper's phi is real, and a
-    generator that is not real-valued raises TypeError.
+    piecewise quotients are exact rationals.
     """
     _require_c1(phi, "eval_gamma")
-    _require_real(phi)
     if x == 0.0:
         return 0.0
     n = _y_term_count(params, phi, tol)
@@ -428,7 +417,6 @@ def _gamma_blocks(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code]
     about 4 MB, as is each block of the matrix E behind it.
     """
     _require_c1(phi, "eval_gamma_many")
-    _require_real(phi)
     codes = list(codes)
     n = _y_term_count(params, phi, tol)
     n0 = 0

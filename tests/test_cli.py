@@ -282,15 +282,36 @@ def test_kernel_code_digit_out_of_base_is_exit_2(tmp_path, capsys):
 
 
 def test_kernel_non_real_phi_is_exit_2(tmp_path, capsys):
-    """A coefficient file without conjugate symmetry gives a complex phi,
-    which Gamma refuses with one line rather than a numpy casting error."""
+    """A coefficient file without conjugate symmetry is refused where the
+    generator is built, with one line, by every command: before, params,
+    renorm and period-scan exited 0 and the others failed inside numpy."""
     spec = tmp_path / "phi.txt"
     spec.write_text("1 0.5 0\n")
-    out = tmp_path / "out"
-    out.mkdir()
-    assert main(["kernel", "--phi", str(spec), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: Gamma needs a real-valued generator\n"
-    assert not any(out.iterdir())
+    for command in ("params", "renorm", "period-scan", "sample", "dim-box", "kernel"):
+        out = tmp_path / command
+        out.mkdir()
+        assert main([command, "--phi", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: phi must be real: its coefficients "
+                                           "are not conjugate symmetric at frequency 1\n")
+        assert not any(out.iterdir())
+
+
+def test_non_finite_phi_is_exit_2(tmp_path, capsys):
+    """NaN or infinity in a generator exits 2 with one line naming the
+    frequency; const:nan used to write W = 0 everywhere and cos:theta=nan
+    W = nan, both with exit 0."""
+    spec = tmp_path / "phi.txt"
+    spec.write_text("0 nan 0\n1 0.5 0\n-1 0.5 0\n")
+    for i, (phi, freq) in enumerate([("const:nan", 0), ("const:inf", 0), (str(spec), 0),
+                                     ("cos:theta=nan", 1), ("cos:theta=inf", 1)]):
+        out = tmp_path / f"out{i}"
+        out.mkdir()
+        assert main(["sample", "--phi", phi, "--points", "8", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"frequency {freq} is not finite" in captured.err
+        assert not any(out.iterdir())
 
 
 def test_kernel_seeded_code_spec(tmp_path, capsys):

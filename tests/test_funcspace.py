@@ -202,7 +202,13 @@ def test_gamma_at_many_words_piecewise_steps_across_breakpoint():
     """At (3, 0.5) on the base 1^infinity the word 1 has deep offsets
     1/2 - 3^-m / 2, and for x > 1/2 each step crosses the breakpoint 1/2.
     float(o) carries an error of up to 2^-55 there, which lam^-m = 2^m
-    magnified to 5.9e-9 until such steps took the exact offset."""
+    magnified to 5.9e-9 until such steps took the exact offset.
+
+    The shallow depths m <= width need the same repair.  At (2, 0.7) the
+    all-ones word has offsets 1 - 2^-m, which round onto the breakpoint 1
+    from m = 54 on (1.0e-8 relative error at width 54); at (3, 0.5) the
+    word of all ones has offsets 1/2 - 3^-m / 2, whose rounding lam^-m =
+    2^m magnifies (1.8e-10 relative at width 20)."""
     from weierlab.kernel import eval_gamma
 
     p = make_params(3, 0.5)
@@ -213,6 +219,14 @@ def test_gamma_at_many_words_piecewise_steps_across_breakpoint():
     slow = np.array([[eval_gamma(p, tri, float(x), base.prepend((r,)), 1e-10) for x in xs]
                      for r in range(3)])
     assert np.max(np.abs(fast - slow)) <= 1e-12
+    for b, lam, widths in [(2, 0.7, (54, 60)), (3, 0.5, (14, 20))]:
+        p = make_params(b, lam)
+        for base, width in itertools.product([periodic_code(b, (), (1,)), seeded_code(b, 0)],
+                                             widths):
+            r = (b**width - 1) // (b - 1)  # the word of all ones
+            fast = F.gamma_at_many_words(p, tri, 0.75, np.array([r]), width, base, 1e-10)[0]
+            slow = eval_gamma(p, tri, 0.75, base.prepend((1,) * width), 1e-10)
+            assert abs(fast - slow) <= 1e-12 * abs(slow), (b, width, base)
 
 
 def test_build_theta_rejects_subsample_past_int64():

@@ -244,22 +244,6 @@ def test_eval_gamma_many_empty_and_zero():
     assert zero.shape == (100, 2) and not zero.any()
 
 
-def test_gamma_rejects_non_real_generator():
-    """Every Gamma path refuses a complex generator with one TypeError,
-    where the array paths failed inside numpy and the scalar one dropped
-    the imaginary part."""
-    from weierlab.funcspace import gamma_at_many_words
-
-    p, code = _p2(), K.seeded_code(2, 0)
-    phi = P.FourierPhi({1: 0.5, 2: 0.1j}, real_valued=False)
-    for call in (lambda: K.eval_gamma(p, phi, 0.3, code),
-                 lambda: K.eval_gamma_vec(p, phi, np.array([0.3, 0.6]), code),
-                 lambda: K.eval_gamma_many(p, phi, np.array([0.3]), [code, code]),
-                 lambda: gamma_at_many_words(p, phi, 0.3, np.arange(4), 2, code)):
-        with pytest.raises(TypeError, match="^Gamma needs a real-valued generator$"):
-            call()
-
-
 def test_gamma_first_order_at_tiny_arguments():
     """Far below machine epsilon the increment linearizes without noise."""
     p = _p2()

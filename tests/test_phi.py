@@ -134,9 +134,10 @@ def test_phi_diff_exact_fractions():
 
 def test_renormalize_keeps_multiples():
     """Frequency filtering keeps exactly the multiples of p, reindexed."""
-    f = P.FourierPhi({1: 1.0 + 0j, 2: 0.5 + 0j, 4: 0.25 + 0j}, real_valued=False)
+    f = P.FourierPhi({1: 1.0 + 0j, 2: 0.5 + 0j, 4: 0.25 + 0j,
+                      -1: 1.0 + 0j, -2: 0.5 + 0j, -4: 0.25 + 0j})
     r2 = P.renormalize(f, 2)
-    assert set(r2.coeffs) == {1, 2}
+    assert set(r2.coeffs) == {-2, -1, 1, 2}
     assert r2.coeffs[1] == pytest.approx(0.5 + 0j)
     assert r2.coeffs[2] == pytest.approx(0.25 + 0j)
 
@@ -158,7 +159,7 @@ def test_renormalize_rejects_piecewise():
 
 def test_rescale_then_renormalize_is_identity():
     """Renormalizing an upscaled generator recovers the original exactly."""
-    f = P.FourierPhi({0: 0.5 + 0j, 1: 1.0 + 0j, 3: -0.25 + 0j}, real_valued=False)
+    f = P.FourierPhi({0: 0.5 + 0j, 1: 1.0 + 0j, 3: -0.25 + 0j, -1: 1.0 + 0j, -3: -0.25 + 0j})
     for p in [2, 3, 5]:
         back = P.renormalize(P.rescale(f, p), p)
         assert set(back.coeffs) == set(f.coeffs)
@@ -168,10 +169,11 @@ def test_rescale_then_renormalize_is_identity():
 
 def test_pre_renormalize_keeps_multiples_in_place():
     """The in-place filter retains p-divisible frequencies at their index."""
-    f = P.FourierPhi({1: 1.0 + 0j, 2: 0.5 + 0j, 6: 0.125 + 0j}, real_valued=False)
+    f = P.FourierPhi({1: 1.0 + 0j, 2: 0.5 + 0j, 6: 0.125 + 0j,
+                      -1: 1.0 + 0j, -2: 0.5 + 0j, -6: 0.125 + 0j})
     p = 2
     pre = P.pre_renormalize(f, p)
-    assert set(pre.coeffs) == {2, 6}
+    assert set(pre.coeffs) == {-6, -2, 2, 6}
     compressed = P.renormalize(f, p)
     assert set(compressed.coeffs) == {k // p for k in pre.coeffs}
     for k in pre.coeffs:
@@ -180,9 +182,10 @@ def test_pre_renormalize_keeps_multiples_in_place():
 
 def test_s_p_complements_pre_renormalize():
     """s_p keeps the frequencies the in-place filter drops, and vice versa."""
-    f = P.FourierPhi({2: 1.0 + 0j, 3: 1.0 + 0j, 4: 2.0 + 0j}, real_valued=False)
+    f = P.FourierPhi({2: 1.0 + 0j, 3: 1.0 + 0j, 4: 2.0 + 0j,
+                      -2: 1.0 + 0j, -3: 1.0 + 0j, -4: 2.0 + 0j})
     s2 = P.s_p(f, 2)
-    assert set(s2.coeffs) == {3}
+    assert set(s2.coeffs) == {-3, 3}
     pre = P.pre_renormalize(f, 2)
     assert set(pre.coeffs) | set(s2.coeffs) == set(f.coeffs)
     xs = np.linspace(0, 1, 33, endpoint=False)
@@ -192,7 +195,46 @@ def test_s_p_complements_pre_renormalize():
 
 def test_real_valued_requires_conjugate_symmetry():
     with pytest.raises(ValueError, match="conjugate"):
-        P.FourierPhi({1: 1.0 + 0j}, real_valued=True)
+        P.FourierPhi({1: 1.0 + 0j})
+
+
+def test_piecewise_pieces_are_linear():
+    """A piece longer than (a0, a1) is refused at construction."""
+    with pytest.raises(ValueError, match="linear"):
+        P.PiecewisePhi(kind="bump", breakpoints=(0, Fraction(1, 2), 1),
+                       coeffs=((0, 0, 4), (0, 0, 0)))
+
+
+def test_piecewise_smoothness_is_derived():
+    """0 when the pieces join at every breakpoint, the wrap from 1 to 0
+    included; -1 for a jump, also one at the wrap alone."""
+    q = Fraction(1, 4)
+    saw = P.PiecewisePhi(kind="saw", breakpoints=(0, q, 1),
+                         coeffs=((0, 4), (Fraction(4, 3), Fraction(-4, 3))))
+    assert saw.smoothness == 0
+    assert P.sup_deriv(saw, 0) == 1.0 and P.sup_deriv(saw, 1) == 4.0
+    assert P.eval_phi(saw, 0.125) == 0.5 and P.eval_phi(saw, 0.5, 1) == -4 / 3
+    step = P.PiecewisePhi(kind="step", breakpoints=(0, q, 1),
+                          coeffs=((0, 4), (2, Fraction(-4, 3))))
+    ramp = P.PiecewisePhi(kind="ramp", breakpoints=(0, 1), coeffs=((0, 1),))
+    for jump in (step, ramp):
+        assert jump.smoothness == -1
+        with pytest.raises(ValueError, match="order 1 unsupported"):
+            P.eval_phi(jump, 0.5, 1)
+    with pytest.raises(ValueError, match="order 2 unsupported"):
+        P.sup_deriv(saw, 2)
+
+
+def test_fourier_rejects_non_finite_input():
+    """NaN and infinity are refused with the frequency they sit at, where
+    a NaN coefficient used to be dropped as if it were zero."""
+    for coeffs, freq in [({0: math.nan}, 0), ({0: math.inf}, 0),
+                         ({1: 0.5, -1: complex(0.5, math.nan)}, -1)]:
+        with pytest.raises(ValueError, match=f"frequency {freq} is not finite"):
+            P.FourierPhi(coeffs)
+    for theta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="frequency 1 is not finite"):
+            P.cos_phi(theta)
 
 
 def test_phi_from_w0_telescopes():
@@ -210,7 +252,7 @@ def test_phi_from_w0_telescopes():
 def test_text_roundtrip():
     """Serialization reproduces generators exactly in both families."""
     for phi in [P.cos_phi(0.2),
-                P.FourierPhi({0: 1 + 0j, 3: 0.5 - 0.25j}, real_valued=False),
+                P.FourierPhi({0: 1 + 0j, 3: 0.5 - 0.25j, -3: 0.5 + 0.25j}),
                 P.triangle_phi()]:
         back = P.phi_from_text(P.phi_to_text(phi))
         xs = np.linspace(0, 1, 33, endpoint=False)
