@@ -21,17 +21,15 @@ subsampling beyond it.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from . import phi as phimod
 from ._util import depth_index, floor_scaled_log, substream
-from .kernel import (_LINEARIZE_BELOW, Code, _block_rows, _sin_vers, _y_term_count,
-                     apply_word, code_offsets, code_offsets_exact, eval_gamma, eval_gamma_vec)
+from .kernel import (_LINEARIZE_BELOW, Code, _block_rows, _piecewise_gamma, _sin_vers,
+                     _y_term_count, apply_word, code_offsets, eval_gamma, eval_gamma_vec)
 from .measure import BadicHistogram, entropy, histogram_from_values, n_hat
 from .weier import WLattice, eval_w_vec
 
@@ -131,7 +129,7 @@ def pibar(cm: ContactMap, m_grid: int, tol: float = 1e-10) -> np.ndarray:
 
 
 def cell_from_coords(params, t: int, psi_vals: Sequence[float], c: float,
-                     i_level: int, m_grid: int) -> tuple[int, ...]:
+                     i_level: int) -> tuple[int, ...]:
     """Partition cell id from precomputed coordinates.
 
     Level i >= 1 takes the b-adic floor of each psi value at level i and
@@ -154,9 +152,9 @@ def partition_cell(cm: ContactMap, i_level: int, m_grid: int,
     """Cell of the map in the level-``i_level`` partition of map space."""
     _check_m(cm.params, m_grid)
     if i_level == 0:
-        return cell_from_coords(cm.params, cm.t, (), cm.c, 0, m_grid)
+        return cell_from_coords(cm.params, cm.t, (), cm.c, 0)
     coords = pibar(cm, m_grid, tol)
-    return cell_from_coords(cm.params, cm.t, coords[1:-1], cm.c, i_level, m_grid)
+    return cell_from_coords(cm.params, cm.t, coords[1:-1], cm.c, i_level)
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +280,17 @@ def gamma_at_many_words(
     words only, so all points share it.  Its depths with 2 pi k / b^s <
     2^-24 keep alpha_s to first order, an error of at most 2^-48 sum_k
     2 pi k |c_k + conj c_-k| |x| gamma^(width+1) / (1 - gamma) beyond the
-    scalar ``eval_gamma``'s rounding.  Piecewise data sum those depths as
-    increments, in ``_deep_piecewise_depths``, and at every depth a step
-    across a breakpoint takes the exact offset.
+    scalar ``eval_gamma``'s rounding.  Piecewise data take every depth
+    from ``kernel._piecewise_gamma``, on the exact integer offsets, and
+    are exact to rounding.
     """
     idx = np.asarray(idx, dtype=np.int64)
     x = np.asarray(x, dtype=np.float64)
     xv = x.reshape(-1, 1)
     n_terms = _y_term_count(params, phi, tol)
+    if isinstance(phi, phimod.PiecewisePhi):
+        out = _piecewise_gamma(params, phi, x.ravel(), idx, width, base, n_terms)
+        return out.T.reshape(idx.shape + x.shape)
     out = np.zeros((len(xv), len(idx)))  # one row per point: long rows for numpy's loops
     lam_inv = 1.0 / params.lam
     scale = 1.0
@@ -297,69 +298,14 @@ def gamma_at_many_words(
     for _ in range(min(width, n_terms)):  # b^m <= b^width < 2^63: all in float range
         bm *= params.b
         scale *= lam_inv
-        res = idx % bm
-        o = res.astype(np.float64) / bm
-        h = xv / bm
-        d = phimod.phi_diff_offsets(phi, o, h)  # by this name: traced as its own layer
-        if isinstance(phi, phimod.PiecewisePhi):
-            _exact_crossing_steps(phi, d, o, h, xv, res, bm)
+        o = (idx % bm).astype(np.float64) / bm
+        d = phimod.phi_diff_offsets(phi, o, xv / bm)  # by this name: traced as its own layer
         out -= scale * d
     if n_terms > width:
         base_offs = code_offsets(base, n_terms - width)
         rev_val = idx.astype(np.float64) / float(params.b) ** width
-        if isinstance(phi, phimod.FourierPhi):
-            out += _deep_word_depths(params, phi, xv[:, 0], rev_val, width, base_offs)
-        else:
-            out -= _deep_piecewise_depths(params, phi, xv, idx, rev_val, width, base, base_offs)
+        out += _deep_word_depths(params, phi, xv[:, 0], rev_val, width, base_offs)
     return out.T.reshape(idx.shape + x.shape)
-
-
-def _deep_piecewise_depths(params, phi: phimod.PiecewisePhi, xv: np.ndarray, idx: np.ndarray,
-                           u: np.ndarray, width: int, base: Code,
-                           base_offs: np.ndarray) -> np.ndarray:
-    """sum over m = width + s > width of lam^-m (phi(o_s + x b^-m) - phi(o_s)),
-    o_s = u b^-s + o_s(base), for piecewise data; shape (len(xv), len(u)).
-
-    Each depth is gamma^m times b^m times the increment, as in the scalar
-    ``eval_gamma``, so nothing leaves float range past b^m = 2^1024.
-    While b^-m is a normal float the increment at step x b^-m is divided by
-    it; below that the step is under float resolution and the depth takes
-    x phi'(o_s).  A step across a breakpoint takes the exact increment at
-    the exact offset idx / b^m + o_s(base).
-    """
-    b = params.b
-    out = np.zeros((len(xv), len(u)))
-    base_exact = code_offsets_exact(base, len(base_offs))
-    for s, o_base in enumerate(base_offs, 1):
-        m = width + s
-        bneg = float(b) ** -m  # 0.0 once b^-m underflows
-        o = u * float(b) ** -s + o_base
-        h = xv * bneg
-        if bneg >= sys.float_info.min:
-            dq = phimod.phi_diff_offsets(phi, o, h) / bneg  # x times the difference quotient
-        else:
-            dq = xv * phimod.eval_phi(phi, o, 1)
-        _exact_crossing_steps(phi, dq, o, h, xv, idx, b**m, base_exact[s - 1], b**m)
-        out += params.gamma**m * dq
-    return out
-
-
-def _exact_crossing_steps(phi: phimod.PiecewisePhi, d: np.ndarray, o: np.ndarray,
-                          h: np.ndarray, xv: np.ndarray, res: np.ndarray, bm: int,
-                          o_base=0, unit=1) -> None:
-    """Where the float step from o to o + h, h = xv / bm, crosses a
-    breakpoint, set d to unit times the exact increment at step xv / bm
-    from res / bm + o_base, the exact offset of o.  A float offset can
-    round across a breakpoint (1 - 2^-60 rounds onto 1), and lam^-m
-    magnifies the rounding of any step that crosses one.  The exact step
-    depends on the point and res alone, so each distinct pair is computed
-    once.
-    """
-    jj, ii = np.nonzero(phimod.crosses_breakpoint(phi, o, o + h))
-    pairs, inv = np.unique(np.stack([jj, res[ii]]), axis=1, return_inverse=True)
-    exact = [float(phimod._piecewise_diff(phi, Fraction(int(r), bm) + o_base,
-                                          Fraction(xv[j, 0]) / bm) * unit) for j, r in pairs.T]
-    d[jj, ii] = np.array(exact)[inv.ravel()]
 
 
 def _deep_word_depths(params, phi: phimod.FourierPhi, xs: np.ndarray, u: np.ndarray,

@@ -35,13 +35,17 @@ b times the next deeper one, so ``_sin_vers`` takes two sines per point and
 frequency at the deepest depth and climbs to the others by doubling and
 angle addition in (sin, vers) form; that stays within about 1e-15 of
 direct sines, where a (cos, sin) rotation would drift by b^n0 ulps.
-``eval_gamma_many`` builds C once and E in row blocks.  Piecewise
-generators, which do not factor, sum one exact-offset increment per code
-and depth over the block's points (``phi._piecewise_quotient``), for the
-shallow depths and for every deeper one whose step interval [o_m, o_m +
-max|x| / b^m] meets a breakpoint; only the remaining deep depths are
-linear.  ``funcspace.gamma_at_many_words`` factors the deep depths of its
-word codes through the same climb.
+``eval_gamma_many`` builds C once and E in row blocks.  Only Fourier data
+take the linear tail, within the bound of ``eval_gamma_many``.
+``funcspace.gamma_at_many_words`` factors the deep depths of its word
+codes through the same climb.
+
+Piecewise generators do not factor; ``_piecewise_gamma`` is their one
+vectorized Gamma, for ``eval_gamma_many`` and ``gamma_at_many_words``
+alike.  In units of b^-m the offset at depth m is an integer, and each
+increment is the slope of that integer's piece times x plus one ramp per
+knot that x crosses, placed by integer compares: exact to rounding at
+every depth, with no float offset and no linear tail.
 """
 
 from __future__ import annotations
@@ -410,15 +414,70 @@ def _sin_vers(ang: np.ndarray, b: int, sin_out: np.ndarray, vers_out: np.ndarray
                 v += prod
 
 
+def _piecewise_gamma(params, phi: phimod.PiecewisePhi, x: np.ndarray, idx, width: int,
+                     base: Code, n: int) -> np.ndarray:
+    """Gamma(x) along the codes reverse(word) + base, over depths 1 .. n, for
+    piecewise data; shape (len(x), len(idx)), one column per word index.
+
+    Depth m works in units of b^-m, where the offset is the integer y0 =
+    idx mod b^m for m <= width and idx + b^width r_s(base) for m = width +
+    s.  The increment b^m [phi((y0 + x) / b^m) - phi(y0 / b^m)] is the
+    slope of y0's piece times x, plus jump (x - kappa)+ for each knot
+    b^m (k + t_j) at kappa = knot - y0 > 0 that x passes, or jump (kappa -
+    x)+ for kappa <= 0.  kappa is an exact integer plus a fraction, and
+    y0's piece comes from integer compares, so the sum is exact to
+    rounding at every depth.
+    """
+    b, bw = params.b, params.b**width
+    x = np.asarray(x, dtype=np.float64)
+    idx = np.asarray(idx, dtype=np.int64)
+    lo, hi = math.floor(x.min(initial=0.0)), math.ceil(x.max(initial=0.0))  # integers around [x, 0]
+    slopes = [a1 for _, a1 in phi.coeffs]
+    kinks = [(t.numerator, t.denominator, float(s - slopes[j - 1]))
+             for j, (t, s) in enumerate(zip(phi.breakpoints, slopes)) if s != slopes[j - 1]]
+    coef = np.zeros(len(idx))  # sum over depths of gamma^m times the slope of y0's piece
+    ramps = np.zeros((len(x), len(idx)))
+    shifts = [bw * r for r, _ in _offset_ratios(base, n - width)]
+    bm = b**n
+    for m in range(n, 0, -1):  # deepest first: the small terms add up before the large ones
+        g = params.gamma**m
+        # y0 = shift + v with 0 <= v < span
+        v, shift, span = (idx % bm, 0, bm) if m <= width else (idx, shifts[m - width - 1], bw)
+        cuts = [min(max(-(-bm * t.numerator // t.denominator) - shift, 0), span)
+                for t in phi.breakpoints[1:-1]]  # y0 >= b^m t  <=>  v >= cut
+        coef += g * phi._a1[np.searchsorted(cuts, v, side="right")]
+        for p, q, jump in kinks:  # the knots b^m (k + p/q) with knot - shift in [lo, span - 1 + hi]
+            k0 = -((p * bm - (shift + lo) * q) // (bm * q))
+            k1 = ((shift + span - 1 + hi) * q - p * bm) // (bm * q)
+            for k in range(k0, k1 + 1):
+                c, rem = divmod(bm * (k * q + p) - shift * q, q)  # kappa = c - v + rem / q
+                near = np.flatnonzero((v >= c - hi) & (v <= c + 1 - lo))
+                kappa = (c - v[near]) + rem / q
+                sign = np.where(kappa > 0.0, 1.0, -1.0)
+                ramps[:, near] += (g * jump) * np.maximum(sign * (x[:, None] - kappa), 0.0)
+        bm //= b
+    ramps += np.multiply.outer(x, coef)
+    return -ramps
+
+
 def _gamma_blocks(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code],
                   tol: float):
     """Yield (slice, Gamma on xs[slice] for every code) over row blocks of the
     flat array ``xs``; each block is a (rows, len(codes)) matrix of at most
-    about 4 MB, as is each block of the matrix E behind it.
+    about 4 MB, as is each block of the matrix E behind it for Fourier data.
+    Piecewise data run ``_piecewise_gamma`` once per code over all of xs.
     """
     _require_c1(phi, "eval_gamma_many")
     codes = list(codes)
     n = _y_term_count(params, phi, tol)
+    if isinstance(phi, phimod.PiecewisePhi):
+        cols = np.empty((len(xs), len(codes)))
+        for j, code in enumerate(codes):
+            cols[:, j] = _piecewise_gamma(params, phi, xs, [0], 0, code, n)[:, 0]
+        rows = _block_rows(max(len(codes), 1))
+        for a in range(0, len(xs), rows):
+            yield slice(a, a + rows), cols[a:a + rows]
+        return
     n0 = 0
     width = 1.0
     while n0 < n and width > _LINEARIZE_BELOW:
@@ -427,26 +486,9 @@ def _gamma_blocks(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code]
     offs = np.array([code_offsets(c, n) for c in codes]).reshape(len(codes), n)
     gam = params.gamma ** np.arange(1, n + 1)
     linear = n0 < n
-    piecewise = isinstance(phi, phimod.PiecewisePhi)
-    if piecewise:
-        # Exact offsets, and the depths each code sums as increments: the
-        # shallow ones, and any deeper one whose step interval meets a
-        # breakpoint, where the increment is not linear in x.
-        ends = [0.0, float(xs.min()), float(xs.max())] if len(xs) else [0.0]
-        lo, hi = Fraction(min(ends)), Fraction(max(ends))
-        steps, d1 = [], np.zeros((len(codes), n))
-        for j, code in enumerate(codes):
-            steps.append([])
-            for m, o in enumerate(code_offsets_exact(code, n), 1):
-                scale = Fraction(1, params.b**m)
-                if m <= n0 or phimod._breakpoint_between(phi, o + lo * scale, o + hi * scale):
-                    steps[j].append((m, o, scale))
-                else:
-                    d1[j, m - 1] = phimod.piecewise_deriv_exact(phi, o)
-    else:
-        d1 = phimod.eval_phi(phi, offs, 1).reshape(len(codes), n)
+    d1 = phimod.eval_phi(phi, offs, 1).reshape(len(codes), n)
     tail = d1[:, n0:] @ gam[n0:]  # sum over the linear depths of gamma^m phi'(o_m), per code
-    freqs = sorted({abs(k) for k in phi.coeffs if k}) if n0 and not piecewise else []
+    freqs = sorted({abs(k) for k in phi.coeffs if k}) if n0 else []
     scales = np.cumprod(np.full(n0, 1.0 / params.lam))  # lam^-m
     parts = []
     for k in freqs:
@@ -456,29 +498,19 @@ def _gamma_blocks(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code]
     if linear:
         parts.append(-tail[:, None])
     cmat = np.concatenate(parts, axis=1).T if parts else np.zeros((0, len(codes)))
-    width_cols = max(0 if piecewise else len(cmat), len(codes), 1)
-    rows = _block_rows(width_cols)
+    rows = _block_rows(max(len(cmat), len(codes), 1))
     # E is held transposed, one contiguous row per column, and reused by every block
-    e_buf = None if piecewise else np.empty((len(cmat), min(rows, len(xs))))
+    e_buf = np.empty((len(cmat), min(rows, len(xs))))
     for a in range(0, len(xs), rows):
         sl = slice(a, a + rows)
         x = xs[sl]
-        if not piecewise:
-            e = e_buf[:, :len(x)]
-            for i, k in enumerate(freqs):  # 1 - cos and sin of 2 pi k h_m, m = 1 .. n0
-                _sin_vers((2.0 * math.pi * k / float(params.b) ** n0) * x, params.b,
-                          e[(2 * i + 1) * n0:(2 * i + 2) * n0], e[2 * i * n0:(2 * i + 1) * n0])
-            if linear:
-                e[-1] = x
-            yield sl, e.T @ cmat
-            continue
-        out = np.zeros((len(x), len(codes)))
-        for j, code_steps in enumerate(steps):
-            for m, o, scale in code_steps:
-                out[:, j] -= gam[m - 1] * phimod._piecewise_quotient(phi, o, x, scale)
+        e = e_buf[:, :len(x)]
+        for i, k in enumerate(freqs):  # 1 - cos and sin of 2 pi k h_m, m = 1 .. n0
+            _sin_vers((2.0 * math.pi * k / float(params.b) ** n0) * x, params.b,
+                      e[(2 * i + 1) * n0:(2 * i + 2) * n0], e[2 * i * n0:(2 * i + 1) * n0])
         if linear:
-            out -= x[:, None] * tail
-        yield sl, out
+            e[-1] = x
+        yield sl, e.T @ cmat
 
 
 def eval_gamma_many(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code],
@@ -489,16 +521,14 @@ def eval_gamma_many(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Cod
     the module docstring, with C built once per call and E one row block at
     a time; E's sines and versines come from two sines per point and
     frequency and the multiple-angle climb, within about 1e-15 of direct
-    sines.  Piecewise generators sum increments per code on the same blocks.
-    For points in [0, 1), depths m <= n0, the first with b^-n0 <= 2^-24,
-    sum stable increments; below that the increment is first order in x
-    and the deeper depths collapse into x times one linear coefficient per
-    code, sum_{m > n0} gamma^m phi'(o_m).  The linearization error is
-    bounded by 2^-24 sup|phi''| gamma^n0 / (2 (1 - gamma)) for smooth
-    generators.  A piecewise generator sums as an exact-offset increment
-    every deep depth whose step meets a breakpoint, so no step it
-    linearizes leaves its piece.  Identity-grade comparisons should use the
-    scalar ``eval_gamma``.
+    sines.  For points in [0, 1), depths m <= n0, the first with b^-n0 <=
+    2^-24, sum stable increments; below that the increment is first order
+    in x and the deeper depths collapse into x times one linear coefficient
+    per code, sum_{m > n0} gamma^m phi'(o_m).  The linearization error is
+    bounded by 2^-24 sup|phi''| gamma^n0 / (2 (1 - gamma)); it concerns
+    Fourier data only.  Piecewise data take ``_piecewise_gamma`` once per
+    code and are exact to rounding.  Identity-grade comparisons of Fourier
+    data should use the scalar ``eval_gamma``.
     """
     xs = np.asarray(xs, dtype=np.float64)
     codes = list(codes)
@@ -511,7 +541,8 @@ def eval_gamma_many(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Cod
 def eval_gamma_vec(params, phi: phimod.Phi, xs: np.ndarray, code: Code,
                    tol: float = 1e-10) -> np.ndarray:
     """Gamma(x, code) over an array of points: the one-code column of
-    ``eval_gamma_many``, with its linearization bound."""
+    ``eval_gamma_many``, with its linearization bound for Fourier data;
+    piecewise data are exact to rounding."""
     return eval_gamma_many(params, phi, xs, [code], tol)[..., 0]
 
 

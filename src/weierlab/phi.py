@@ -42,7 +42,6 @@ __all__ = [
     "eval_phi",
     "phi_diff_vec",
     "near_breakpoint",
-    "crosses_breakpoint",
     "piecewise_deriv_exact",
     "sup_deriv",
     "renormalize",
@@ -318,54 +317,12 @@ phi_diff_offsets = phi_diff_vec
 
 
 def _piecewise_diff(phi: PiecewisePhi, o: Fraction, h: Fraction) -> Fraction:
-    """phi(o + h) - phi(o) as an exact rational, piece by piece: each piece
-    met adds its slope times its extent."""
-    if h < 0:
-        return -_piecewise_diff(phi, o + h, -h)
-    total = Fraction(0)
-    pos = o - math.floor(o)
-    remaining = h
-    while remaining > 0:
-        j = phi.piece_index(pos)
-        step = min(remaining, phi.breakpoints[j + 1] - (pos - math.floor(pos)))
-        total += phi.coeffs[j][1] * step
-        pos += step
-        remaining -= step
-    return total
-
-
-def _piecewise_quotient(phi: PiecewisePhi, o: Fraction, x: np.ndarray,
-                        scale: Fraction) -> np.ndarray:
-    """(phi(o + x scale) - phi(o)) / scale for one exact offset o and float x.
-
-    Each piece met between o + min(x, 0) scale and o + max(x, 0) scale adds
-    its slope times its extent, measured exactly from o in units of scale.
-    So a step crosses a breakpoint where the exact one lies, even where
-    float(o) has rounded past it, and a scale below float range still gives
-    the first-order quotient.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    if x.size == 0:
-        return out
-    xl, xh = Fraction(min(float(x.min()), 0.0)), Fraction(max(float(x.max()), 0.0))
-    lo, hi = o + xl * scale, o + xh * scale
-    k, j = math.floor(lo), phi.piece_index(lo)
-    while k + phi.breakpoints[j] <= hi:
-        a, a2 = k + phi.breakpoints[j], k + phi.breakpoints[j + 1]
-        e0, e1 = (float(min(max((e - o) / scale, xl), xh)) for e in (a, a2))
-        # the extent from o's side of the piece: [0, x] clipped to [e0, e1]
-        out += (np.clip(x, e0, e1) - min(max(0.0, e0), e1)) * phi._a1[j]
-        j += 1
-        if j == len(phi.coeffs):
-            j, k = 0, k + 1
-    return out
-
-
-def _breakpoint_between(phi: PiecewisePhi, lo: Fraction, hi: Fraction) -> bool:
-    """Whether the exact interval [lo, hi] holds a breakpoint of phi, periodically."""
-    k, j = math.floor(lo), phi.piece_index(lo)
-    return lo == k + phi.breakpoints[j] or hi >= k + phi.breakpoints[j + 1]
+    """phi(o + h) - phi(o) as an exact rational: the difference of the exact
+    right-limit values a0 + a1 frac(t) at both ends, jumps included."""
+    def value(t: Fraction) -> Fraction:
+        a0, a1 = phi.coeffs[phi.piece_index(t)]
+        return a0 + a1 * (t - math.floor(t))
+    return value(o + h) - value(o)
 
 
 def piecewise_deriv_exact(phi: PiecewisePhi, o: Fraction) -> float:
@@ -387,16 +344,6 @@ def near_breakpoint(phi: PiecewisePhi, x: np.ndarray) -> np.ndarray:
     """
     gap = np.abs((x - np.floor(x))[..., None] - phi._bp_float).min(axis=-1)
     return gap <= 2.0**-44 * (1.0 + np.abs(x))
-
-
-def crosses_breakpoint(phi: PiecewisePhi, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Where a float step from start to end meets a breakpoint or ends within
-    rounding of one: there the float points may not give the exact pieces."""
-    def piece(t):
-        whole = np.floor(t)
-        return whole * len(phi.coeffs) + np.searchsorted(phi._bp_float, t - whole, side="right")
-    return ((piece(start) != piece(end)) | near_breakpoint(phi, start)
-            | near_breakpoint(phi, end))
 
 
 # ---------------------------------------------------------------------------

@@ -90,9 +90,16 @@ def make_params(b: int, lam: float) -> SystemParams:
 
 
 def term_count(lam: float, sup: float, tol: float) -> int:
-    """Smallest N >= 0 with lam^(N+1) * sup / (1 - lam) <= tol, closed form."""
+    """Smallest N >= 0 with lam^(N+1) * sup / (1 - lam) <= tol, closed form.
+
+    A bound sup / (1 - lam) past float range raises ValueError: a series
+    so large has no float value to truncate.
+    """
     if not 0.0 < tol < math.inf:  # also false for NaN
         raise ValueError("tol must be a finite positive number")
+    if not sup / (1.0 - lam) < math.inf:
+        raise ValueError(f"the series bound sup / (1 - lam) = {sup!r} / (1 - {lam!r}) "
+                         "overflows float range")
     if sup <= 0.0:
         return 0
     target = tol * (1.0 - lam) / sup
@@ -225,7 +232,7 @@ def self_affinity_residual(
     worst = 0.0
     for x in xs:
         x = float(x) % 1.0
-        bx = _exact_frac_bx(x, params.b)
+        bx = badic_offsets_exact(x, params.b, 2)[1]
         r = abs(
             eval_w(params, phi, x, tol)
             - float(phimod.eval_phi(phi, x))
@@ -233,11 +240,6 @@ def self_affinity_residual(
         )
         worst = max(worst, r)
     return worst
-
-
-def _exact_frac_bx(x: float, b: int) -> float:
-    p, q = float(x).as_integer_ratio()
-    return ((p * b) % q) / q
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,19 @@ def test_non_finite_phi_is_exit_2(tmp_path, capsys):
         assert not any(out.iterdir())
 
 
+def test_overflowing_series_is_exit_2(tmp_path, capsys):
+    """A finite generator whose series bound sup|phi| / (1 - lam) passes
+    float range exits 2 with one error line and writes nothing; sample
+    used to write w = inf with exit 0."""
+    assert main(["sample", "--phi", "const:1e308", "--points", "4",
+                 "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "overflows float range" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
 def test_kernel_seeded_code_spec(tmp_path, capsys):
     assert main(["kernel", "--code", "seed:3", "--points", "8",
                  "--out", str(tmp_path)]) == 0

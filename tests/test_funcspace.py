@@ -229,6 +229,33 @@ def test_gamma_at_many_words_piecewise_steps_across_breakpoint():
             assert abs(fast - slow) <= 1e-12 * abs(slow), (b, width, base)
 
 
+_SAW3 = P.PiecewisePhi(kind="saw3", breakpoints=(0, Fraction(1, 3), Fraction(3, 4), 1),
+                       coeffs=((0, 5), (4, -7), (-5, 5)))  # kinks at 1/3 and 3/4 only
+
+
+@pytest.mark.parametrize("b,lam", [(2, 0.7), (2, 0.51), (3, 0.34), (3, 0.5), (5, 0.45)])
+def test_piecewise_gamma_three_pieces(b, lam):
+    """A continuous wave of three pieces with kinks at 1/3 and 3/4, not
+    dyadic: ``eval_gamma_many`` and ``gamma_at_many_words`` match the scalar
+    ``eval_gamma`` to 1e-12 relative.  Words b^(w-1) put the offset at depth
+    w exactly on 1/3 at b = 3, and (3, 0.34) and (2, 0.51) sum past the
+    depth where b^-m underflows."""
+    from weierlab.kernel import eval_gamma, eval_gamma_many
+
+    p = make_params(b, lam)
+    xs = np.array([-0.8, -1 / 3, 1 / 3, 0.75, 1.7])
+    bases = [periodic_code(b, (), (1,)), periodic_code(b, (), (b - 1,)), seeded_code(b, 5)]
+    for width, base in zip((1, 3, 6), bases):
+        idx = np.array([b ** (width - 1), np.random.default_rng(width).integers(b**width),
+                        b**width - 1])
+        codes = [base.prepend(tuple(int(r) // b**i % b for i in range(width))) for r in idx]
+        slow = np.array([[eval_gamma(p, _SAW3, float(x), c, 1e-10) for x in xs] for c in codes])
+        words = F.gamma_at_many_words(p, _SAW3, xs, idx, width, base, 1e-10)
+        many = eval_gamma_many(p, _SAW3, xs, codes, 1e-10).T
+        for fast in (words, many):
+            assert np.all(np.abs(fast - slow) <= 1e-12 * np.abs(slow)), (width, fast - slow)
+
+
 def test_build_theta_rejects_subsample_past_int64():
     """b^n_hat = 10^180 atoms at (10, 0.95), n = 4: no int64 word index."""
     with pytest.raises(ValueError, match="2\\^63"):

@@ -121,6 +121,18 @@ def test_phi_diff_vec_broadcasts_elementwise():
             assert np.array_equal(grid, scalar)
 
 
+def test_piecewise_diff_keeps_jumps():
+    """A small step across a jump of the Rademacher wave changes it by the
+    jump, as a wide step does; the exact reference summed slopes alone and
+    returned 0 for the step across 1/2."""
+    rad = P.rademacher_phi()
+    assert P.phi_diff_vec(rad, 0.5 - 1e-9, 2e-9) == -2.0
+    assert P.phi_diff_vec(rad, 0.5 + 1e-9, -2e-9) == 2.0
+    assert P.phi_diff_vec(rad, 1.0 - 1e-9, 2e-9) == 2.0
+    assert P._piecewise_diff(rad, Fraction(1, 4), Fraction(1, 2)) == -2
+    assert P._piecewise_diff(rad, Fraction(1, 4), Fraction(1)) == 0
+
+
 def test_phi_diff_exact_fractions():
     """At dyadic floats the triangle's increments come out exact, for steps
     within a piece, onto a breakpoint, and small ones across it."""
