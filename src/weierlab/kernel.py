@@ -16,8 +16,8 @@ Offsets o_n are kept as exact integers r_n / b^n, and Gamma sums stable
 increments of phi (``phi.phi_diff_vec``) rather than differences of nearby
 evaluations, so the identities hold to within a few units of the requested
 tolerance even at term counts near one hundred.  For a piecewise generator
-Y takes phi' on the piece of the exact argument wherever the float argument
-lies within rounding of a breakpoint.
+the scalar Y takes phi' on the piece of the exact argument wherever the
+float argument lies within rounding of a breakpoint.
 
 On arrays, Gamma for a real Fourier generator factors into an x-only and a
 code-only matrix.  With h_m = x / b^m and z = (c_k + conj c_-k) e^{2 pi i k o_m},
@@ -46,6 +46,14 @@ alike.  In units of b^-m the offset at depth m is an integer, and each
 increment is the slope of that integer's piece times x plus one ramp per
 knot that x crosses, placed by integer compares: exact to rounding at
 every depth, with no float offset and no linear tail.
+
+Y = Gamma' on arrays is the x-derivative of these two engines.  For
+Fourier data only C changes: with w = gamma^m 2 pi k (c_k + conj c_-k)
+e^{2 pi i k o_m}, depth m <= n0 adds Re w sin(2 pi k h_m) - Im w
+vers(2 pi k h_m) + Im w, and the deeper depths take phi'(o_m + h_m) to
+third order in h_m (x enters through E's linear-tail row).  For piecewise
+data each ramp becomes its right-derivative step.  The scans that compare
+two codes take both from one call.
 """
 
 from __future__ import annotations
@@ -229,24 +237,9 @@ def _y_term_count(params, phi: phimod.Phi, tol: float) -> int:
     return term_count(params.gamma, sup1, tol)
 
 
-def _phi_prime(params, phi: phimod.Phi, code: Code, x, m, args: np.ndarray):
-    """phi' at ``args``, the floats of x / b^m + o_m (x and m broadcast to
-    them).  For piecewise data an argument within rounding of a breakpoint
-    takes phi' at the exact argument instead, with o_m from
-    ``code_offsets_exact``, since o_m = 1 - 2^-60 rounds onto 1."""
-    vals = phimod.eval_phi(phi, args, 1)
-    near = (np.flatnonzero(phimod.near_breakpoint(phi, args))
-            if isinstance(phi, phimod.PiecewisePhi) else [])
-    if len(near) == 0:
-        return vals
-    vals = np.array(vals, dtype=np.float64)
-    xs = np.broadcast_to(x, args.shape).ravel()
-    ms = np.broadcast_to(m, args.shape).ravel()
-    offs = code_offsets_exact(code, int(ms[near].max()))
-    for i in near:
-        point = Fraction(float(xs[i])) / params.b ** int(ms[i]) + offs[ms[i] - 1]
-        vals.flat[i] = phimod.piecewise_deriv_exact(phi, point)
-    return vals
+def _require_finite(finite: bool) -> None:
+    if not finite:
+        raise ValueError("Gamma and Y need finite points")
 
 
 def eval_y(params, phi: phimod.Phi, x: float, code: Code, tol: float = 1e-10) -> float:
@@ -254,40 +247,46 @@ def eval_y(params, phi: phimod.Phi, x: float, code: Code, tol: float = 1e-10) ->
 
     The truncation count N satisfies gamma^(N+1) sup|phi'| / (1 - gamma)
     <= tol in closed form.  Piecewise generators use their right-limit
-    derivative at breakpoints, on the piece of the exact argument; a
-    discontinuous wave is rejected.
+    derivative at breakpoints: an argument x / b^m + o_m whose float lies
+    within rounding of a breakpoint takes the piece of the exact argument,
+    with o_m from ``code_offsets_exact``, since o_m = 1 - 2^-60 rounds
+    onto 1.  A discontinuous wave is rejected.
     """
     _require_c1(phi, "eval_y")
+    _require_finite(math.isfinite(x))
     n = _y_term_count(params, phi, tol)
     if n == 0:
         return 0.0
-    offs = code_offsets(code, n)
     depths = np.arange(1, n + 1)
-    args = x * float(params.b) ** -depths + offs
-    vals = _phi_prime(params, phi, code, x, depths, args)
-    gam = params.gamma ** depths
-    return -math.fsum((gam * vals).tolist())
+    args = x * float(params.b) ** -depths + code_offsets(code, n)
+    vals = phimod.eval_phi(phi, args, 1)
+    if isinstance(phi, phimod.PiecewisePhi):
+        near = np.flatnonzero(phimod.near_breakpoint(phi, args))
+        offs = code_offsets_exact(code, int(near[-1]) + 1) if len(near) else []
+        for i in near:
+            point = Fraction(float(x)) / params.b ** int(i + 1) + offs[i]
+            vals[i] = phi.coeffs[phi.piece_index(point)][1]
+    return -math.fsum((params.gamma ** depths * vals).tolist())
 
 
-def eval_y_vec(
-    params, phi: phimod.Phi, xs: np.ndarray, code: Code, tol: float = 1e-10
-) -> np.ndarray:
-    _require_c1(phi, "eval_y_vec")
-    n = _y_term_count(params, phi, tol)
-    xs = np.asarray(xs, dtype=np.float64)
-    acc = np.zeros_like(xs)
-    if n == 0:
-        return acc
-    offs = code_offsets(code, n)
-    gam = params.gamma
-    g = gam
-    inv_b = 1.0
-    for m in range(1, n + 1):
-        inv_b /= params.b
-        args = xs * inv_b + offs[m - 1]
-        acc -= g * _phi_prime(params, phi, code, xs, m, args)
-        g *= gam
-    return acc
+def eval_y_vec(params, phi: phimod.Phi, xs: np.ndarray, code: Code,
+               tol: float = 1e-10) -> np.ndarray:
+    """Y(x, code) over an array of points: the one-code column of the engine
+    behind ``eval_gamma_many``, differentiated in x.
+
+    For a real Fourier generator the depths m <= n0 use Gamma's own
+    matrix E and the deeper ones a third-order tail, so the result agrees
+    with the scalar ``eval_y`` to about 1e-13 relative to max(1, |Y|) for
+    points in [-1, 2].  Piecewise data are exact to rounding, ties with a
+    knot included.
+    """
+    return _eval_many(params, phi, xs, [code], tol, deriv=True)[..., 0]
+
+
+def _y_gap(params, phi: phimod.Phi, xs: np.ndarray, u: Code, v: Code, tol: float):
+    """Y(xs, u) - Y(xs, v), both codes from one call of the engine."""
+    y = _eval_many(params, phi, xs, [u, v], tol, deriv=True)
+    return y[..., 0] - y[..., 1]
 
 
 def eval_y_deriv(
@@ -329,6 +328,7 @@ def eval_gamma(params, phi: phimod.Phi, x: float, code: Code, tol: float = 1e-10
     piecewise quotients are exact rationals.
     """
     _require_c1(phi, "eval_gamma")
+    _require_finite(math.isfinite(x))
     if x == 0.0:
         return 0.0
     n = _y_term_count(params, phi, tol)
@@ -415,9 +415,10 @@ def _sin_vers(ang: np.ndarray, b: int, sin_out: np.ndarray, vers_out: np.ndarray
 
 
 def _piecewise_gamma(params, phi: phimod.PiecewisePhi, x: np.ndarray, idx, width: int,
-                     base: Code, n: int) -> np.ndarray:
+                     base: Code, n: int, deriv: bool = False) -> np.ndarray:
     """Gamma(x) along the codes reverse(word) + base, over depths 1 .. n, for
     piecewise data; shape (len(x), len(idx)), one column per word index.
+    With ``deriv`` it is Y = Gamma' instead.
 
     Depth m works in units of b^-m, where the offset is the integer y0 =
     idx mod b^m for m <= width and idx + b^width r_s(base) for m = width +
@@ -426,7 +427,10 @@ def _piecewise_gamma(params, phi: phimod.PiecewisePhi, x: np.ndarray, idx, width
     b^m (k + t_j) at kappa = knot - y0 > 0 that x passes, or jump (kappa -
     x)+ for kappa <= 0.  kappa is an exact integer plus a fraction, and
     y0's piece comes from integer compares, so the sum is exact to
-    rounding at every depth.
+    rounding at every depth.  Its right derivative, the slope plus jump
+    [x >= kappa] for kappa > 0 or minus jump [x < kappa] for kappa <= 0,
+    compares x with the correctly rounded kappa, and where the two floats
+    are equal, with the exact one.
     """
     b, bw = params.b, params.b**width
     x = np.asarray(x, dtype=np.float64)
@@ -436,7 +440,7 @@ def _piecewise_gamma(params, phi: phimod.PiecewisePhi, x: np.ndarray, idx, width
     kinks = [(t.numerator, t.denominator, float(s - slopes[j - 1]))
              for j, (t, s) in enumerate(zip(phi.breakpoints, slopes)) if s != slopes[j - 1]]
     coef = np.zeros(len(idx))  # sum over depths of gamma^m times the slope of y0's piece
-    ramps = np.zeros((len(x), len(idx)))
+    ramps = np.zeros((len(x), len(idx)))  # the knots' ramps, or their steps for Y
     shifts = [bw * r for r, _ in _offset_ratios(base, n - width)]
     bm = b**n
     for m in range(n, 0, -1):  # deepest first: the small terms add up before the large ones
@@ -452,28 +456,39 @@ def _piecewise_gamma(params, phi: phimod.PiecewisePhi, x: np.ndarray, idx, width
             for k in range(k0, k1 + 1):
                 c, rem = divmod(bm * (k * q + p) - shift * q, q)  # kappa = c - v + rem / q
                 near = np.flatnonzero((v >= c - hi) & (v <= c + 1 - lo))
-                kappa = (c - v[near]) + rem / q
-                sign = np.where(kappa > 0.0, 1.0, -1.0)
-                ramps[:, near] += (g * jump) * np.maximum(sign * (x[:, None] - kappa), 0.0)
+                if not deriv:
+                    kappa = (c - v[near]) + rem / q
+                    sign = np.where(kappa > 0.0, 1.0, -1.0)
+                    ramps[:, near] += (g * jump) * np.maximum(sign * (x[:, None] - kappa), 0.0)
+                    continue
+                num = (c - v[near]) * q + rem  # a small integer, so num / q is rounded once
+                kappa = num / q
+                past = (x[:, None] >= kappa).astype(np.float64)
+                if q & (q - 1):  # inexact kappa: a point equal to its float takes the exact one
+                    for i, j in zip(*np.nonzero(x[:, None] == kappa)):
+                        past[i, j] = Fraction(float(x[i])) >= Fraction(int(num[j]), q)
+                ramps[:, near] += (g * jump) * (past - (num <= 0))
         bm //= b
-    ramps += np.multiply.outer(x, coef)
+    ramps += coef if deriv else np.multiply.outer(x, coef)
     return -ramps
 
 
 def _gamma_blocks(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code],
-                  tol: float):
+                  tol: float, deriv: bool = False):
     """Yield (slice, Gamma on xs[slice] for every code) over row blocks of the
-    flat array ``xs``; each block is a (rows, len(codes)) matrix of at most
-    about 4 MB, as is each block of the matrix E behind it for Fourier data.
-    Piecewise data run ``_piecewise_gamma`` once per code over all of xs.
+    flat array ``xs``, or Y = Gamma' with ``deriv``; each block is a (rows,
+    len(codes)) matrix of at most about 4 MB, as is each block of the
+    matrix E behind it for Fourier data.  Piecewise data run
+    ``_piecewise_gamma`` once per code over all of xs.
     """
-    _require_c1(phi, "eval_gamma_many")
+    _require_c1(phi, "eval_y_vec" if deriv else "eval_gamma_many")
+    _require_finite(np.isfinite(xs).all())
     codes = list(codes)
     n = _y_term_count(params, phi, tol)
     if isinstance(phi, phimod.PiecewisePhi):
         cols = np.empty((len(xs), len(codes)))
         for j, code in enumerate(codes):
-            cols[:, j] = _piecewise_gamma(params, phi, xs, [0], 0, code, n)[:, 0]
+            cols[:, j] = _piecewise_gamma(params, phi, xs, [0], 0, code, n, deriv)[:, 0]
         rows = _block_rows(max(len(codes), 1))
         for a in range(0, len(xs), rows):
             yield slice(a, a + rows), cols[a:a + rows]
@@ -489,13 +504,24 @@ def _gamma_blocks(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code]
     d1 = phimod.eval_phi(phi, offs, 1).reshape(len(codes), n)
     tail = d1[:, n0:] @ gam[n0:]  # sum over the linear depths of gamma^m phi'(o_m), per code
     freqs = sorted({abs(k) for k in phi.coeffs if k}) if n0 else []
-    scales = np.cumprod(np.full(n0, 1.0 / params.lam))  # lam^-m
+    scales = gam[:n0] if deriv else np.cumprod(np.full(n0, 1.0 / params.lam))
+    const = -tail
     parts = []
     for k in freqs:
         ck = phi.coeffs.get(k, 0j) + phi.coeffs.get(-k, 0j).conjugate()
         z = scales * ck * np.exp(2j * math.pi * k * offs[:, :n0])
-        parts += [z.real, z.imag]
-    if linear:
+        if deriv:  # d/dx: vers -> 2 pi k b^-m sin, sin -> 2 pi k b^-m (1 - vers)
+            z *= 2.0 * math.pi * k
+            parts += [-z.imag, z.real]
+            const += z.imag.sum(axis=1)
+        else:
+            parts += [z.real, z.imag]
+    quad = np.zeros(len(codes))
+    if linear and deriv:  # phi'(o_m + h_m) to third order: -tail, x in E's last row, and x^2
+        deep, ms = offs[:, n0:], np.arange(n0 + 1, n + 1)
+        parts.append(-(phimod.eval_phi(phi, deep, 2) @ (params.gamma / params.b) ** ms)[:, None])
+        quad = -0.5 * (phimod.eval_phi(phi, deep, 3) @ (params.gamma / params.b**2) ** ms)
+    elif linear:
         parts.append(-tail[:, None])
     cmat = np.concatenate(parts, axis=1).T if parts else np.zeros((0, len(codes)))
     rows = _block_rows(max(len(cmat), len(codes), 1))
@@ -510,7 +536,18 @@ def _gamma_blocks(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code]
                       e[(2 * i + 1) * n0:(2 * i + 2) * n0], e[2 * i * n0:(2 * i + 1) * n0])
         if linear:
             e[-1] = x
-        yield sl, e.T @ cmat
+        yield sl, (e.T @ cmat + const + np.multiply.outer(x * x, quad) if deriv else e.T @ cmat)
+
+
+def _eval_many(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code], tol: float,
+               deriv: bool) -> np.ndarray:
+    """Gamma, or Y with ``deriv``, for every point and code; shape xs.shape + (len(codes),)."""
+    xs = np.asarray(xs, dtype=np.float64)
+    codes = list(codes)
+    out = np.empty((xs.size, len(codes)))
+    for sl, vals in _gamma_blocks(params, phi, xs.ravel(), codes, tol, deriv):
+        out[sl] = vals
+    return out.reshape(xs.shape + (len(codes),))
 
 
 def eval_gamma_many(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code],
@@ -530,12 +567,7 @@ def eval_gamma_many(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Cod
     code and are exact to rounding.  Identity-grade comparisons of Fourier
     data should use the scalar ``eval_gamma``.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    codes = list(codes)
-    out = np.empty((xs.size, len(codes)))
-    for sl, vals in _gamma_blocks(params, phi, xs.ravel(), codes, tol):
-        out[sl] = vals
-    return out.reshape(xs.shape + (len(codes),))
+    return _eval_many(params, phi, xs, codes, tol, deriv=False)
 
 
 def eval_gamma_vec(params, phi: phimod.Phi, xs: np.ndarray, code: Code,
@@ -633,9 +665,7 @@ def separation_sup(
     if u == v:
         return SeparationResult(sup=0.0, argmax=0.0, identical=True, grid_size=grid_size)
     xs = np.arange(grid_size, dtype=np.float64) / grid_size
-    diff = np.abs(
-        eval_y_vec(params, phi, xs, u, tol) - eval_y_vec(params, phi, xs, v, tol)
-    )
+    diff = np.abs(_y_gap(params, phi, xs, u, v, tol))
     i = int(np.argmax(diff))
     best_x, best = float(xs[i]), float(diff[i])
     if refine:
@@ -817,7 +847,7 @@ def k_regularity(
 
     def deriv_eval(k: int, xs: np.ndarray) -> np.ndarray:
         if k == 1:
-            return eval_y_vec(params, phi, xs, u, tol) - eval_y_vec(params, phi, xs, v, tol)
+            return _y_gap(params, phi, xs, u, v, tol)
         return np.array(
             [
                 eval_y_deriv(params, phi, float(t), u, k - 1, tol)
@@ -883,8 +913,7 @@ def transversality_certificate(
         for idx in range(cells):
             infs[idx], sups[idx] = _interval_inf_sup(
                 idx / cells, 1.0 / cells,
-                lambda xs: (eval_y_vec(params, phi, xs, u, tol)
-                            - eval_y_vec(params, phi, xs, v, tol)),
+                lambda xs: _y_gap(params, phi, xs, u, v, tol),
                 lambda t: eval_y(params, phi, t, u, tol) - eval_y(params, phi, t, v, tol),
             )
         rhs = float(np.max(sups))

@@ -9,8 +9,10 @@ covers the smooth family, including the workhorse cosine with a phase.
 Both are checked once, at construction.
 
 The stable increment phi(o + h) - phi(o), of which the kernels' sums are
-made, has one implementation, ``phi_diff_vec``, elementwise over o and h
-broadcast together; ``_piecewise_diff`` is its exact rational reference.
+made, is ``phi_diff_vec`` for Fourier data, elementwise over o and h
+broadcast together, and the exact rational ``_piecewise_diff`` for
+piecewise data, which the scalar kernels call; the vectorized piecewise
+kernels place exact knots instead (``kernel._piecewise_gamma``).
 
 The module also hosts the frequency-filter operators used by the
 renormalization layer: keep every p-th frequency (compressed or in place),
@@ -42,7 +44,6 @@ __all__ = [
     "eval_phi",
     "phi_diff_vec",
     "near_breakpoint",
-    "piecewise_deriv_exact",
     "sup_deriv",
     "renormalize",
     "pre_renormalize",
@@ -263,52 +264,30 @@ def sup_deriv(phi: Phi, deriv: int = 0) -> float:
 # the stable increment phi(o + h) - phi(o)
 
 
-_DIRECT_FROM = 2.0**-12  # |h| from which a piecewise increment is the plain difference
-
-
 def phi_diff_vec(phi: Phi, o, h) -> np.ndarray:
-    """phi(o + h) - phi(o) elementwise, o broadcast against h, without cancellation.
+    """phi(o + h) - phi(o) elementwise for Fourier data, o broadcast against
+    h, without cancellation.
 
-    For Fourier data each frequency contributes
-    c_k e^{2 pi i k o} (e^{2 pi i k h} - 1) = 2i c_k sin(pi k h) e^{i t},
-    t = 2 pi k o + pi k h, which stays fully accurate for tiny h and whose
-    real part is summed in real arithmetic, so every element equals its
-    scalar call; the cosine takes the closed form -2 sin(pi h) sin(2 pi o +
-    phase + pi h).  Piecewise data take the plain difference for |h| >=
-    2^-12 and h times the slope of o's piece below that; the few small
-    increments that cross a breakpoint go to the exact rational
-    ``_piecewise_diff``, which reads o and h as the values of their floats.
+    Each frequency contributes c_k e^{2 pi i k o} (e^{2 pi i k h} - 1) =
+    2i c_k sin(pi k h) e^{i t}, t = 2 pi k o + pi k h, which stays fully
+    accurate for tiny h and whose real part is summed in real arithmetic,
+    so every element equals its scalar call; the cosine takes the closed
+    form -2 sin(pi h) sin(2 pi o + phase + pi h).  Piecewise data raise
+    TypeError: their increments are exact rationals, ``_piecewise_diff``.
     """
+    if not isinstance(phi, FourierPhi):
+        raise TypeError(f"phi_diff_vec requires a Fourier representation, got {type(phi).__name__}")
     o = np.asarray(o, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    if isinstance(phi, FourierPhi):
-        if phi.cos_phase is not None:
-            # cos(A+d) - cos(A) = -2 sin(d/2) sin(A + d/2)
-            return -2.0 * np.sin(math.pi * h) * np.sin(
-                _TWO_PI * o + phi.cos_phase + math.pi * h
-            )
-        re = np.zeros(np.broadcast_shapes(o.shape, h.shape))
-        for k, c in phi.coeffs.items():
-            s2 = 2.0 * np.sin(math.pi * k * h)
-            t = _TWO_PI * k * o + math.pi * k * h
-            re -= s2 * (c.imag * np.cos(t) + c.real * np.sin(t))
-        return re
-    o, h = np.broadcast_arrays(o, h)
-    out = np.empty(o.shape)
-    direct = np.abs(h) >= _DIRECT_FROM
-    out[direct] = eval_phi(phi, o[direct] + h[direct]) - eval_phi(phi, o[direct])
-    small = ~direct
-    flip = h[small] < 0.0  # then phi(o + h) - phi(o) = -(phi(o' + |h|) - phi(o')), o' = o + h
-    lo = o[small] + np.where(flip, h[small], 0.0)
-    step = np.abs(h[small])
-    a = lo - np.floor(lo)
-    idx = np.clip(np.searchsorted(phi._bp_float, a, side="right") - 1, 0, len(phi.coeffs) - 1)
-    inside = a + step < phi._bp_float[idx + 1]
-    d = step * phi._a1[idx]
-    for i in np.flatnonzero(~inside):
-        d[i] = float(_piecewise_diff(phi, Fraction(float(a[i])), Fraction(float(step[i]))))
-    out[small] = np.where(flip, -d, d)
-    return out
+    if phi.cos_phase is not None:
+        # cos(A+d) - cos(A) = -2 sin(d/2) sin(A + d/2)
+        return -2.0 * np.sin(math.pi * h) * np.sin(_TWO_PI * o + phi.cos_phase + math.pi * h)
+    re = np.zeros(np.broadcast_shapes(o.shape, h.shape))
+    for k, c in phi.coeffs.items():
+        s2 = 2.0 * np.sin(math.pi * k * h)
+        t = _TWO_PI * k * o + math.pi * k * h
+        re -= s2 * (c.imag * np.cos(t) + c.real * np.sin(t))
+    return re
 
 
 # Traced by name in perfbench/tracing.py as the per-offset layer, which
@@ -323,16 +302,6 @@ def _piecewise_diff(phi: PiecewisePhi, o: Fraction, h: Fraction) -> Fraction:
         a0, a1 = phi.coeffs[phi.piece_index(t)]
         return a0 + a1 * (t - math.floor(t))
     return value(o + h) - value(o)
-
-
-def piecewise_deriv_exact(phi: PiecewisePhi, o: Fraction) -> float:
-    """Right-limit phi'(o) at an exact rational point of piecewise data.
-
-    The piece is found by exact comparison, so a point just below a
-    breakpoint keeps its own piece even where its float rounds onto the
-    breakpoint, as 1 - 2^-60 rounds to 1.
-    """
-    return float(phi.coeffs[phi.piece_index(o)][1])
 
 
 def near_breakpoint(phi: PiecewisePhi, x: np.ndarray) -> np.ndarray:

@@ -185,6 +185,7 @@ class WLattice:
         if not 0.0 <= shift < 1.0:
             raise ValueError(f"shift must lie in [0, 1), got {shift!r}")
         self.params, self.phi, self.level, self.shift = params, phi, level, float(shift)
+        term_count(params.lam, phimod.sup_deriv(phi, 0), tol)  # refuses a sum past float range
         table = np.array([eval_w(params, phi, shift, tol) if start is None else float(start)])
         self.table_level = 0
         while self.table_level < level and table.size * params.b <= _LATTICE_TABLE:

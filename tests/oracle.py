@@ -3,8 +3,9 @@
 Everything here is deliberately written against a different mechanism
 than the package: high-precision mpmath partial sums instead of float
 recursion, adaptive quadrature instead of stable-increment telescoping,
-an FFT of a dense sample instead of the coefficient recursion, and a
-dictionary-based convolution instead of the dense lattice path.
+an FFT of a dense sample instead of the coefficient recursion, a
+dictionary-based convolution instead of the dense lattice path, and
+piecewise increments at float offsets instead of exact integer knots.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
+from weierlab.phi import PiecewisePhi, _piecewise_diff, eval_phi
+
 mpmath.mp.dps = 50
+
+# A continuous wave of three pieces with kinks at 1/3 and 3/4 only; the
+# knot at 1/3 has no float value in base 2.
+SAW3 = PiecewisePhi(kind="saw3", breakpoints=(0, Fraction(1, 3), Fraction(3, 4), 1),
+                    coeffs=((0, 5), (4, -7), (-5, 5)))
 
 
 def mp_w_cos(b: int, lam: float, x, theta: float = 0.0, terms: int = 220) -> float:
@@ -69,6 +77,42 @@ def mp_y_cos(b: int, lam: float, x, offsets_exact: list[Fraction],
         arg = 2 * mpmath.pi * ((x_mp / mpmath.mpf(b) ** n + o_mp) % 1) + th_mp
         total -= gamma**n * (-2 * mpmath.pi * mpmath.sin(arg))
     return float(total)
+
+
+def piecewise_diff(phi, o, h) -> np.ndarray:
+    """phi(o + h) - phi(o) for piecewise linear data, elementwise over o and
+    h broadcast together, at the values of their floats.
+
+    Steps of at least 2^-12 take the plain difference and smaller ones h
+    times the slope of o's piece; a small step that crosses a breakpoint
+    goes to the exact rational ``phi._piecewise_diff``.
+    """
+    o, h = np.broadcast_arrays(np.asarray(o, dtype=np.float64), np.asarray(h, dtype=np.float64))
+    out = np.empty(o.shape)
+    direct = np.abs(h) >= 2.0**-12
+    out[direct] = eval_phi(phi, o[direct] + h[direct]) - eval_phi(phi, o[direct])
+    small = ~direct
+    flip = h[small] < 0.0  # then phi(o + h) - phi(o) = -(phi(o' + |h|) - phi(o')), o' = o + h
+    lo = o[small] + np.where(flip, h[small], 0.0)
+    step = np.abs(h[small])
+    a = lo - np.floor(lo)
+    idx = np.clip(np.searchsorted(phi._bp_float, a, side="right") - 1, 0, len(phi.coeffs) - 1)
+    inside = a + step < phi._bp_float[idx + 1]
+    d = step * phi._a1[idx]
+    for i in np.flatnonzero(~inside):
+        d[i] = float(_piecewise_diff(phi, Fraction(float(a[i])), Fraction(float(step[i]))))
+    out[small] = np.where(flip, -d, d)
+    return out
+
+
+def piecewise_deriv_exact(phi, o: Fraction) -> float:
+    """Right-limit phi'(o) at an exact rational point of piecewise data.
+
+    The piece is found by exact comparison, so a point just below a
+    breakpoint keeps its own piece even where its float rounds onto the
+    breakpoint, as 1 - 2^-60 rounds to 1.
+    """
+    return float(phi.coeffs[phi.piece_index(o)][1])
 
 
 def quad_gamma(eval_y, x: float, tol: float = 1e-11) -> float:

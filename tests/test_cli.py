@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -316,15 +317,21 @@ def test_non_finite_phi_is_exit_2(tmp_path, capsys):
 
 def test_overflowing_series_is_exit_2(tmp_path, capsys):
     """A finite generator whose series bound sup|phi| / (1 - lam) passes
-    float range exits 2 with one error line and writes nothing; sample
-    used to write w = inf with exit 0."""
-    assert main(["sample", "--phi", "const:1e308", "--points", "4",
-                 "--out", str(tmp_path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "overflows float range" in captured.err
-    assert not any(tmp_path.iterdir())
+    float range exits 2 with one error line, no warning, and writes
+    nothing; sample used to write w = inf with exit 0, and theta printed
+    numpy's overflow warning and then a message about cell keys."""
+    for cmd, size in [("sample", ["--points", "4"]), ("theta", ["--n", "4"])]:
+        out = tmp_path / cmd
+        out.mkdir()
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert main([cmd, "--phi", "const:1e308", *size, "--out", str(out)]) == 2
+        assert seen == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "overflows float range" in captured.err
+        assert not any(out.iterdir())
 
 
 def test_kernel_seeded_code_spec(tmp_path, capsys):

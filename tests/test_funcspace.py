@@ -229,10 +229,6 @@ def test_gamma_at_many_words_piecewise_steps_across_breakpoint():
             assert abs(fast - slow) <= 1e-12 * abs(slow), (b, width, base)
 
 
-_SAW3 = P.PiecewisePhi(kind="saw3", breakpoints=(0, Fraction(1, 3), Fraction(3, 4), 1),
-                       coeffs=((0, 5), (4, -7), (-5, 5)))  # kinks at 1/3 and 3/4 only
-
-
 @pytest.mark.parametrize("b,lam", [(2, 0.7), (2, 0.51), (3, 0.34), (3, 0.5), (5, 0.45)])
 def test_piecewise_gamma_three_pieces(b, lam):
     """A continuous wave of three pieces with kinks at 1/3 and 3/4, not
@@ -249,9 +245,10 @@ def test_piecewise_gamma_three_pieces(b, lam):
         idx = np.array([b ** (width - 1), np.random.default_rng(width).integers(b**width),
                         b**width - 1])
         codes = [base.prepend(tuple(int(r) // b**i % b for i in range(width))) for r in idx]
-        slow = np.array([[eval_gamma(p, _SAW3, float(x), c, 1e-10) for x in xs] for c in codes])
-        words = F.gamma_at_many_words(p, _SAW3, xs, idx, width, base, 1e-10)
-        many = eval_gamma_many(p, _SAW3, xs, codes, 1e-10).T
+        slow = np.array([[eval_gamma(p, oracle.SAW3, float(x), c, 1e-10) for x in xs]
+                         for c in codes])
+        words = F.gamma_at_many_words(p, oracle.SAW3, xs, idx, width, base, 1e-10)
+        many = eval_gamma_many(p, oracle.SAW3, xs, codes, 1e-10).T
         for fast in (words, many):
             assert np.all(np.abs(fast - slow) <= 1e-12 * np.abs(slow)), (width, fast - slow)
 

@@ -87,12 +87,58 @@ def test_kernel_oracle_base_three():
 
 
 def test_kernel_vec_matches_scalar():
+    """The array Y equals the scalar one to 1e-12 relative to max(1, |Y|),
+    for Fourier tables and piecewise waves, on periodic and seeded codes,
+    at points in [-1, 2].  (2, 0.51) and (3, 0.34) sum about 1,400 depths,
+    past b^m in float range.  The table's twelfth harmonic needs the
+    third-order tail: to second order it is 1.8e-11 off at (2, 0.51)."""
+    phis = [
+        P.cos_phi(),
+        P.cos_phi(0.3),
+        P.FourierPhi({1: 0.5, -1: 0.5, 2: 0.1 + 0.2j, -2: 0.1 - 0.2j, 12: 0.02j, -12: -0.02j}),
+        P.triangle_phi(),
+        oracle.SAW3,
+    ]
+    for b, lam in [(2, 0.7), (3, 0.5), (5, 0.3), (2, 0.51), (3, 0.34)]:
+        p = make_params(b, lam)
+        codes = [K.periodic_code(b, (1,), (0, b - 1)), K.periodic_code(b, (), (b - 1,)),
+                 K.seeded_code(b, 7, 0)]
+        xs = np.concatenate([np.linspace(-1, 2, 25), np.random.default_rng(b).random(16) * 3 - 1])
+        for phi in phis:
+            for code in codes:
+                v = K.eval_y_vec(p, phi, xs, code)
+                s = np.array([K.eval_y(p, phi, float(x), code) for x in xs])
+                assert np.max(np.abs(v - s) / np.maximum(1.0, np.abs(s))) <= 1e-12, (b, phi, code)
+
+
+def test_kernel_vec_decides_knot_ties_exactly():
+    """At (2, 0.7) on the code (1 0)^infinity, the three-piece wave has a
+    knot at x = 1/3 at every even depth.  The float fl(1/3) lies below it,
+    so there and at the float below, Y takes the pieces left of the knot,
+    and at the float above, the pieces right of it.  A float compare with
+    the rounded knot puts fl(1/3) on the wrong side."""
     p = _p2()
     code = K.periodic_code(2, (), (1, 0))
-    xs = np.linspace(0, 1, 257)
-    v = K.eval_y_vec(p, P.cos_phi(), xs, code)
-    s = np.array([K.eval_y(p, P.cos_phi(), float(x), code) for x in xs])
-    assert np.max(np.abs(v - s)) < 1e-12
+    xs = np.array([np.nextafter(1 / 3, 0), 1 / 3, np.nextafter(1 / 3, 1)])
+    v = K.eval_y_vec(p, oracle.SAW3, xs, code)
+    s = np.array([K.eval_y(p, oracle.SAW3, float(x), code) for x in xs])
+    assert np.max(np.abs(v - s)) <= 1e-12 * np.max(np.abs(s))
+    assert v[0] == v[1] != v[2]
+
+
+def test_kernel_rejects_non_finite_points():
+    """Gamma and Y refuse NaN and infinity at every entry point; the
+    piecewise Y once returned a number for NaN."""
+    p = _p2()
+    code = K.seeded_code(2, 0)
+    for phi in (P.cos_phi(), P.triangle_phi()):
+        for bad in (math.nan, math.inf, -math.inf):
+            for f in (K.eval_y, K.eval_gamma):
+                with pytest.raises(ValueError, match="finite points"):
+                    f(p, phi, bad, code)
+            for f in (K.eval_y_vec, K.eval_gamma_vec):
+                with pytest.raises(ValueError, match="finite points"):
+                    f(p, phi, np.array([0.5, bad]), code)
 
 
 def test_kernel_rejects_discontinuous_generator():
@@ -155,12 +201,14 @@ def _gamma_loop(params, phi, xs, code, tol=1e-10):
     n0 = 0
     while n0 < n and float(params.b) ** -n0 > 2.0**-24:
         n0 += 1
+    piecewise = isinstance(phi, P.PiecewisePhi)
+    diff = oracle.piecewise_diff if piecewise else P.phi_diff_vec
     out = np.zeros_like(xs)
     for m in range(1, n0 + 1):
         h = xs / float(params.b) ** m
-        out -= params.lam**-m * P.phi_diff_vec(phi, float(offs[m - 1]), h)
-    if isinstance(phi, P.PiecewisePhi):
-        derivs = [P.piecewise_deriv_exact(phi, o) for o in K.code_offsets_exact(code, n)]
+        out -= params.lam**-m * diff(phi, float(offs[m - 1]), h)
+    if piecewise:
+        derivs = [oracle.piecewise_deriv_exact(phi, o) for o in K.code_offsets_exact(code, n)]
     else:
         derivs = [P.eval_phi(phi, float(o), 1) for o in offs]
     coef = sum(params.gamma**m * derivs[m - 1] for m in range(n0 + 1, n + 1))

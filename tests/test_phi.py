@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 import weierlab.phi as P
 
+import oracle
+
 
 def test_cos_matches_closed_form():
     """The cosine generator evaluates to cos(2 pi x) on a dense grid."""
@@ -69,14 +71,23 @@ def test_sup_deriv_cos_values():
 
 
 def test_phi_diff_vec_matches_direct():
-    """phi(o + h) - phi(o) agrees with direct evaluation for cos and triangle."""
+    """phi(o + h) - phi(o) agrees with direct evaluation for cos, and the
+    exact ``_piecewise_diff`` for the triangle."""
     rng = np.random.default_rng(0)
     hs = rng.random(200) * 0.3
+    o = 0.4375
     for phi in [P.cos_phi(), P.triangle_phi()]:
-        o = 0.4375
         direct = P.eval_phi(phi, (o + hs) % 1.0) - P.eval_phi(phi, o)
-        got = P.phi_diff_vec(phi, o, hs)
+        if isinstance(phi, P.PiecewisePhi):
+            got = np.array([float(P._piecewise_diff(phi, Fraction(o), Fraction(h))) for h in hs])
+        else:
+            got = P.phi_diff_vec(phi, o, hs)
         assert np.max(np.abs(got - direct)) < 1e-12
+
+
+def test_phi_diff_vec_refuses_piecewise_data():
+    with pytest.raises(TypeError, match="Fourier"):
+        P.phi_diff_vec(P.triangle_phi(), 0.25, 0.1)
 
 
 def test_phi_diff_vec_cancellation():
@@ -99,19 +110,21 @@ _DIFF_PHIS = [
 def test_phi_diff_vec_broadcasts_elementwise():
     """One increment for every shape: o array with h scalar, o scalar with
     h array, o column against h row.  Fourier entries equal their scalar
-    calls bit for bit; triangle entries match the exact rational difference
+    calls bit for bit.  For the triangle the vectorized increment is the
+    test oracle's, which must match the exact rational ``_piecewise_diff``
     to 1e-15, for the offsets just below 1/2 and 1 that small steps carry
     across a breakpoint too."""
     hs = np.array([0.0, -0.2, -1e-9, 1e-9, 2.0**-15, 0.37])
     os_ = np.concatenate([np.random.default_rng(1).random(12),
                           [0.5 - 1e-10, 0.5 - 2.0**-16, 1.0 - 1e-12, 0.25, 0.5]])
     for phi in _DIFF_PHIS:
-        grid = P.phi_diff_vec(phi, os_[:, None], hs[None, :])
+        diff = oracle.piecewise_diff if isinstance(phi, P.PiecewisePhi) else P.phi_diff_vec
+        grid = diff(phi, os_[:, None], hs[None, :])
         assert grid.shape == (len(os_), len(hs))
         for j, h in enumerate(hs):
-            assert np.array_equal(P.phi_diff_vec(phi, os_, h), grid[:, j])
+            assert np.array_equal(diff(phi, os_, h), grid[:, j])
         for i, o in enumerate(os_):
-            assert np.array_equal(P.phi_diff_vec(phi, o, hs), grid[i])
+            assert np.array_equal(diff(phi, o, hs), grid[i])
         if isinstance(phi, P.PiecewisePhi):
             exact = np.array([[float(P._piecewise_diff(phi, Fraction(o), Fraction(h)))
                                for h in hs] for o in os_])
@@ -126,9 +139,9 @@ def test_piecewise_diff_keeps_jumps():
     jump, as a wide step does; the exact reference summed slopes alone and
     returned 0 for the step across 1/2."""
     rad = P.rademacher_phi()
-    assert P.phi_diff_vec(rad, 0.5 - 1e-9, 2e-9) == -2.0
-    assert P.phi_diff_vec(rad, 0.5 + 1e-9, -2e-9) == 2.0
-    assert P.phi_diff_vec(rad, 1.0 - 1e-9, 2e-9) == 2.0
+    assert P._piecewise_diff(rad, Fraction(0.5 - 1e-9), Fraction(2e-9)) == -2
+    assert P._piecewise_diff(rad, Fraction(0.5 + 1e-9), Fraction(-2e-9)) == 2
+    assert P._piecewise_diff(rad, Fraction(1.0 - 1e-9), Fraction(2e-9)) == 2
     assert P._piecewise_diff(rad, Fraction(1, 4), Fraction(1, 2)) == -2
     assert P._piecewise_diff(rad, Fraction(1, 4), Fraction(1)) == 0
 
@@ -137,11 +150,15 @@ def test_phi_diff_exact_fractions():
     """At dyadic floats the triangle's increments come out exact, for steps
     within a piece, onto a breakpoint, and small ones across it."""
     tri = P.triangle_phi()
-    assert P.phi_diff_vec(tri, 0.125, 0.125) == 0.125
-    assert P.phi_diff_vec(tri, 0.0, 0.5) == 0.5
-    assert P.phi_diff_vec(tri, 0.75, 0.25) == -0.25
-    assert P.phi_diff_vec(tri, 0.5 - 2.0**-20, 2.0**-18) == -(2.0**-19)
-    assert P.phi_diff_vec(tri, 1.0 - 2.0**-20, 2.0**-18) == 2.0**-19
+
+    def diff(o: float, h: float) -> Fraction:
+        return P._piecewise_diff(tri, Fraction(o), Fraction(h))
+
+    assert diff(0.125, 0.125) == 0.125
+    assert diff(0.0, 0.5) == 0.5
+    assert diff(0.75, 0.25) == -0.25
+    assert diff(0.5 - 2.0**-20, 2.0**-18) == -(2.0**-19)
+    assert diff(1.0 - 2.0**-20, 2.0**-18) == 2.0**-19
 
 
 def test_renormalize_keeps_multiples():
