@@ -128,29 +128,31 @@ def depth_index(value, name: str) -> int:
     return value
 
 
-def golden_refine(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
-    """Golden section maximization of f on [lo, hi]; returns (argmax, max)."""
-    a, b_ = lo, hi
+def golden_refine(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Golden section maximization of a vectorized f on every bracket
+    [lo_i, hi_i] at once; returns the arrays (argmax, max).
+
+    The brackets run in lockstep, 60 steps with one call of f per step and
+    one point per bracket in each call.  Each bracket sees the probes and
+    float operations of a search of its own.
+    """
+    a, b_ = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
     c = b_ - _GOLDEN * (b_ - a)
     d = a + _GOLDEN * (b_ - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b_, d, fd = d, c, fc
-            c = b_ - _GOLDEN * (b_ - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b_ - a)
-            fd = f(d)
-    if fc >= fd:
-        return c, fc
-    return d, fd
+    for _ in range(60):
+        left = fc >= fd  # keep [a, d]; else keep [c, b_]
+        a, b_ = np.where(left, a, c), np.where(left, d, b_)
+        t = np.where(left, b_ - _GOLDEN * (b_ - a), a + _GOLDEN * (b_ - a))
+        ft = f(t)
+        c, d = np.where(left, t, d), np.where(left, c, t)
+        fc, fd = np.where(left, ft, fd), np.where(left, fc, ft)
+    left = fc >= fd
+    return np.where(left, c, d), np.where(left, fc, fd)
 
 
-def grid_sup(fvec, n_points: int, refine: bool = True, lo: float = 0.0, hi: float = 1.0,
-             refine_iters: int = 60) -> tuple[float, float]:
-    """Supremum of a scalar field on [lo, hi) estimated from a uniform grid.
+def grid_sup(fvec, n_points: int, refine: bool = True) -> tuple[float, float]:
+    """Supremum of a scalar field on [0, 1) estimated from a uniform grid.
 
     Parameters
     ----------
@@ -167,17 +169,15 @@ def grid_sup(fvec, n_points: int, refine: bool = True, lo: float = 0.0, hi: floa
     -------
     (x_star, sup_value)
     """
-    xs = lo + (hi - lo) * np.arange(n_points, dtype=np.float64) / n_points
+    xs = np.arange(n_points, dtype=np.float64) / n_points
     vals = np.asarray(fvec(xs), dtype=np.float64)
     i = int(np.argmax(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
     if refine:
-        step = (hi - lo) / n_points
-        a = max(lo, best_x - step)
-        b_ = min(hi, best_x + step)
-        xr, vr = golden_refine(lambda t: float(fvec(np.array([t]))[0]), a, b_, refine_iters)
-        if vr > best_v:
-            best_x, best_v = xr, vr
+        step = 1.0 / n_points
+        xr, vr = golden_refine(fvec, [max(0.0, best_x - step)], [min(1.0, best_x + step)])
+        if vr[0] > best_v:
+            best_x, best_v = float(xr[0]), float(vr[0])
     return best_x, best_v
 
 

@@ -355,14 +355,15 @@ def cmd_transversality(args) -> int:
     seed = opt.get_int("seed")
     tol = opt.get_float("tol")
     pairs = kn.transversality_pairs(params, seed, count=opt.get_int("pairs_count"))
+    history: dict[int, kn.TransversalityReport] = {}
     if opt.raw("l0"):
         l0 = opt.get_int("l0")
-        ratios: dict[int, float] = {}
+        rep = kn.transversality_certificate(params, phi, pairs, l0, tol)
     else:
-        l0, ratios = kn.transversality_stability(
+        l0, history = kn.transversality_stability(
             params, phi, pairs, l0_max=opt.get_int("l0_max"), tol=tol
         )
-    rep = kn.transversality_certificate(params, phi, pairs, l0, tol)
+        rep = history[l0]
     outdir = _outdir(args)
     atomic_write_text(os.path.join(outdir, "transversality.csv"),
                       kn.certificate_to_csv(rep))
@@ -370,8 +371,8 @@ def cmd_transversality(args) -> int:
         "l0": l0, "rho0_hat": rep.rho0_hat, "median_ratio": rep.median_ratio,
         "n_pairs": len(pairs),
     }
-    for lv, r in sorted(ratios.items()):
-        summary[f"ratio_level_{lv}"] = r
+    for lv, r in sorted(history.items()):
+        summary[f"ratio_level_{lv}"] = r.rho0_hat
     _write_meta(outdir, "transversality", opt, summary)
     print(f"l0 {l0}: rho0_hat {rep.rho0_hat:.4f}, median ratio {rep.median_ratio:.4f}")
     return 0

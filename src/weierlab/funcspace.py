@@ -458,13 +458,12 @@ def theta_entropy(
 
 def theta_cells_csv(theta: ThetaMeasure, i_level: int, m_grid: int,
                     tol: float = 1e-9) -> str:
-    """Dump ``word,t,cell_id`` rows; cell ids join their integers with colons."""
+    """Dump ``word,t,cell_id`` rows, one per atom; cell_id is the atom's
+    label from ``theta_cell_labels``, 0 .. n_cells - 1."""
+    labels, _ = theta_cell_labels(theta, i_level, m_grid, tol)
     lines = ["word,t,cell_id"]
-    for i in range(len(theta)):
-        cm = theta.contact_map(i)
-        cell = partition_cell(cm, i_level, m_grid, tol)
-        word = "".join(map(str, theta.word(i)))
-        lines.append(f"{word},{cm.t},{':'.join(map(str, cell))}")
+    for i, label in enumerate(labels.tolist()):
+        lines.append(f"{''.join(map(str, theta.word(i)))},{theta.n_hat},{label}")
     return "\n".join(lines) + "\n"
 
 

@@ -62,6 +62,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -242,31 +243,51 @@ def _require_finite(finite: bool) -> None:
         raise ValueError("Gamma and Y need finite points")
 
 
-def eval_y(params, phi: phimod.Phi, x: float, code: Code, tol: float = 1e-10) -> float:
-    """Kernel value Y(x, code) to within tol.
+def _y_sum(params, phi: phimod.Phi, x, code: Code, n: int, k: int):
+    """-sum_{m=1..n} gamma^m b^(-k m) phi^(k+1)(x / b^m + o_m): Y's depth sum
+    (k = 0) or its k-th x-derivative, by ``math.fsum`` for each element of x.
+
+    A piecewise generator (k = 0 only) takes phi' on the piece of the exact
+    argument wherever the float argument lies within rounding of a
+    breakpoint, since o_m = 1 - 2^-60 rounds onto 1: the piece comes from
+    integer compares of x = p / q and o_m = r_m / b^m with the breakpoints.
+    A float x gives a float, an array an array of its shape.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    _require_finite(np.isfinite(x).all())
+    if n == 0:
+        return 0.0 if x.ndim == 0 else np.zeros(x.shape)
+    depths = np.arange(1, n + 1)
+    scales = float(params.b) ** -depths
+    args = x[..., None] * scales + code_offsets(code, n)
+    vals = phimod.eval_phi(phi, args, k + 1)
+    if isinstance(phi, phimod.PiecewisePhi):
+        near = np.nonzero(phimod.near_breakpoint(phi, args))
+        ratios = list(_offset_ratios(code, int(near[-1].max()) + 1)) if len(near[-1]) else []
+        for *pos, i in zip(*near):
+            p, q = float(x[tuple(pos)]).as_integer_ratio()
+            r, bm = ratios[i]  # x / b^m + o_m = (p + r q) / den, taken mod 1
+            den = q * bm
+            num = (p + r * q) % den
+            piece = sum(num * t.denominator >= t.numerator * den for t in phi.breakpoints[1:-1])
+            vals[(*pos, i)] = phi._a1[piece]
+    terms = (params.gamma ** depths * scales**k * vals).reshape(-1, n).tolist()
+    sums = np.array([-math.fsum(row) for row in terms])
+    return float(sums[0]) if x.ndim == 0 else sums.reshape(x.shape)
+
+
+def eval_y(params, phi: phimod.Phi, x, code: Code, tol: float = 1e-10):
+    """Kernel value Y(x, code) to within tol, at a float or over an array.
 
     The truncation count N satisfies gamma^(N+1) sup|phi'| / (1 - gamma)
-    <= tol in closed form.  Piecewise generators use their right-limit
-    derivative at breakpoints: an argument x / b^m + o_m whose float lies
-    within rounding of a breakpoint takes the piece of the exact argument,
-    with o_m from ``code_offsets_exact``, since o_m = 1 - 2^-60 rounds
-    onto 1.  A discontinuous wave is rejected.
+    <= tol in closed form.  Each point's depths are summed by
+    ``math.fsum``, so an array gives bit for bit the values of one call
+    per point.  Piecewise generators use their right-limit derivative at
+    breakpoints, decided on the exact argument.  A discontinuous wave is
+    rejected.
     """
     _require_c1(phi, "eval_y")
-    _require_finite(math.isfinite(x))
-    n = _y_term_count(params, phi, tol)
-    if n == 0:
-        return 0.0
-    depths = np.arange(1, n + 1)
-    args = x * float(params.b) ** -depths + code_offsets(code, n)
-    vals = phimod.eval_phi(phi, args, 1)
-    if isinstance(phi, phimod.PiecewisePhi):
-        near = np.flatnonzero(phimod.near_breakpoint(phi, args))
-        offs = code_offsets_exact(code, int(near[-1]) + 1) if len(near) else []
-        for i in near:
-            point = Fraction(float(x)) / params.b ** int(i + 1) + offs[i]
-            vals[i] = phi.coeffs[phi.piece_index(point)][1]
-    return -math.fsum((params.gamma ** depths * vals).tolist())
+    return _y_sum(params, phi, x, code, _y_term_count(params, phi, tol), 0)
 
 
 def eval_y_vec(params, phi: phimod.Phi, xs: np.ndarray, code: Code,
@@ -289,11 +310,10 @@ def _y_gap(params, phi: phimod.Phi, xs: np.ndarray, u: Code, v: Code, tol: float
     return y[..., 0] - y[..., 1]
 
 
-def eval_y_deriv(
-    params, phi: phimod.Phi, x: float, code: Code, k: int, tol: float = 1e-8
-) -> float:
-    """k-th derivative of Y(., code) at x, k >= 1; needs a C^(k+1) generator,
-    so ``sup_deriv`` refuses a piecewise linear one with ValueError."""
+def eval_y_deriv(params, phi: phimod.Phi, x, code: Code, k: int, tol: float = 1e-8):
+    """k-th derivative of Y(., code) at a float or over an array, k >= 1;
+    needs a C^(k+1) generator, so ``sup_deriv`` refuses a piecewise linear
+    one with ValueError."""
     if k < 1:
         raise ValueError("k must be at least 1; use eval_y for the kernel itself")
     from .weier import term_count
@@ -301,14 +321,7 @@ def eval_y_deriv(
     ratio = params.gamma / float(params.b) ** k
     supk = phimod.sup_deriv(phi, k + 1)
     n = term_count(ratio, supk, tol) if ratio < 1.0 else term_count(params.gamma, supk, tol)
-    if n == 0:
-        return 0.0
-    offs = code_offsets(code, n)
-    scales = float(params.b) ** -np.arange(1, n + 1)
-    args = x * scales + offs
-    vals = phimod.eval_phi(phi, args, k + 1)
-    weights = params.gamma ** np.arange(1, n + 1) * scales**k
-    return -math.fsum((weights * vals).tolist())
+    return _y_sum(params, phi, x, code, n, k)
 
 
 def eval_gamma(params, phi: phimod.Phi, x: float, code: Code, tol: float = 1e-10) -> float:
@@ -669,17 +682,11 @@ def separation_sup(
     i = int(np.argmax(diff))
     best_x, best = float(xs[i]), float(diff[i])
     if refine:
-        lo = max(0.0, best_x - 1.0 / grid_size)
-        hi = min(1.0, best_x + 1.0 / grid_size)
-
-        def f(t: float) -> float:
-            return abs(
-                eval_y(params, phi, t, u, tol) - eval_y(params, phi, t, v, tol)
-            )
-
-        xr, vr = golden_refine(f, lo, hi)
-        if vr > best:
-            best_x, best = xr, vr
+        xr, vr = golden_refine(
+            lambda t: np.abs(eval_y(params, phi, t, u, tol) - eval_y(params, phi, t, v, tol)),
+            [max(0.0, best_x - 1.0 / grid_size)], [min(1.0, best_x + 1.0 / grid_size)])
+        if vr[0] > best:
+            best_x, best = float(xr[0]), float(vr[0])
     return SeparationResult(sup=best, argmax=best_x, identical=False, grid_size=grid_size)
 
 
@@ -758,29 +765,32 @@ def h_scan_to_csv(report: HScanReport) -> str:
 _CHEB_NODES = 0.5 * (1.0 + np.cos(np.pi * np.arange(129) / 128.0))
 
 
-def _interval_inf_sup(
-    lo: float,
-    width: float,
-    vec_at: Callable[[np.ndarray], np.ndarray],
-    point_at: Callable[[float], float],
-) -> tuple[float, float]:
-    """inf and sup of |f| on [lo, lo + width].
+def _intervals_inf_sup(idx: np.ndarray, cells: int,
+                       grid_at: Callable[[np.ndarray], np.ndarray],
+                       probe_at: Callable[[np.ndarray], np.ndarray]):
+    """inf and sup of |f| on each interval [i / cells, (i + 1) / cells), i in idx.
 
-    ``vec_at`` evaluates f on the 129 Chebyshev nodes of the interval and
-    ``point_at`` at one point; a golden refinement in a bracket of width/64
-    around each grid extremum can only lower the inf and raise the sup.
+    ``grid_at`` evaluates f on the 129 Chebyshev nodes of every interval in
+    one call.  Then one lockstep golden search runs over 2 len(idx)
+    brackets of width 1 / (32 cells), one around each interval's grid
+    minimum and one around its grid maximum, with ``probe_at`` taking one
+    point per bracket per step.  The refinement can only lower the inf and
+    raise the sup, and each interval gets the values a search of its own
+    would give.
     """
-    xs = lo + width * _CHEB_NODES
-    vals = np.abs(vec_at(xs))
-    i_min = int(np.argmin(vals))
-    i_max = int(np.argmax(vals))
-
-    def bracket(i: int) -> tuple[float, float]:
-        return max(lo, xs[i] - width / 64), min(lo + width, xs[i] + width / 64)
-
-    _, neg_inf = golden_refine(lambda t: -abs(point_at(t)), *bracket(i_min))
-    _, sup = golden_refine(lambda t: abs(point_at(t)), *bracket(i_max))
-    return min(-neg_inf, float(vals[i_min])), max(sup, float(vals[i_max]))
+    count = len(idx)
+    lo = idx / cells
+    width = 1.0 / cells
+    xs = lo[:, None] + width * _CHEB_NODES
+    vals = np.abs(grid_at(xs))
+    rows = np.tile(np.arange(count), 2)
+    nodes = np.concatenate([np.argmin(vals, axis=1), np.argmax(vals, axis=1)])
+    x_ext, v_ext = xs[rows, nodes], vals[rows, nodes]
+    sign = np.repeat([-1.0, 1.0], count)  # the min brackets maximize -|f|
+    _, best = golden_refine(lambda t: sign * np.abs(probe_at(t)),
+                            np.maximum(lo[rows], x_ext - width / 64),
+                            np.minimum(lo[rows] + width, x_ext + width / 64))
+    return np.minimum(-best[:count], v_ext[:count]), np.maximum(best[count:], v_ext[count:])
 
 
 def interval_regularity(
@@ -793,25 +803,22 @@ def interval_regularity(
     """Per level-``level`` interval, the least order k <= k_max whose |f^(k)|
     has sup at most twice its inf, with that sup and inf.
 
-    ``deriv_eval(k, xs)`` must return f^(k) on the points.  Chebyshev nodes
-    (129 per interval) plus one golden refinement of each extremum keep the
-    procedure deterministic and reproducible bit for bit.
+    ``deriv_eval(k, xs)`` must return f^(k) on an array of points.  Each
+    order takes the 129 Chebyshev nodes of every interval still open in
+    one call and refines all their extrema in one lockstep golden search,
+    so the procedure is deterministic and reproducible bit for bit.
     """
     cells = b**level
-    out: list[tuple[int, int | None, float, float]] = []
-    for idx in range(cells):
-        row: tuple[int, int | None, float, float] = (idx, None, 0.0, 0.0)
-        for k in range(1, k_max + 1):
-            inf, sup = _interval_inf_sup(
-                idx / cells, 1.0 / cells, lambda xs: deriv_eval(k, xs),
-                lambda t: float(deriv_eval(k, np.array([t]))[0]),
-            )
-            if sup <= 2.0 * inf and sup > degenerate_tol:
-                row = (idx, k, inf, sup)
-                break
-            row = (idx, None, inf, sup)
-        out.append(row)
-    return out
+    rows: list[tuple[int, int | None, float, float]] = [(i, None, 0.0, 0.0) for i in range(cells)]
+    idx = np.arange(cells)
+    for k in range(1, k_max + 1):
+        f = partial(deriv_eval, k)
+        inf, sup = _intervals_inf_sup(idx, cells, f, f)
+        done = (sup <= 2.0 * inf) & (sup > degenerate_tol)
+        for i, ok, lo_v, hi_v in zip(idx.tolist(), done.tolist(), inf.tolist(), sup.tolist()):
+            rows[i] = (i, k if ok else None, lo_v, hi_v)
+        idx = idx[~done]
+    return rows
 
 
 @dataclass
@@ -848,13 +855,8 @@ def k_regularity(
     def deriv_eval(k: int, xs: np.ndarray) -> np.ndarray:
         if k == 1:
             return _y_gap(params, phi, xs, u, v, tol)
-        return np.array(
-            [
-                eval_y_deriv(params, phi, float(t), u, k - 1, tol)
-                - eval_y_deriv(params, phi, float(t), v, k - 1, tol)
-                for t in np.atleast_1d(xs)
-            ]
-        )
+        return (eval_y_deriv(params, phi, xs, u, k - 1, tol)
+                - eval_y_deriv(params, phi, xs, v, k - 1, tol))
 
     rows = interval_regularity(params.b, level, k_eff, deriv_eval)
     degenerate = all(sup <= 1e-13 for _, _, _, sup in rows)
@@ -906,16 +908,11 @@ def transversality_certificate(
     _require_c1(phi, "transversality_certificate")
     per_pair = []
     ratios = []
+    cells = params.b**l0
     for u, v in pairs:
-        cells = params.b**l0
-        infs = np.empty(cells)
-        sups = np.empty(cells)
-        for idx in range(cells):
-            infs[idx], sups[idx] = _interval_inf_sup(
-                idx / cells, 1.0 / cells,
-                lambda xs: _y_gap(params, phi, xs, u, v, tol),
-                lambda t: eval_y(params, phi, t, u, tol) - eval_y(params, phi, t, v, tol),
-            )
+        infs, sups = _intervals_inf_sup(
+            np.arange(cells), cells, lambda xs: _y_gap(params, phi, xs, u, v, tol),
+            lambda t: eval_y(params, phi, t, u, tol) - eval_y(params, phi, t, v, tol))
         rhs = float(np.max(sups))
         lhs = float(np.mean(infs))
         identical = u == v or rhs <= 1e-13
@@ -949,17 +946,16 @@ def transversality_stability(
     l0_max: int = 5,
     rel_tol: float = 0.05,
     tol: float = 1e-10,
-) -> tuple[int, dict[int, float]]:
-    """Smallest level whose certificate ratio is stable to the next level.
+) -> tuple[int, dict[int, TransversalityReport]]:
+    """Smallest level whose certificate ratio rho0_hat is stable to the next level.
 
-    Returns (level, {level: rho0_hat}); falls back to l0_max when no level
-    stabilizes within rel_tol.
+    Returns (level, {level: certificate}); falls back to l0_max when no
+    level stabilizes within rel_tol.
     """
-    history: dict[int, float] = {}
-    for l0 in range(1, l0_max + 1):
-        history[l0] = transversality_certificate(params, phi, pairs, l0, tol).rho0_hat
+    history = {l0: transversality_certificate(params, phi, pairs, l0, tol)
+               for l0 in range(1, l0_max + 1)}
     for l0 in range(1, l0_max):
-        a, b_ = history[l0], history[l0 + 1]
+        a, b_ = history[l0].rho0_hat, history[l0 + 1].rho0_hat
         if abs(a - b_) <= rel_tol * max(abs(a), 1e-300):
             return l0, history
     return l0_max, history

@@ -91,7 +91,11 @@ def test_kernel_vec_matches_scalar():
     for Fourier tables and piecewise waves, on periodic and seeded codes,
     at points in [-1, 2].  (2, 0.51) and (3, 0.34) sum about 1,400 depths,
     past b^m in float range.  The table's twelfth harmonic needs the
-    third-order tail: to second order it is 1.8e-11 off at (2, 0.51)."""
+    third-order tail: to second order it is 1.8e-11 off at (2, 0.51).
+
+    The exact ``eval_y`` and ``eval_y_deriv`` on an array equal one call
+    per point bit for bit, b-adic points and the waves' breakpoints
+    included; a float in gives a float out."""
     phis = [
         P.cos_phi(),
         P.cos_phi(0.3),
@@ -103,12 +107,20 @@ def test_kernel_vec_matches_scalar():
         p = make_params(b, lam)
         codes = [K.periodic_code(b, (1,), (0, b - 1)), K.periodic_code(b, (), (b - 1,)),
                  K.seeded_code(b, 7, 0)]
-        xs = np.concatenate([np.linspace(-1, 2, 25), np.random.default_rng(b).random(16) * 3 - 1])
+        xs = np.concatenate([np.linspace(-1, 2, 25), np.random.default_rng(b).random(16) * 3 - 1,
+                             [1 / b, 1 - 1 / b, 1 / 3, 3 / 4]])
         for phi in phis:
             for code in codes:
                 v = K.eval_y_vec(p, phi, xs, code)
                 s = np.array([K.eval_y(p, phi, float(x), code) for x in xs])
                 assert np.max(np.abs(v - s) / np.maximum(1.0, np.abs(s))) <= 1e-12, (b, phi, code)
+                assert np.array_equal(K.eval_y(p, phi, xs.reshape(-1, 1), code)[:, 0], s)
+                assert type(K.eval_y(p, phi, xs[3], code)) is float
+                if isinstance(phi, P.PiecewisePhi):
+                    continue
+                for k in (1, 2):
+                    d = [K.eval_y_deriv(p, phi, float(x), code, k) for x in xs]
+                    assert np.array_equal(K.eval_y_deriv(p, phi, xs, code, k), d), (b, phi, k)
 
 
 def test_kernel_vec_decides_knot_ties_exactly():
@@ -482,8 +494,11 @@ def test_transversality_stability_and_csv():
     level, history = K.transversality_stability(p, P.cos_phi(), pairs, l0_max=3)
     assert 1 <= level <= 3
     assert set(history) == {1, 2, 3}
-    rep = K.transversality_certificate(p, P.cos_phi(), pairs, l0=2)
-    lines = K.certificate_to_csv(rep).strip().splitlines()
+    assert all(history[l0].l0 == l0 for l0 in history)
+    rep = history[2]
+    csv = K.certificate_to_csv(rep)
+    assert csv == K.certificate_to_csv(K.transversality_certificate(p, P.cos_phi(), pairs, l0=2))
+    lines = csv.strip().splitlines()
     assert lines[0] == "interval_index,inf,sup"
     assert len(lines) == 1 + 4
     for row in lines[1:]:

@@ -365,6 +365,49 @@ def test_depth_maps_take_integer_arguments():
             F.q_height(p, bad)
 
 
+def test_golden_refine_lockstep_matches_single_brackets():
+    """Brackets searched together give each bracket exactly the (argmax,
+    max) of a search of its own, and of the plain scalar golden section.
+    The clipped wave is flat at its top, so probes tie (fc == fd) and the
+    tie branch, which keeps the left part, runs."""
+    calls = []
+
+    def f(t):
+        calls.append(len(t))
+        return np.minimum(np.sin(9.0 * t) + 0.3 * np.cos(31.0 * t), 0.8)
+
+    def scalar_search(lo, hi):
+        g = (math.sqrt(5.0) - 1.0) / 2.0
+        a, b_ = lo, hi
+        c, d = b_ - g * (b_ - a), a + g * (b_ - a)
+        fc, fd = f(np.array([c]))[0], f(np.array([d]))[0]
+        ties = 0
+        for _ in range(60):
+            ties += fc == fd
+            if fc >= fd:
+                b_, d, fd = d, c, fc
+                c = b_ - g * (b_ - a)
+                fc = f(np.array([c]))[0]
+            else:
+                a, c, fc = c, d, fd
+                d = a + g * (b_ - a)
+                fd = f(np.array([d]))[0]
+        return (c, fc, ties) if fc >= fd else (d, fd, ties)
+
+    lo = np.array([0.0, 0.05, 0.1, 0.3, 0.9, 1.7, 2.0])
+    hi = lo + np.array([0.3, 0.01, 2.0, 0.5, 0.02, 0.6, 1e-9])
+    xs, vs = _util.golden_refine(f, lo, hi)
+    assert calls == [len(lo)] * 62
+    ties = 0
+    for i in range(len(lo)):
+        x1, v1 = _util.golden_refine(f, lo[i:i + 1], hi[i:i + 1])
+        xr, vr, t = scalar_search(float(lo[i]), float(hi[i]))
+        assert (xs[i], vs[i]) == (x1[0], v1[0]) == (xr, vr), i
+        ties += t
+    assert ties > 0
+    assert np.all(vs <= 0.8) and np.any(vs == 0.8)
+
+
 def test_decompose_projection_mixture_matches_direct():
     p = _p2()
     cos = P.cos_phi()
