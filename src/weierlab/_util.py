@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 import operator
@@ -46,11 +47,21 @@ def badic_offsets_exact(x: float, b: int, count: int) -> np.ndarray:
 # Rounding bound of the float sign test in _scale_le, as a share of
 # q log b + t log(1/lam): 8 units of roundoff, twice the worst case.
 _MARGIN = 2.0**-50
+_FIXED_BITS = 256  # fixed-point logs are integers in units of 2^-256
+
+
+def _fixed_log(p: int, q: int) -> int:
+    """round(ln(p / q) 2^256), within 1 of exact: the quotient, decimal's
+    correctly rounded ln and the product round at 90 digits, 2^-299 each."""
+    with decimal.localcontext(prec=90):
+        ratio = decimal.Decimal(p) / q
+        return int((ratio.ln() * (1 << _FIXED_BITS)).to_integral_value())
 
 
 @functools.lru_cache(maxsize=256)
 def _scale_constants(b: int, lam: float):
-    """(num, den, log b, log(1/lam), tie exponents) for lam = num / den.
+    """(num, den, log b, log(1/lam), tie exponents, fixed-point log b,
+    fixed-point log(1/lam)) for lam = num / den.
 
     A float lam is num / 2^e with num odd, so b^q lam^t = 1 with t > 0
     needs num^t = 1 and b^q = 2^(e t): num = 1 and b = 2^k.  Only then are
@@ -58,7 +69,13 @@ def _scale_constants(b: int, lam: float):
     """
     num, den = lam.as_integer_ratio()
     ties = (b.bit_length() - 1, den.bit_length() - 1) if num == 1 and b & (b - 1) == 0 else None
-    return num, den, math.log(b), -math.log(lam), ties
+    return (num, den, math.log(b), -math.log(lam), ties,
+            _fixed_log(b, 1), _fixed_log(den, num))
+
+
+def _power_le(b: int, q: int, num: int, den: int, t: int) -> bool:
+    """b^q num^t <= den^t in exact integers, the last tier of ``_scale_le``."""
+    return b**q * num**t <= den**t
 
 
 def _scale_le(b: int, q: int, lam: float, t: int) -> bool:
@@ -69,19 +86,24 @@ def _scale_le(b: int, q: int, lam: float, t: int) -> bool:
     computed in floats: each log is within one ulp, and the two products
     and the difference round once each, so the float s is within 4 units
     of roundoff (2^-53) of (q log b + t log(1/lam)) of the true one, and a
-    float s beyond ``_MARGIN`` times that sum has the true sign.  Inside
-    that band the integers b^q num^t and den^t are compared.  The band
-    holds q = t = 0 and, for lam within rounding of some b^(-j/k), about
-    the t that are multiples of k; for other lam it is practically empty.
+    float s beyond ``_MARGIN`` times that sum has the true sign.  That
+    band holds q = t = 0 and, for lam within rounding of some b^(-j/k),
+    about the t that are multiples of k.  Inside it, s is taken again from
+    logs in units of 2^-256, each within 1 of exact, so its sign is certain
+    once |s| > q + t + 1; only inside that band are the integers b^q num^t
+    and den^t compared, which in practice means q = t = 0.
     """
-    num, den, log_b, log_inv, ties = _scale_constants(b, lam)
+    num, den, log_b, log_inv, ties, fixed_b, fixed_inv = _scale_constants(b, lam)
     if ties is not None:
         k, e = ties
         return k * q <= e * t
     up, down = q * log_b, t * log_inv
     if abs(up - down) > _MARGIN * (up + down):
         return up < down
-    return b**q * num**t <= den**t
+    s = q * fixed_b - t * fixed_inv
+    if abs(s) > q + t + 1:
+        return s < 0
+    return _power_le(b, q, num, den, t)
 
 
 def floor_scaled_log(t: int, b: int, lam: float) -> int:
@@ -91,8 +113,8 @@ def floor_scaled_log(t: int, b: int, lam: float) -> int:
     estimate seeds q and ``_scale_le`` settles each step: an integer
     compare of exponents where ties can happen (b = 4, lam = 0.25, where
     the product is exactly 1 and the tie goes to q), a float log margin
-    test elsewhere, and a compare of exact integers only inside that
-    test's rounding band.
+    test elsewhere, fixed-point logs inside that test's rounding band, and
+    a compare of exact integer powers only where those cannot tell.
     """
     q = max(0, math.floor(t * -math.log(lam) / math.log(b)))
     while q > 0 and not _scale_le(b, q, lam, t):
@@ -151,7 +173,7 @@ def golden_refine(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.where(left, c, d), np.where(left, fc, fd)
 
 
-def grid_sup(fvec, n_points: int, refine: bool = True) -> tuple[float, float]:
+def grid_sup(fvec, n_points: int) -> tuple[float, float]:
     """Supremum of a scalar field on [0, 1) estimated from a uniform grid.
 
     Parameters
@@ -160,10 +182,9 @@ def grid_sup(fvec, n_points: int, refine: bool = True) -> tuple[float, float]:
         Vectorized map ndarray -> ndarray of the quantity to maximize
         (callers pass absolute values themselves if needed).
     n_points : int
-        Grid resolution; endpoint excluded.
-    refine : bool
-        When set, one golden section pass runs on the bracket around the
-        grid argmax.  Deterministic, fixed iteration count.
+        Grid resolution; endpoint excluded.  One golden section pass then
+        runs on the bracket around the grid argmax: deterministic, with a
+        fixed iteration count.
 
     Returns
     -------
@@ -173,11 +194,10 @@ def grid_sup(fvec, n_points: int, refine: bool = True) -> tuple[float, float]:
     vals = np.asarray(fvec(xs), dtype=np.float64)
     i = int(np.argmax(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
-    if refine:
-        step = 1.0 / n_points
-        xr, vr = golden_refine(fvec, [max(0.0, best_x - step)], [min(1.0, best_x + step)])
-        if vr[0] > best_v:
-            best_x, best_v = float(xr[0]), float(vr[0])
+    step = 1.0 / n_points
+    xr, vr = golden_refine(fvec, [max(0.0, best_x - step)], [min(1.0, best_x + step)])
+    if vr[0] > best_v:
+        best_x, best_v = float(xr[0]), float(vr[0])
     return best_x, best_v
 
 

@@ -463,7 +463,10 @@ def cmd_theta(args) -> int:
               + (f" ({rep.message})" if rep.message else ""))
         return 0
     theta = fs.build_theta(params, phi, code, n, cap, subsample, seed, tol)
-    rep = fs.theta_entropy(params, phi, code, n, i_level, m_grid, tol=tol, theta=theta)
+    if args.dump_cells and len(theta) > 65536:
+        raise ValueError(f"cell dump limited to 65536 atoms, theta has {len(theta)}")
+    labels, n_cells = fs.theta_cell_labels(theta, i_level, m_grid, tol)  # once, for both outputs
+    rep = fs._entropy_report(theta, labels, n_cells, i_level, m_grid)
     header = "n,n_hat,i_level,M,entropy,n_atoms,n_cells,subsampled"
     row = (f"{rep.n},{rep.n_hat},{rep.i_level},{rep.m_grid},{rep.entropy!r},"
            f"{rep.n_atoms},{rep.n_cells},{int(rep.subsampled)}")
@@ -474,12 +477,8 @@ def cmd_theta(args) -> int:
         "n_atoms": rep.n_atoms, "n_cells": rep.n_cells,
     }
     if args.dump_cells:
-        if len(theta) > 65536:
-            raise ValueError(
-                f"cell dump limited to 65536 atoms, theta has {len(theta)}"
-            )
         atomic_write_text(os.path.join(outdir, "theta_cells.csv"),
-                          fs.theta_cells_csv(theta, i_level, m_grid, tol))
+                          fs.theta_cells_csv(theta, labels))
         summary["cells_dump"] = "theta_cells.csv"
     _write_meta(outdir, "theta", opt, summary)
     print(f"theta n={n}: entropy {rep.entropy:.4f} over {rep.n_atoms} atoms "

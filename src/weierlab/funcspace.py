@@ -56,6 +56,12 @@ __all__ = [
     "experiment_to_csv",
 ]
 
+_THETA_CHUNK = 1 << 22  # atoms per pass over the origin constants of build_theta
+_C_CAP = 8  # the largest separation constant tried: a pair apart only past level 8 n fails
+_PAIR_CAP = 200_000  # word pairs per length beyond which a seeded subsample is drawn
+_GAIN_THRESHOLD = 0.02  # a convolution gain above this counts as positive
+_MIN_ATOMS = 16  # smallest component the entropy-increase experiment takes
+
 
 @dataclass(frozen=True)
 class ContactMap:
@@ -100,7 +106,8 @@ def q_height(params, t: int) -> int:
     TypeError.  Each comparison is exact, as in ``measure.n_hat``: integer
     exponents where ties can happen, otherwise a float log difference
     whose sign is taken outside a band of 2^-50 (q log b + t log(1/lam)),
-    and big integers only inside it.
+    inside it fixed-point logs in units of 2^-256, and big-integer powers
+    only where those cannot tell.
     """
     t = depth_index(t, "height")
     return floor_scaled_log(t, params.b, params.lam)
@@ -223,7 +230,6 @@ def build_theta(
     subsample: int | None = None,
     seed: int = 0,
     tol: float = 1e-9,
-    chunk: int = 1 << 22,
 ) -> ThetaMeasure:
     """Enumerate (or subsample) the theta measure at index n.
 
@@ -250,9 +256,9 @@ def build_theta(
         sub = True
     c = np.empty(len(indices), dtype=np.float64)
     heights = WLattice(params, phi, nh, start=0.0)
-    for a in range(0, len(indices), chunk):
-        c[a : a + chunk] = _origin_constants(
-            params, phi, code, heights, indices[a : a + chunk], tol
+    for a in range(0, len(indices), _THETA_CHUNK):
+        c[a : a + _THETA_CHUNK] = _origin_constants(
+            params, phi, code, heights, indices[a : a + _THETA_CHUNK], tol
         )
     return ThetaMeasure(
         params=params, phi=phi, code=code, n=n, n_hat=nh,
@@ -279,7 +285,7 @@ def gamma_at_many_words(
     the product E(u) @ C(x) of ``_deep_word_depths``: E depends on the
     words only, so all points share it.  Its depths with 2 pi k / b^s <
     2^-24 keep alpha_s to first order, an error of at most 2^-48 sum_k
-    2 pi k |c_k + conj c_-k| |x| gamma^(width+1) / (1 - gamma) beyond the
+    2 pi k |w_k| |x| gamma^(width+1) / (1 - gamma) beyond the
     scalar ``eval_gamma``'s rounding.  Piecewise data take every depth
     from ``kernel._piecewise_gamma``, on the exact integer offsets, and
     are exact to rounding.
@@ -313,8 +319,8 @@ def _deep_word_depths(params, phi: phimod.FourierPhi, xs: np.ndarray, u: np.ndar
     """The depths m = width + s > width of Gamma(xs) along reverse(word) + base
     for a real Fourier generator, shape (len(xs), len(u)).
 
-    With alpha_s = 2 pi k u / b^s and R = lam^-m (c_k + conj c_-k)
-    e^{2 pi i k o_s(base)} (e^{2 pi i k x / b^m} - 1), frequency k adds
+    With alpha_s = 2 pi k u / b^s and R = lam^-m w_k e^{2 pi i k o_s(base)}
+    (e^{2 pi i k x / b^m} - 1), w_k from the generator, frequency k adds
     -Re(R e^{i alpha_s}) = -Re R + Re R (1 - cos alpha_s) + Im R sin alpha_s.
     So the sum is E(u) @ C(xs): E holds 1, u and, per frequency, the
     versines and sines of alpha_s from ``kernel._sin_vers``; C holds R per
@@ -326,11 +332,10 @@ def _deep_word_depths(params, phi: phimod.FourierPhi, xs: np.ndarray, u: np.ndar
     s = np.arange(1, len(base_offs) + 1)
     bneg = float(b) ** -(width + s)[:, None]  # b^-m, zero below float range
     c_rows, freqs = [np.zeros(len(xs)), np.zeros(len(xs))], []
-    for k in sorted({abs(k) for k in phi.coeffs if k}):
-        ck = phi.coeffs.get(k, 0j) + phi.coeffs.get(-k, 0j).conjugate()
+    for k, wk in zip(phi.freqs, phi.w):
         t = k * xs * bneg
         # lam^-m (e^{2 pi i t} - 1) = 2 pi k x gamma^m (i sinc(2t) - sin(pi t) sinc(t))
-        r = ((2.0 * math.pi * k * ck * np.exp(2j * math.pi * k * base_offs)
+        r = ((2.0 * math.pi * k * wk * np.exp(2j * math.pi * k * base_offs)
               * params.gamma ** (width + s))[:, None]
              * xs * (1j * np.sinc(2.0 * t) - np.sin(math.pi * t) * np.sinc(t)))
         slope = 2.0 * math.pi * k * float(b) ** -s  # alpha_s / u
@@ -427,7 +432,6 @@ def theta_entropy(
     i_level: int,
     m_grid: int,
     cap: int = 1 << 20,
-    subsample: int | None = None,
     seed: int = 0,
     tol: float = 1e-9,
     theta: ThetaMeasure | None = None,
@@ -435,17 +439,23 @@ def theta_entropy(
     """Entropy (log base b) of theta_n under the map-space partition.
 
     A prebuilt theta can be passed to amortize enumeration across
-    partition levels.
+    partition levels, or to use a subsampled one.
     """
     if theta is None:
-        theta = build_theta(params, phi, code, n, cap, subsample, seed, tol)
+        theta = build_theta(params, phi, code, n, cap, seed=seed, tol=tol)
     labels, n_cells = theta_cell_labels(theta, i_level, m_grid, tol)
+    return _entropy_report(theta, labels, n_cells, i_level, m_grid)
+
+
+def _entropy_report(theta: ThetaMeasure, labels: np.ndarray, n_cells: int, i_level: int,
+                    m_grid: int) -> ThetaEntropyReport:
+    """The report of ``theta_entropy`` from the cell labels of theta's atoms."""
     counts = np.bincount(labels).astype(np.float64)
     counts = counts[counts > 0]
     n_atoms = float(len(theta))
     h = math.log(n_atoms) - float((counts * np.log(counts)).sum()) / n_atoms
     return ThetaEntropyReport(
-        entropy=h / math.log(params.b),
+        entropy=h / math.log(theta.params.b),
         n=theta.n,
         n_hat=theta.n_hat,
         i_level=i_level,
@@ -456,11 +466,9 @@ def theta_entropy(
     )
 
 
-def theta_cells_csv(theta: ThetaMeasure, i_level: int, m_grid: int,
-                    tol: float = 1e-9) -> str:
+def theta_cells_csv(theta: ThetaMeasure, labels: np.ndarray) -> str:
     """Dump ``word,t,cell_id`` rows, one per atom; cell_id is the atom's
     label from ``theta_cell_labels``, 0 .. n_cells - 1."""
-    labels, _ = theta_cell_labels(theta, i_level, m_grid, tol)
     lines = ["word,t,cell_id"]
     for i, label in enumerate(labels.tolist()):
         lines.append(f"{''.join(map(str, theta.word(i)))},{theta.n_hat},{label}")
@@ -487,18 +495,16 @@ def separation_constant_c(
     code: Code,
     n_max: int,
     m_grid: int,
-    c_cap: int = 8,
-    pair_cap: int = 200_000,
     seed: int = 0,
     tol: float = 1e-10,
 ) -> SeparationCReport:
     """Smallest C with all same-length word pairs split by level C n cells.
 
     For each word length n <= n_max, every distinct pair (or a seeded
-    subsample when the pair count explodes) is pushed through the
+    subsample of 200,000 when there are more) is pushed through the
     partition at levels 1, 2, ... until the cells differ; the per-pair
     requirement is ceil(level / n) and C is the worst over all pairs.
-    Pairs still unseparated at level c_cap * n are returned as failures
+    Pairs still unseparated at level 8 n are returned as failures
     (the everywhere-degenerate generators have no finite C).
     """
     _check_m(params, m_grid)
@@ -514,17 +520,17 @@ def separation_constant_c(
                                   idx, n, code, tol).T
         q = q_height(params, n)
         n_pairs = count * (count - 1) // 2
-        if n_pairs <= pair_cap:
+        if n_pairs <= _PAIR_CAP:
             ia, ib = np.triu_indices(count, k=1)
         else:
             rng = substream(seed, 0x5EF, n)
-            ia = rng.integers(0, count, size=pair_cap)
-            ib = rng.integers(0, count, size=pair_cap)
+            ia = rng.integers(0, count, size=_PAIR_CAP)
+            ib = rng.integers(0, count, size=_PAIR_CAP)
             keep = ia != ib
             ia, ib = ia[keep], ib[keep]
         alive = np.ones(len(ia), dtype=bool)
         level_found = np.zeros(len(ia), dtype=np.int64)
-        for ell in range(1, c_cap * n + 1):
+        for ell in range(1, _C_CAP * n + 1):
             if not alive.any():
                 break
             cs = float(params.b) ** (ell + q)
@@ -675,22 +681,20 @@ def entropy_increase_experiment(
     cap: int = 1 << 20,
     subsample: int | None = None,
     h_threshold: float = 0.1,
-    gain_threshold: float = 0.02,
-    min_atoms: int = 16,
     n_tau: int = 1 << 15,
     max_components: int | None = None,
     tol: float = 1e-9,
 ) -> EntropyIncreaseReport:
     """Convolution entropy gains of the partition components of theta_n.
 
-    Components of theta at partition level i whose refinement entropy
-    rate (1 / k) H(component, level i + k) clears ``h_threshold`` are the
-    (H)-type candidates.  For each one, a line measure (the component's
-    maps applied to one seeded word image of the origin) is convolved
-    into the pushforward of the graph measure under a representative map
-    composed with that word, and the per-level entropy gain recorded.
-    Degenerate systems report every gain near zero or no candidates at
-    all.
+    Components of at least 16 atoms of theta at partition level i whose
+    refinement entropy rate (1 / k) H(component, level i + k) clears
+    ``h_threshold`` are the (H)-type candidates.  For each one, a line
+    measure (the component's maps applied to one seeded word image of the
+    origin) is convolved into the pushforward of the graph measure under a
+    representative map composed with that word, and the per-level entropy
+    gain recorded.  Degenerate systems report every gain near zero or no
+    candidates at all.
     """
     theta = build_theta(params, phi, code, n, cap, subsample, seed, tol)
     labels_i, n_comp = theta_cell_labels(theta, i_level, m_grid, tol)
@@ -704,7 +708,7 @@ def entropy_increase_experiment(
     )
     bounds = np.append(starts, len(sorted_labels))
     sizes = np.diff(bounds)
-    eligible = np.flatnonzero(sizes >= min_atoms)
+    eligible = np.flatnonzero(sizes >= _MIN_ATOMS)
     skipped_small = len(starts) - len(eligible)
     if max_components is not None and len(eligible) > max_components:
         pick = substream(seed, 0xCA9).choice(
@@ -749,7 +753,7 @@ def entropy_increase_experiment(
         ta = histogram_from_values(tau_vals, params.b, n_conv + k)
         gain = convolution_entropy_gain(th, ta, n_conv, k).gain
         rows.append((int(comp_id), float(h_eta), float(gain)))
-    pos = sum(1 for _, _, g in rows if g > gain_threshold)
+    pos = sum(1 for _, _, g in rows if g > _GAIN_THRESHOLD)
     message = "" if rows else "no (H)-type components"
     return EntropyIncreaseReport(
         rows=rows,
@@ -763,7 +767,7 @@ def entropy_increase_experiment(
         n_skipped_small=skipped_small,
         n_below_threshold=below,
         positive_fraction=pos / len(rows) if rows else 0.0,
-        gain_threshold=gain_threshold,
+        gain_threshold=_GAIN_THRESHOLD,
         message=message,
     )
 

@@ -20,8 +20,9 @@ the scalar Y takes phi' on the piece of the exact argument wherever the
 float argument lies within rounding of a breakpoint.
 
 On arrays, Gamma for a real Fourier generator factors into an x-only and a
-code-only matrix.  With h_m = x / b^m and z = (c_k + conj c_-k) e^{2 pi i k o_m},
-each increment is
+code-only matrix.  The generator hands over its frequencies k > 0 and
+w_k = c_k + conj c_-k (``FourierPhi.freqs`` and ``.w``); with h_m = x / b^m
+and z = w_k e^{2 pi i k o_m}, each increment is
 
     lam^-m [phi(o_m + h_m) - phi(o_m)]
         = - sum_{k > 0} lam^-m (Re z vers(2 pi k h_m) + Im z sin(2 pi k h_m)),
@@ -48,12 +49,12 @@ knot that x crosses, placed by integer compares: exact to rounding at
 every depth, with no float offset and no linear tail.
 
 Y = Gamma' on arrays is the x-derivative of these two engines.  For
-Fourier data only C changes: with w = gamma^m 2 pi k (c_k + conj c_-k)
-e^{2 pi i k o_m}, depth m <= n0 adds Re w sin(2 pi k h_m) - Im w
-vers(2 pi k h_m) + Im w, and the deeper depths take phi'(o_m + h_m) to
-third order in h_m (x enters through E's linear-tail row).  For piecewise
-data each ramp becomes its right-derivative step.  The scans that compare
-two codes take both from one call.
+Fourier data only C changes: with w = gamma^m 2 pi k w_k e^{2 pi i k o_m},
+depth m <= n0 adds Re w sin(2 pi k h_m) - Im w vers(2 pi k h_m) + Im w,
+and the deeper depths take phi'(o_m + h_m) to third order in h_m (x
+enters through E's linear-tail row).  For piecewise data each ramp
+becomes its right-derivative step.  The scans that compare two codes
+take both from one call.
 """
 
 from __future__ import annotations
@@ -516,13 +517,12 @@ def _gamma_blocks(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code]
     linear = n0 < n
     d1 = phimod.eval_phi(phi, offs, 1).reshape(len(codes), n)
     tail = d1[:, n0:] @ gam[n0:]  # sum over the linear depths of gamma^m phi'(o_m), per code
-    freqs = sorted({abs(k) for k in phi.coeffs if k}) if n0 else []
+    freqs = phi.freqs if n0 else ()
     scales = gam[:n0] if deriv else np.cumprod(np.full(n0, 1.0 / params.lam))
     const = -tail
     parts = []
-    for k in freqs:
-        ck = phi.coeffs.get(k, 0j) + phi.coeffs.get(-k, 0j).conjugate()
-        z = scales * ck * np.exp(2j * math.pi * k * offs[:, :n0])
+    for k, wk in zip(freqs, phi.w):
+        z = scales * wk * np.exp(2j * math.pi * k * offs[:, :n0])
         if deriv:  # d/dx: vers -> 2 pi k b^-m sin, sin -> 2 pi k b^-m (1 - vers)
             z *= 2.0 * math.pi * k
             parts += [-z.imag, z.real]
@@ -650,6 +650,9 @@ def transition_residual(
 # ---------------------------------------------------------------------------
 # separation scans
 
+_EPS_H = 1e-6  # separation floor above which a scan reads as H-evidence
+_EPS_STAR = 1e-8  # separation ceiling below which it reads as H*-evidence
+
 
 @dataclass
 class SeparationResult:
@@ -708,17 +711,15 @@ def condition_h_scan(
     seed: int = 0,
     grid_size: int = 1 << 12,
     tol: float = 1e-10,
-    eps_h: float = 1e-6,
-    eps_star: float = 1e-8,
 ) -> HScanReport:
     """Separation statistics over prefix pairs with distinct first symbols.
 
     Every unordered pair of depth-``depth`` prefixes whose first symbols
     differ is paired with ``samples_per_pair`` independent seeded tails.
-    Evidence labels: separation floor above eps_h suggests distinct
-    directions everywhere (the generic regime); a ceiling below eps_star
-    suggests all directions coincide (the smooth regime); anything else is
-    inconclusive.  Labels are evidence, not proof.
+    Evidence labels: separation floor above eps_h = 1e-6 suggests distinct
+    directions everywhere (the generic regime); a ceiling below eps_star =
+    1e-8 suggests all directions coincide (the smooth regime); anything
+    else is inconclusive.  Labels are evidence, not proof.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -741,14 +742,14 @@ def condition_h_scan(
                 seps.append(r.sup)
             pair_index += 1
     min_sep, max_sep = min(seps), max(seps)
-    if min_sep > eps_h:
+    if min_sep > _EPS_H:
         klass = "H-evidence"
-    elif max_sep < eps_star:
+    elif max_sep < _EPS_STAR:
         klass = "H*-evidence"
     else:
         klass = "inconclusive"
     return HScanReport(rows=rows, min_sep=min_sep, max_sep=max_sep,
-                       classification=klass, eps_h=eps_h, eps_star=eps_star)
+                       classification=klass, eps_h=_EPS_H, eps_star=_EPS_STAR)
 
 
 def h_scan_to_csv(report: HScanReport) -> str:
@@ -793,20 +794,26 @@ def _intervals_inf_sup(idx: np.ndarray, cells: int,
     return np.minimum(-best[:count], v_ext[:count]), np.maximum(best[count:], v_ext[count:])
 
 
+def _degenerate_floor(tol: float) -> float:
+    """2 tol, the truncation bound of a difference of two codes' series."""
+    return 2.0 * tol
+
+
 def interval_regularity(
     b: int,
     level: int,
     k_max: int,
     deriv_eval: Callable[[int, np.ndarray], np.ndarray],
-    degenerate_tol: float = 1e-13,
+    tol: float = 1e-10,
 ) -> list[tuple[int, int | None, float, float]]:
     """Per level-``level`` interval, the least order k <= k_max whose |f^(k)|
-    has sup at most twice its inf, with that sup and inf.
+    has sup above 2 tol and at most twice its inf, with that sup and inf.
 
-    ``deriv_eval(k, xs)`` must return f^(k) on an array of points.  Each
-    order takes the 129 Chebyshev nodes of every interval still open in
-    one call and refines all their extrema in one lockstep golden search,
-    so the procedure is deterministic and reproducible bit for bit.
+    ``deriv_eval(k, xs)`` must return f^(k) on an array of points to within
+    ``tol``.  Each order takes the 129 Chebyshev nodes of every interval
+    still open in one call and refines all their extrema in one lockstep
+    golden search, so the procedure is deterministic and reproducible bit
+    for bit.
     """
     cells = b**level
     rows: list[tuple[int, int | None, float, float]] = [(i, None, 0.0, 0.0) for i in range(cells)]
@@ -814,7 +821,7 @@ def interval_regularity(
     for k in range(1, k_max + 1):
         f = partial(deriv_eval, k)
         inf, sup = _intervals_inf_sup(idx, cells, f, f)
-        done = (sup <= 2.0 * inf) & (sup > degenerate_tol)
+        done = (sup <= 2.0 * inf) & (sup > _degenerate_floor(tol))
         for i, ok, lo_v, hi_v in zip(idx.tolist(), done.tolist(), inf.tolist(), sup.tolist()):
             rows[i] = (i, k if ok else None, lo_v, hi_v)
         idx = idx[~done]
@@ -841,8 +848,8 @@ def k_regularity(
 
     f^(k) is the order k-1 derivative of the kernel difference.  A
     generator without enough classical smoothness truncates the k range
-    (with a marker) rather than failing; an identically zero difference
-    reports the degenerate flag.
+    (with a marker) rather than failing; a difference within 2 tol
+    everywhere reports the degenerate flag.
     """
     _require_c1(phi, "k_regularity")
     truncated: int | None = None
@@ -858,8 +865,8 @@ def k_regularity(
         return (eval_y_deriv(params, phi, xs, u, k - 1, tol)
                 - eval_y_deriv(params, phi, xs, v, k - 1, tol))
 
-    rows = interval_regularity(params.b, level, k_eff, deriv_eval)
-    degenerate = all(sup <= 1e-13 for _, _, _, sup in rows)
+    rows = interval_regularity(params.b, level, k_eff, deriv_eval, tol)
+    degenerate = all(sup <= _degenerate_floor(tol) for _, _, _, sup in rows)
     return KRegularityReport(rows=rows, degenerate=degenerate, truncated_k=truncated)
 
 
@@ -874,7 +881,8 @@ class TransversalityReport:
     For each pair, ``lhs`` is the mean over level-l0 intervals of the
     interval infimum of |Y_u - Y_v| (so a constant nonzero difference
     scores ratio one), ``rhs`` the global sup, and ``ratio`` their
-    quotient in [0, 1].  ``rho0_hat`` is the worst ratio over the family.
+    quotient in [0, 1], or 0 for a pair marked ``identical``: equal codes,
+    or a sup within 2 tol.  ``rho0_hat`` is the worst ratio over the family.
     """
 
     l0: int
@@ -915,20 +923,10 @@ def transversality_certificate(
             lambda t: eval_y(params, phi, t, u, tol) - eval_y(params, phi, t, v, tol))
         rhs = float(np.max(sups))
         lhs = float(np.mean(infs))
-        identical = u == v or rhs <= 1e-13
+        identical = u == v or rhs <= _degenerate_floor(tol)
         ratio = 0.0 if identical else min(1.0, lhs / rhs)
-        per_pair.append(
-            {
-                "u": u,
-                "v": v,
-                "lhs": lhs,
-                "rhs_sup": rhs,
-                "ratio": ratio,
-                "identical": identical,
-                "interval_inf": infs,
-                "interval_sup": sups,
-            }
-        )
+        per_pair.append({"u": u, "v": v, "lhs": lhs, "rhs_sup": rhs, "ratio": ratio,
+                         "identical": identical, "interval_inf": infs, "interval_sup": sups})
         ratios.append(ratio)
     ratios_arr = np.array(ratios)
     return TransversalityReport(
@@ -944,25 +942,25 @@ def transversality_stability(
     phi: phimod.Phi,
     pairs: list[tuple[Code, Code]],
     l0_max: int = 5,
-    rel_tol: float = 0.05,
     tol: float = 1e-10,
 ) -> tuple[int, dict[int, TransversalityReport]]:
     """Smallest level whose certificate ratio rho0_hat is stable to the next level.
 
     Returns (level, {level: certificate}); falls back to l0_max when no
-    level stabilizes within rel_tol.
+    level stabilizes within 5% of its ratio.
     """
     history = {l0: transversality_certificate(params, phi, pairs, l0, tol)
                for l0 in range(1, l0_max + 1)}
     for l0 in range(1, l0_max):
         a, b_ = history[l0].rho0_hat, history[l0 + 1].rho0_hat
-        if abs(a - b_) <= rel_tol * max(abs(a), 1e-300):
+        if abs(a - b_) <= 0.05 * max(abs(a), 1e-300):
             return l0, history
     return l0_max, history
 
 
-def certificate_to_csv(report: TransversalityReport, pair_index: int = 0) -> str:
-    entry = report.per_pair[pair_index]
+def certificate_to_csv(report: TransversalityReport) -> str:
+    """The first pair's interval infima and suprema, one row per interval."""
+    entry = report.per_pair[0]
     lines = ["interval_index,inf,sup"]
     for idx, (lo_v, hi_v) in enumerate(zip(entry["interval_inf"], entry["interval_sup"])):
         lines.append(f"{idx},{float(lo_v)!r},{float(hi_v)!r}")

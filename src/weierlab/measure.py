@@ -96,34 +96,20 @@ class BadicHistogram:
 
 
 def _window_of(keys: np.ndarray, b: int, level: int) -> tuple[tuple[int, int], ...]:
-    scale = b**level
-    cols = keys.reshape(-1, 1) if keys.ndim == 1 else keys
-    out = []
-    for a in range(cols.shape[1]):
-        lo = int(cols[:, a].min()) // scale
-        hi = int(cols[:, a].max()) // scale + 1
-        out.append((lo, hi))
-    return tuple(out)
+    cols = keys.reshape(len(keys), -1)
+    return tuple((int(lo) // b**level, int(hi) // b**level + 1)
+                 for lo, hi in zip(cols.min(axis=0), cols.max(axis=0)))
 
 
 def _pack_histogram(
     b: int, level: int, keys: np.ndarray, masses: np.ndarray, meta: dict | None = None
 ) -> BadicHistogram:
     """Sort, merge duplicate cells, drop zeros, and wrap."""
-    if keys.ndim == 1:
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        masses = masses[order]
-        boundary = np.empty(len(keys), dtype=bool)
-        boundary[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
-    else:
-        order = np.lexsort((keys[:, 1], keys[:, 0]))
-        keys = keys[order]
-        masses = masses[order]
-        boundary = np.empty(len(keys), dtype=bool)
-        boundary[0] = True
-        boundary[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    order = np.argsort(keys, kind="stable") if keys.ndim == 1 else np.lexsort(keys.T[::-1])
+    keys, masses = keys[order], masses[order]
+    cols = keys[:, None] if keys.ndim == 1 else keys
+    boundary = np.ones(len(keys), dtype=bool)
+    boundary[1:] = np.any(cols[1:] != cols[:-1], axis=1)
     starts = np.flatnonzero(boundary)
     merged = np.add.reduceat(masses, starts)
     keys = keys[starts]
@@ -213,14 +199,13 @@ def histogram_from_points(
     ys: np.ndarray,
     b: int,
     level: int,
-    meta: dict | None = None,
 ) -> BadicHistogram:
     """Two-dimensional histogram of the point set on level-``level`` squares."""
     scale = float(b) ** level
     ix = np.floor(np.asarray(xs, dtype=np.float64) * scale).astype(np.int64)
     iy = np.floor(np.asarray(ys, dtype=np.float64) * scale).astype(np.int64)
     keys = np.stack([ix, iy], axis=1)
-    return _pack_histogram(b, level, keys, np.ones(len(ix)), meta)
+    return _pack_histogram(b, level, keys, np.ones(len(ix)))
 
 
 def entropy(hist: BadicHistogram, base_b: int | None = None) -> float:
@@ -274,12 +259,12 @@ def refine(hist: BadicHistogram, new_level: int) -> BadicHistogram:
     return _pack_histogram(hist.b, new_level, keys, masses, hist.meta)
 
 
-def conditional_entropy(hist: BadicHistogram, m: int, base_b: int | None = None) -> float:
+def conditional_entropy(hist: BadicHistogram, m: int) -> float:
     """Entropy of the level-``hist.level`` refinement given the level-``m``
-    coarsening, i.e. H_n - H_m."""
+    coarsening, i.e. H_n - H_m, in log base b."""
     if m > hist.level:
         raise ValueError("conditioning level must be at most the histogram level")
-    return entropy(hist, base_b) - entropy(coarsen(hist, m), base_b)
+    return entropy(hist) - entropy(coarsen(hist, m))
 
 
 def component_measure(
@@ -344,12 +329,8 @@ def hist_to_text(hist: BadicHistogram) -> str:
     lines; two-dimensional cell indices join their coordinates with a comma."""
     win = " ".join(f"{lo} {hi}" for lo, hi in hist.window)
     lines = [f"{hist.dim} {hist.level} {win}"]
-    if hist.dim == 1:
-        for k, m in zip(hist.keys.tolist(), hist.masses.tolist()):
-            lines.append(f"{k} {m!r}")
-    else:
-        for (kx, ky), m in zip(hist.keys.tolist(), hist.masses.tolist()):
-            lines.append(f"{kx},{ky} {m!r}")
+    for k, m in zip(hist.keys.tolist(), hist.masses.tolist()):
+        lines.append(f"{k} {m!r}" if hist.dim == 1 else f"{k[0]},{k[1]} {m!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -701,7 +682,8 @@ def n_hat(params, n: int) -> int:
     lam = 2^-e and b = 2^k, the only case with ties; otherwise the sign of
     n log b - m log(1/lam) in floats, taken when it clears 2^-50 times
     n log b + m log(1/lam), twice the worst rounding of that difference;
-    and big-integer powers only inside that band.
+    inside that band the same sign from logs held as integers in units of
+    2^-256; and big-integer powers only where even those cannot tell.
     """
     n = depth_index(n, "n")
     return ceil_log_ratio(n, params.b, params.lam)
@@ -826,24 +808,22 @@ def ucas_probe(
     phi: phimod.Phi,
     codes: Sequence[Code],
     delta: float,
-    r_grid: Sequence[float] | None = None,
-    x_grid: Sequence[float] | None = None,
     n_samples: int = 1 << 20,
     seed: int = 0,
     tol: float = 1e-9,
 ) -> UcasReport:
     """Worst observed ball-mass ratio mass(B(x, delta r)) / mass(B(x, r)).
 
-    Ratios come from a histogram two levels finer than the smallest inner
-    radius, with boundary cells prorated linearly.  The x grid defaults
-    to quantiles of each projected measure so denominators stay positive;
-    zero-denominator queries are skipped.  A cell holding most of the
-    mass marks the degenerate atom case (where the ratio is pinned at 1).
+    The radii r are b^-1 .. b^-4.  Ratios come from a histogram two levels
+    finer than the smallest inner radius, with boundary cells prorated
+    linearly.  The centers x are 33 quantiles of each projected measure,
+    so denominators stay positive; zero-denominator queries are skipped.
+    A cell holding most of the mass marks the degenerate atom case (where
+    the ratio is pinned at 1).
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
-    if r_grid is None:
-        r_grid = [float(params.b) ** -k for k in range(1, 5)]
+    r_grid = [float(params.b) ** -k for k in range(1, 5)]
     inner = delta * min(r_grid)
     level = max(1, math.ceil(-math.log(inner) / math.log(params.b))) + 2
     sup = 0.0
@@ -856,12 +836,7 @@ def ucas_probe(
         if float(hist.masses.max()) / hist.total > 0.5:
             degenerate = True
         cdf = _ProratedCdf(hist)
-        xg = (
-            histogram_quantiles(hist, np.linspace(0.02, 0.98, 33))
-            if x_grid is None
-            else np.asarray(x_grid, dtype=np.float64)
-        )
-        for x in xg:
+        for x in histogram_quantiles(hist, np.linspace(0.02, 0.98, 33)):
             for r in r_grid:
                 den = cdf.interval_mass(x - r, x + r)
                 if den <= 0.0:

@@ -8,6 +8,11 @@ covers the smooth family, including the workhorse cosine with a phase.
 [0, 1) and covers the triangle wave and the square (rademacher) wave.
 Both are checked once, at construction.
 
+A Fourier table is evaluated only through its real form c_0 + sum_{k>0}
+A_k cos(2 pi k x + theta_k), derived at construction from w_k = c_k +
+conj c_-k, which the kernels read from the generator too.  The cosine is
+its one-term case, with no branch of its own.
+
 The stable increment phi(o + h) - phi(o), of which the kernels' sums are
 made, is ``phi_diff_vec`` for Fourier data, elementwise over o and h
 broadcast together, and the exact rational ``_piecewise_diff`` for
@@ -24,7 +29,9 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -92,8 +99,12 @@ class FourierPhi:
         max(1, the largest magnitude); either fault raises ValueError,
         never silently repaired.
     cos_phase : float or None
-        Set on the built-in cosine; evaluation then uses the closed form
-        (2 pi)^k cos(2 pi x + phase + k pi / 2) for every derivative order.
+        Set on the built-in cosine: its one real-form term keeps amplitude
+        1.0 and this phase exactly, not the modulus and argument of w_1.
+
+    Construction derives the real form: ``freqs`` holds the positive
+    frequencies in increasing order, ``w`` the matching w_k = c_k + conj
+    c_-k = A_k e^{i theta_k}, and ``c0`` the real part of c_0.
     """
 
     coeffs: dict[int, complex]
@@ -104,6 +115,16 @@ class FourierPhi:
         if self.cos_phase is not None and not math.isfinite(self.cos_phase):
             raise ValueError(f"the cosine phase at frequency 1 is not finite: {self.cos_phase!r}")
         self.coeffs = _canonicalize(self.coeffs)
+        self.c0 = self.coeffs.get(0, 0j).real
+        self.freqs = tuple(sorted({abs(k) for k in self.coeffs if k}))
+        self.w = tuple(self.coeffs.get(k, 0j) + self.coeffs.get(-k, 0j).conjugate()
+                       for k in self.freqs)
+        if self.cos_phase is None:
+            self._terms = [(k, abs(z), cmath.phase(z)) for k, z in zip(self.freqs, self.w)]
+        elif self.freqs == (1,):
+            self._terms = [(1, 1.0, self.cos_phase)]
+        else:
+            raise ValueError("a cosine phase needs a table of frequency 1 alone")
 
 
 @dataclass
@@ -214,14 +235,20 @@ def eval_phi(phi: Phi, x, deriv: int = 0):
 
 
 def _eval_fourier(phi: FourierPhi, xs: np.ndarray, deriv: int) -> np.ndarray:
-    if phi.cos_phase is not None:
-        amp = _TWO_PI**deriv
-        return amp * np.cos(_TWO_PI * xs + phi.cos_phase + deriv * math.pi / 2.0)
-    acc = np.zeros(xs.shape, dtype=np.complex128)
-    for k, c in phi.coeffs.items():
-        factor = c * (2j * math.pi * k) ** deriv
-        acc += factor * np.exp((2j * math.pi * k) * xs)
-    return acc.real.copy()
+    def term(k, amp, theta):
+        t = (_TWO_PI * k) * xs + theta + deriv * math.pi / 2.0
+        return (amp * (_TWO_PI * k) ** deriv) * np.cos(t)
+    out = _real_form_sum(phi, term, xs.shape)
+    return out + phi.c0 if deriv == 0 and phi.c0 else out
+
+
+def _real_form_sum(phi: FourierPhi, term, shape) -> np.ndarray:
+    """The sum of term(k, A_k, theta_k) over the real form, added in place to
+    the first term, so the cosine keeps its one term's bits; zeros of
+    ``shape`` for a table without terms."""
+    if not phi._terms:
+        return np.zeros(shape)
+    return functools.reduce(operator.iadd, (term(*t) for t in phi._terms))
 
 
 def _check_piecewise_deriv(phi: PiecewisePhi, deriv: int) -> None:
@@ -243,15 +270,12 @@ def sup_deriv(phi: Phi, deriv: int = 0) -> float:
     """Supremum of |phi^(deriv)|, used for truncation counts and error budgets.
 
     Exact for the cosine family and for linear pieces (attained at a
-    piece's ends); a generous coefficient-sum bound for general Fourier
-    data.
+    piece's ends); for general Fourier data the bound |c_0| + sum_k A_k
+    (2 pi k)^d of the real form.
     """
     if isinstance(phi, FourierPhi):
-        if phi.cos_phase is not None:
-            return _TWO_PI**deriv
-        return float(
-            sum(abs(c) * (_TWO_PI * abs(k)) ** deriv for k, c in phi.coeffs.items())
-        )
+        return (abs(phi.c0) if deriv == 0 else 0.0) + float(
+            sum(amp * (_TWO_PI * k) ** deriv for k, amp, _ in phi._terms))
     _check_piecewise_deriv(phi, deriv)
     if deriv:
         return float(max(abs(a1) for _, a1 in phi.coeffs))
@@ -268,26 +292,21 @@ def phi_diff_vec(phi: Phi, o, h) -> np.ndarray:
     """phi(o + h) - phi(o) elementwise for Fourier data, o broadcast against
     h, without cancellation.
 
-    Each frequency contributes c_k e^{2 pi i k o} (e^{2 pi i k h} - 1) =
-    2i c_k sin(pi k h) e^{i t}, t = 2 pi k o + pi k h, which stays fully
-    accurate for tiny h and whose real part is summed in real arithmetic,
-    so every element equals its scalar call; the cosine takes the closed
-    form -2 sin(pi h) sin(2 pi o + phase + pi h).  Piecewise data raise
+    Each term of the real form contributes -2 A_k sin(pi k h) sin(2 pi k o
+    + theta_k + pi k h), which stays fully accurate for tiny h, so every
+    element equals its scalar call; for the cosine this is the closed form
+    -2 sin(pi h) sin(2 pi o + phase + pi h).  Piecewise data raise
     TypeError: their increments are exact rationals, ``_piecewise_diff``.
     """
     if not isinstance(phi, FourierPhi):
         raise TypeError(f"phi_diff_vec requires a Fourier representation, got {type(phi).__name__}")
     o = np.asarray(o, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    if phi.cos_phase is not None:
-        # cos(A+d) - cos(A) = -2 sin(d/2) sin(A + d/2)
-        return -2.0 * np.sin(math.pi * h) * np.sin(_TWO_PI * o + phi.cos_phase + math.pi * h)
-    re = np.zeros(np.broadcast_shapes(o.shape, h.shape))
-    for k, c in phi.coeffs.items():
-        s2 = 2.0 * np.sin(math.pi * k * h)
-        t = _TWO_PI * k * o + math.pi * k * h
-        re -= s2 * (c.imag * np.cos(t) + c.real * np.sin(t))
-    return re
+
+    def term(k, amp, theta):  # cos(A + d) - cos(A) = -2 sin(d/2) sin(A + d/2), d = 2 pi k h
+        half = math.pi * k * h
+        return -2.0 * amp * np.sin(half) * np.sin((_TWO_PI * k) * o + theta + half)
+    return _real_form_sum(phi, term, np.broadcast_shapes(o.shape, h.shape))
 
 
 # Traced by name in perfbench/tracing.py as the per-offset layer, which

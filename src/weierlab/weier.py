@@ -217,21 +217,17 @@ class WLattice:
 def self_affinity_residual(
     params: SystemParams,
     phi: phimod.Phi,
-    xs: Iterable[float] | None = None,
     n_points: int = 1000,
     seed: int = 0,
     tol: float = 1e-12,
 ) -> float:
-    """Largest |W(x) - phi(x) - lam W(frac(b x))| over the given or seeded points.
+    """Largest |W(x) - phi(x) - lam W(frac(b x))| over seeded points.
 
     The defining relation holds exactly, so the result is bounded by twice
     the evaluation tolerance.
     """
-    if xs is None:
-        rng = substream(seed, 0x5E1F)
-        xs = rng.random(n_points)
     worst = 0.0
-    for x in xs:
+    for x in substream(seed, 0x5E1F).random(n_points):
         x = float(x) % 1.0
         bx = badic_offsets_exact(x, params.b, 2)[1]
         r = abs(
@@ -262,43 +258,36 @@ class WFourier:
     err_bound: dict[int, float]
     phi_label: str = ""
 
-    def __getitem__(self, m: int) -> complex:
-        return self.coeffs.get(m, 0.0 + 0.0j)
-
 
 def fourier_of_w(params: SystemParams, phi: phimod.Phi, m_max: int) -> WFourier:
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    f = phi
-    if not isinstance(f, phimod.FourierPhi):
+    if not isinstance(phi, phimod.FourierPhi):
         raise TypeError("fourier_of_w needs a Fourier generator")
     lam, b = params.lam, params.b
     coeffs: dict[int, complex] = {}
     errs: dict[int, float] = {}
     for m in range(-m_max, m_max + 1):
         if m == 0:
-            c0 = f.coeffs.get(0, 0.0 + 0.0j)
-            a = c0 / (1.0 - lam)
+            a = phi.coeffs.get(0, 0.0 + 0.0j) / (1.0 - lam)
             steps = 1
-        else:
+        else:  # A_m = sum_j lam^j c_(m / b^j) over the b-power divisors of m
             a = 0.0 + 0.0j
             q = m
             lam_pow = 1.0
             steps = 0
             while True:
-                a += lam_pow * f.coeffs.get(q, 0.0 + 0.0j)
+                a += lam_pow * phi.coeffs.get(q, 0.0 + 0.0j)
                 steps += 1
-                if q % b != 0:
+                if q % b != 0:  # m != 0, so q // b never reaches 0
                     break
                 q //= b
                 lam_pow *= lam
-                if q == 0:
-                    break
         if a != 0:
             coeffs[m] = a
             errs[m] = abs(a) * steps * 2.0 * np.finfo(np.float64).eps
     return WFourier(params=params, m_max=m_max, coeffs=coeffs, err_bound=errs,
-                    phi_label=getattr(f, "label", ""))
+                    phi_label=phi.label)
 
 
 def wfourier_partial_sum(wf: WFourier, xs: np.ndarray, deriv: int = 0,
@@ -314,14 +303,18 @@ def wfourier_partial_sum(wf: WFourier, xs: np.ndarray, deriv: int = 0,
     for m, a in wf.coeffs.items():
         term = a * (2j * math.pi * m) ** deriv
         if twist is not None:
-            frac_part = Fraction(m) * twist
-            frac_part -= math.floor(frac_part)
-            w = np.exp(2j * math.pi * float(frac_part)) - 1.0
+            w = _twist(m, twist)
             if w == 0.0:
                 continue
             term = term * w
         acc += term * np.exp((2j * math.pi * m) * xs)
     return acc.real.copy()
+
+
+def _twist(m: int, t: Fraction) -> complex:
+    """e^{2 pi i m t} - 1, with m t reduced mod 1 exactly."""
+    phase = Fraction(m) * t
+    return np.exp(2j * math.pi * float(phase - math.floor(phase))) - 1.0
 
 
 def wfourier_to_csv(wf: WFourier) -> str:
@@ -345,20 +338,19 @@ class HolderReport:
 def holder_constant_estimate(
     params: SystemParams,
     phi: phimod.Phi,
-    n_scales: int = 9,
     pairs_per_scale: int = 512,
     seed: int = 0,
     tol: float = 1e-12,
 ) -> HolderReport:
     """Empirical upper constant sup |W(x) - W(y)| / |x - y|^h over seeded pairs.
 
-    Scales run over delta = b^-2 .. b^-(n_scales+1); doubling
+    Scales run over delta = b^-2 .. b^-10; doubling
     pairs_per_scale moves the estimate by less than twenty percent.
     """
     h = params.holder_exp
     per_scale = []
     best = 0.0
-    for j in range(2, 2 + n_scales):
+    for j in range(2, 11):
         delta = float(params.b) ** (-j)
         rng = substream(seed, 0x401D, j)
         xs = rng.random(pairs_per_scale)
@@ -378,23 +370,23 @@ def anti_holder_probe(
     phi: phimod.Phi,
     x: float,
     delta: float,
-    grid_size: int = 512,
     tol: float = 1e-12,
 ) -> tuple[float, float]:
     """Best oscillation witness near x: returns (y, |W(y) - W(x)| / delta^h).
 
-    y ranges over a grid of the punctured window [x - delta, x + delta].
+    y ranges over a grid of 1,024 points of the punctured window
+    [x - delta, x + delta].
     For a Lipschitz W the ratio decays like delta^(dim - 1) as delta -> 0;
     for a genuinely rough W it stabilizes at the lower modulus constant.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    offs = np.linspace(-delta, delta, 2 * grid_size + 1)
+    offs = np.linspace(-delta, delta, 1025)
     ys = (x + offs) % 1.0
     w = eval_w_vec(params, phi, ys, tol)
     wx = eval_w(params, phi, x, tol)
     gaps = np.abs(w - wx)
-    gaps[grid_size] = 0.0  # puncture y = x
+    gaps[len(gaps) // 2] = 0.0  # puncture y = x, the middle point
     i = int(np.argmax(gaps))
     return float(ys[i]), float(gaps[i] / delta**params.holder_exp)
 
@@ -449,7 +441,6 @@ def regulating_energy(
     t,
     k: int,
     m_max: int = 64,
-    refine: bool = True,
 ) -> EnergyBounds:
     """Bounds for E_k(t) = sup_x |d^k/dx^k (W(x + t) - W(x))|.
 
@@ -458,8 +449,7 @@ def regulating_energy(
     denominator kills every sufficiently deep frequency chain, so the tail
     is a finite sum and hi is finite regardless of lam b^k.
     """
-    f = phi
-    if not isinstance(f, phimod.FourierPhi):
+    if not isinstance(phi, phimod.FourierPhi):
         raise TypeError("regulating_energy needs a Fourier generator")
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -468,15 +458,15 @@ def regulating_energy(
     if tq == 0:
         return EnergyBounds(t=tq, k=k, m_max=m_max, lo=0.0, hi=0.0, finite=True, trivial=True)
 
-    wf = fourier_of_w(params, f, m_max)
+    wf = fourier_of_w(params, phi, m_max)
     grid_n = 4 * params.b ** (int(math.ceil(math.log(max(m_max, 2)) / math.log(params.b))) + 2)
 
     def field(xs: np.ndarray) -> np.ndarray:
         return np.abs(wfourier_partial_sum(wf, xs, deriv=k, twist=tq))
 
-    _, lo_raw = grid_sup(field, grid_n, refine=refine)
+    _, lo_raw = grid_sup(field, grid_n)
 
-    tail, finite = _energy_tail(params, f, tq, k, m_max)
+    tail, finite = _energy_tail(params, phi, tq, k, m_max)
     if finite:
         lo = max(0.0, lo_raw - tail)
         hi = _coeff_abs_sum(wf, tq, k) + tail
@@ -492,10 +482,7 @@ def regulating_energy(
 def _coeff_abs_sum(wf: WFourier, tq: Fraction, k: int) -> float:
     total = 0.0
     for m, a in wf.coeffs.items():
-        frac_part = Fraction(m) * tq
-        frac_part -= math.floor(frac_part)
-        w = abs(np.exp(2j * math.pi * float(frac_part)) - 1.0)
-        total += abs(a) * (2.0 * math.pi * abs(m)) ** k * w
+        total += abs(a) * (2.0 * math.pi * abs(m)) ** k * abs(_twist(m, tq))
     return total
 
 
@@ -527,10 +514,7 @@ def _energy_tail(
             a += c
             m = r * b**j
             if abs(m) > m_max:
-                phase = Fraction(m) * tq
-                phase -= math.floor(phase)
-                w = abs(np.exp(2j * math.pi * float(phase)) - 1.0)
-                total += abs(a) * (2.0 * math.pi * abs(m)) ** k * w
+                total += abs(a) * (2.0 * math.pi * abs(m)) ** k * abs(_twist(m, tq))
             if j >= j_top:
                 break
             j += 1

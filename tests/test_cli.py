@@ -365,6 +365,14 @@ def test_transversality_with_fixed_level(tmp_path, capsys):
     assert "# rho0_hat = " in meta
 
 
+def test_transversality_analytic_twin_scores_zero(tmp_path, capsys):
+    """The analytic twin's kernel differences are truncation noise, below the
+    degenerate floor 2 tol, so every pair is identical and rho0_hat is 0."""
+    assert main(["transversality", "--phi-from-w0", "cos", "--l0", "2",
+                 "--pairs-count", "4", "--out", str(tmp_path)]) == 0
+    assert "rho0_hat 0.0000" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # period scan
 
@@ -432,6 +440,23 @@ def test_theta_passes_tol_to_labels(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(fs, "theta_cell_labels", spy)
     assert main(["theta", "--n", "4", "--tol", "1e-6", "--out", str(tmp_path)]) == 0
     assert seen == [1e-6]
+
+
+def test_theta_dump_cells_labels_once(tmp_path, capsys, monkeypatch):
+    """The entropy and the cell dump share one labelling of the atoms."""
+    from weierlab import funcspace as fs
+
+    calls = []
+    labels = fs.theta_cell_labels
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return labels(*args, **kwargs)
+
+    monkeypatch.setattr(fs, "theta_cell_labels", counted)
+    assert main(["theta", "--n", "4", "--i-level", "2", "--dump-cells",
+                 "--out", str(tmp_path)]) == 0
+    assert calls == [(2, 2, 1e-9)]
 
 
 def test_theta_experiment(tmp_path, capsys):

@@ -309,7 +309,8 @@ def test_theta_labels_refine_with_level():
 def test_theta_cells_csv_schema():
     p = _p2()
     th = F.build_theta(p, P.cos_phi(), seeded_code(2, 0), 2)
-    lines = F.theta_cells_csv(th, 1, 2).strip().splitlines()
+    labels, _ = F.theta_cell_labels(th, 1, 2)
+    lines = F.theta_cells_csv(th, labels).strip().splitlines()
     assert lines[0] == "word,t,cell_id"
     assert len(lines) == 1 + len(th)
     for row in lines[1:]:

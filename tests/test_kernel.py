@@ -466,6 +466,21 @@ def test_k_regularity_reports():
     assert tri.truncated_k == 1
 
 
+def test_degenerate_floor_follows_tol():
+    """The analytic twin's kernel differences are truncation noise, about
+    2e-11 at tol 1e-10: inside the floor 2 tol they read as degenerate,
+    where a fixed 1e-13 floor took them for a real difference."""
+    p = _p2()
+    an = P.phi_from_w0(P.cos_phi(), 2, 0.7)
+    u = K.periodic_code(2, (1,), (0, 1))
+    rep = K.k_regularity(p, an, u, K.seeded_code(2, 7, 0), level=1, k_max=1, tol=1e-10)
+    assert rep.degenerate
+    assert all(k is None and 0.0 < sup <= 2e-10 for _, k, _, sup in rep.rows)
+    cert = K.transversality_certificate(p, an, K.transversality_pairs(p, count=4), 2, 1e-9)
+    assert cert.rho0_hat == 0.0
+    assert all(entry["identical"] for entry in cert.per_pair)
+
+
 def test_transversality_pairs_and_certificate():
     p = _p2()
     pairs = K.transversality_pairs(p, count=4)

@@ -343,13 +343,52 @@ def test_depth_maps_match_exact_predicate():
 
 
 def test_depth_maps_exact_fallback_alone(monkeypatch):
-    """With the float margin at infinity every comparison but the tie pairs'
-    exponent compare takes the big-integer fallback: the same answers."""
+    """With the float margin at infinity and the fixed-point logs at zero,
+    every comparison but the tie pairs' exponent compare takes the
+    big-integer fallback: the same answers."""
     params = [make_params(b, lam) for b, lam in _DEPTH_PAIRS]
     ns = range(201)
     fast = [[(M.n_hat(p, n), F.q_height(p, n)) for n in ns] for p in params]
+    constants = _util._scale_constants
     monkeypatch.setattr(_util, "_MARGIN", math.inf)
+    monkeypatch.setattr(_util, "_scale_constants", lambda b, lam: constants(b, lam)[:5] + (0, 0))
     assert [[(M.n_hat(p, n), F.q_height(p, n)) for n in ns] for p in params] == fast
+
+
+def test_fixed_point_logs_within_one_unit():
+    """The logs of the middle tier lie within one unit of 2^-256 of a
+    400-bit value, for every b in 2..32 and lam on both sides of 1/2."""
+    with mpmath.workprec(400):
+        unit = mpmath.mpf(2) ** 256
+        for b in range(2, 33):
+            for lam in (0.7, 0.51, 0.95, b**-0.5, 1.0 / b + 1e-3):
+                num, den = Fraction(lam).numerator, Fraction(lam).denominator
+                *_, fixed_b, fixed_inv = _util._scale_constants(b, lam)
+                assert abs(fixed_b - mpmath.ln(b) * unit) <= 1, (b, lam)
+                assert abs(fixed_inv - mpmath.ln(mpmath.mpf(den) / num) * unit) <= 1, (b, lam)
+
+
+_SLOW_PAIRS = [(3, 3**-0.5), (2, 2**-0.5), (5, 5**-0.25), (5, 5 ** (-2 / 3))]
+
+
+def test_big_integer_tier_only_at_zero(monkeypatch):
+    """On pairs with lam within rounding of b^(-j/k), where the float band
+    holds about every k-th depth, the fixed-point logs settle all of them:
+    integer powers are compared only at q = t = 0."""
+    calls = []
+    power_le = _util._power_le
+
+    def counted(b, q, num, den, t):
+        calls.append((q, t))
+        return power_le(b, q, num, den, t)
+
+    monkeypatch.setattr(_util, "_power_le", counted)
+    for b, lam in _SLOW_PAIRS:
+        p = make_params(b, lam)
+        for n in range(2001):
+            M.n_hat(p, n)
+            F.q_height(p, n)
+    assert calls and set(calls) == {(0, 0)}
 
 
 def test_depth_maps_take_integer_arguments():

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -305,3 +306,71 @@ def test_diff_linearity_property(o, h):
     a = P.phi_diff_vec(phi, o, np.array([h]))[0]
     bstep = P.phi_diff_vec(phi, (o + h) % 1.0, np.array([h]))[0]
     assert two_step == pytest.approx(a + bstep, abs=1e-11)
+
+
+def _mp_signed_sum(phi, x, deriv):
+    """Re sum_k c_k (2 pi i k)^deriv e^{2 pi i k x} over the signed table, 40 digits."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(x))
+        total = mpmath.mpc(0)
+        for k, c in phi.coeffs.items():
+            total += mpmath.mpc(c) * (2j * mpmath.pi * k) ** deriv * mpmath.expjpi(2 * k * x)
+        return float(total.real)
+
+
+def _mp_signed_diff(phi, o, h):
+    """Re sum_k c_k (e^{2 pi i k (o + h)} - e^{2 pi i k o}), 40 digits."""
+    with mpmath.workdps(40):
+        o, h = mpmath.mpf(float(o)), mpmath.mpf(float(h))
+        total = mpmath.mpc(0)
+        for k, c in phi.coeffs.items():
+            total += mpmath.mpc(c) * mpmath.expjpi(2 * k * o) * mpmath.expm1(2j * mpmath.pi * k * h)
+        return float(total.real)
+
+
+# c_-k = conj c_k only to within 4e-10, inside the accepted 1e-9: the real
+# form must use w_k = c_k + conj c_-k, where 2 Re c_k alone is 4e-10 off.
+_SKEW = P.FourierPhi({0: 0.25, 1: 0.5 + 0.1j, -1: 0.5 - 0.1j + 4e-10,
+                      2: -0.2 + 0.3j, -2: -0.2 - 0.3j + 4e-10j,
+                      5: 0.05j, -5: -0.05j - 3e-10})
+
+
+@pytest.mark.parametrize("phi", [P.phi_from_w0(P.cos_phi(), 2, 0.7),
+                                 P.phi_from_w0(P.cos_phi(), 3, 0.7), _SKEW],
+                         ids=["w0_b2", "w0_b3", "skew"])
+def test_real_form_matches_signed_table(phi):
+    """eval_phi at orders 0-3 and phi_diff_vec agree with high-precision sums
+    of the signed table to 1e-13 of their scales: sup|phi^(d)| for values,
+    and for increments the bound min(2 sup|phi|, |h| sup|phi'|)."""
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(-1.0, 2.0, 120)
+    hs = rng.choice([-1.0, 1.0], 120) * 10.0 ** rng.uniform(-12, 0, 120)
+    for d in range(4):
+        ref = np.array([_mp_signed_sum(phi, x, d) for x in xs])
+        assert np.max(np.abs(P.eval_phi(phi, xs, d) - ref)) <= 1e-13 * P.sup_deriv(phi, d)
+    ref = np.array([_mp_signed_diff(phi, o, h) for o, h in zip(xs, hs)])
+    scale = np.minimum(2.0 * P.sup_deriv(phi, 0), np.abs(hs) * P.sup_deriv(phi, 1))
+    assert np.all(np.abs(P.phi_diff_vec(phi, xs, hs) - ref) <= 1e-13 * scale)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def test_cos_is_its_closed_form_bit_for_bit():
+    """cos_phi(theta) is the one-term real form with amplitude 1.0 and its
+    given phase, so eval_phi and phi_diff_vec return the closed forms
+    (2 pi)^d cos(2 pi x + theta + d pi / 2) and -2 sin(pi h) sin(2 pi o +
+    theta + pi h) bit for bit, signed zeros included."""
+    rng = np.random.default_rng(11)
+    xs = rng.uniform(-1.0, 2.0, 4096)
+    hs = np.concatenate([[0.0, -0.0], rng.uniform(-1, 1, 4094) * 10.0 ** rng.uniform(-20, 0, 4094)])
+    two_pi = 2.0 * math.pi
+    for theta in [0.0, 0.25, 0.3, *rng.uniform(-10.0, 10.0, 6)]:
+        phi = P.cos_phi(theta)
+        for d in range(4):
+            closed = two_pi**d * np.cos(two_pi * xs + theta + d * math.pi / 2.0)
+            assert np.array_equal(_bits(P.eval_phi(phi, xs, d)), _bits(closed))
+        closed = -2.0 * np.sin(math.pi * hs) * np.sin(two_pi * xs + theta + math.pi * hs)
+        assert np.array_equal(_bits(P.phi_diff_vec(phi, xs, hs)), _bits(closed))
+        assert [P.sup_deriv(phi, d) for d in range(4)] == [two_pi**d for d in range(4)]
