@@ -21,7 +21,7 @@ subsampling beyond it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -61,6 +61,7 @@ _C_CAP = 8  # the largest separation constant tried: a pair apart only past leve
 _PAIR_CAP = 200_000  # word pairs per length beyond which a seeded subsample is drawn
 _GAIN_THRESHOLD = 0.02  # a convolution gain above this counts as positive
 _MIN_ATOMS = 16  # smallest component the entropy-increase experiment takes
+_TOO_DEEP = "partition level too deep for exact integer cell keys"
 
 
 @dataclass(frozen=True)
@@ -173,9 +174,11 @@ class ThetaMeasure:
     """Equal-weight measure on the height-n_hat word maps over a base code.
 
     Atoms are stored as word indices plus the constant coordinate; full
-    ContactMaps materialize on demand.  ``subsampled`` marks a seeded
-    uniform subsample used when the exact atom count b^n_hat exceeds the
-    cap.
+    ContactMaps materialize on demand.  ``order`` is ``np.argsort(c)``,
+    taken once at construction: every partition level buckets the atoms
+    by floors of c, which are runs in this order.  ``subsampled`` marks a
+    seeded uniform subsample used when the exact atom count b^n_hat
+    exceeds the cap.
     """
 
     params: object
@@ -186,6 +189,10 @@ class ThetaMeasure:
     indices: np.ndarray
     c: np.ndarray
     subsampled: bool
+    order: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.order = np.argsort(self.c)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -251,8 +258,9 @@ def build_theta(
         )
     else:
         rng = substream(seed, 0x7E7A)
-        draw = rng.integers(0, total, size=int(subsample * 1.2) + 16)
-        indices = np.unique(draw)[:subsample].astype(np.int64)
+        draw = np.sort(rng.integers(0, total, size=int(subsample * 1.2) + 16))
+        distinct = np.concatenate(([True], draw[1:] != draw[:-1]))
+        indices = draw[distinct][:subsample].astype(np.int64)  # np.unique(draw), sooner
         sub = True
     c = np.empty(len(indices), dtype=np.float64)
     heights = WLattice(params, phi, nh, start=0.0)
@@ -279,16 +287,24 @@ def gamma_at_many_words(
     and every point of ``x``; shape (len(idx),) + np.shape(x).
 
     Depth m <= width uses the identity that the reversed prefix of the
-    word with index r has value r mod b^m, so the offset array is one
-    modulo per depth.  Deeper offsets m = width + s are u / b^s + o_s(base)
-    with u = r / b^width.  For a real Fourier generator those depths are
-    the product E(u) @ C(x) of ``_deep_word_depths``: E depends on the
-    words only, so all points share it.  Its depths with 2 pi k / b^s <
-    2^-24 keep alpha_s to first order, an error of at most 2^-48 sum_k
-    2 pi k |w_k| |x| gamma^(width+1) / (1 - gamma) beyond the
-    scalar ``eval_gamma``'s rounding.  Piecewise data take every depth
-    from ``kernel._piecewise_gamma``, on the exact integer offsets, and
-    are exact to rounding.
+    word with index r has value r mod b^m, so the depths down to m add up
+    to a function G_m of r mod b^m alone.  While b^m <= len(idx), G_m is
+    a table over all b^m residues, climbed from the one above it:
+
+        G_m[r] = G_(m-1)[r mod b^(m-1)] - lam^-m phi(r / b^m + x / b^m) + lam^-m phi(r / b^m),
+
+    the increment taken by the stable ``phi_diff_vec``; the words then
+    gather G at idx mod b^m once, and any shallow depths left run per
+    word.  Each element sees the float operations of a per-word sweep in
+    the same order, so the table changes no bit.  Deeper offsets m =
+    width + s are u / b^s + o_s(base) with u = r / b^width.  For a real
+    Fourier generator those depths are the product E(u) @ C(x) of
+    ``_deep_word_depths``: E depends on the words only, so all points
+    share it.  Its depths with 2 pi k / b^s < 2^-24 keep alpha_s to first
+    order, an error of at most 2^-48 sum_k 2 pi k |w_k| |x| gamma^(width+1)
+    / (1 - gamma) beyond the scalar ``eval_gamma``'s rounding.  Piecewise
+    data take every depth from ``kernel._piecewise_gamma``, on the exact
+    integer offsets, and are exact to rounding.
     """
     idx = np.asarray(idx, dtype=np.int64)
     x = np.asarray(x, dtype=np.float64)
@@ -297,19 +313,29 @@ def gamma_at_many_words(
     if isinstance(phi, phimod.PiecewisePhi):
         out = _piecewise_gamma(params, phi, x.ravel(), idx, width, base, n_terms)
         return out.T.reshape(idx.shape + x.shape)
-    out = np.zeros((len(xv), len(idx)))  # one row per point: long rows for numpy's loops
+    b = params.b
+    shallow = min(width, n_terms)  # b^m <= b^width < 2^63: all in float range
     lam_inv = 1.0 / params.lam
     scale = 1.0
     bm = 1
-    for _ in range(min(width, n_terms)):  # b^m <= b^width < 2^63: all in float range
-        bm *= params.b
+    table = np.zeros((len(xv), 1))  # one row per point: long rows for numpy's loops
+    m = 0
+    while m < shallow and bm * b <= len(idx):
+        bm *= b
+        scale *= lam_inv
+        m += 1
+        o = np.arange(bm, dtype=np.float64) / bm
+        d = phimod.phi_diff_offsets(phi, o, xv / bm)  # by this name: traced as its own layer
+        table = np.tile(table, b) - scale * d
+    out = table[:, idx % bm]
+    for _ in range(m, shallow):
+        bm *= b
         scale *= lam_inv
         o = (idx % bm).astype(np.float64) / bm
-        d = phimod.phi_diff_offsets(phi, o, xv / bm)  # by this name: traced as its own layer
-        out -= scale * d
+        out -= scale * phimod.phi_diff_offsets(phi, o, xv / bm)
     if n_terms > width:
         base_offs = code_offsets(base, n_terms - width)
-        rev_val = idx.astype(np.float64) / float(params.b) ** width
+        rev_val = idx.astype(np.float64) / float(b) ** width
         out += _deep_word_depths(params, phi, xv[:, 0], rev_val, width, base_offs)
     return out.T.reshape(idx.shape + x.shape)
 
@@ -371,9 +397,13 @@ def theta_cell_labels(
     """Partition-cell label per atom (0 .. n_cells-1) and the cell count.
 
     The constant coordinate separates almost every pair, so atoms are
-    first bucketed by its floor alone; psi coordinates are evaluated only
-    for atoms sharing a bucket, which keeps exact enumeration feasible at
-    millions of atoms.
+    first bucketed by its floor alone: floor(c b^(i+q)) is monotone in c,
+    so the buckets are runs of theta's atoms in c order.  psi coordinates
+    are evaluated only for atoms sharing a bucket, which keeps exact
+    enumeration feasible at millions of atoms.  Singleton buckets take
+    the first labels, in key order; then the cells of the shared buckets,
+    in lexicographic order of (key, psi(1/M) floor, ..., psi(1) floor).
+    No label depends on the order among atoms of equal c.
     """
     params = theta.params
     _check_m(params, m_grid)
@@ -381,35 +411,57 @@ def theta_cell_labels(
     cscale = float(params.b) ** (i_level + q)
     cmax = float(np.max(np.abs(theta.c))) + 1.0
     if cmax * cscale >= 2.0**62:
-        raise ValueError("partition level too deep for exact integer cell keys")
-    key_c = np.floor(theta.c * cscale).astype(np.int64)
-    uniq, inverse, counts = np.unique(key_c, return_inverse=True, return_counts=True)
-    if i_level == 0:
-        return inverse, len(uniq)
-    collided = counts[inverse] > 1
-    n_coll = int(collided.sum())
-    if n_coll == 0:
-        return inverse, len(uniq)
-    sub_idx = theta.indices[collided]
+        raise ValueError(_TOO_DEEP)
+    first = _bucket_starts(theta, cscale)
+    shared = ~first  # the atom shares the bucket of the one before it ...
+    shared[:-1] |= ~first[1:]  # ... or of the one after it
+    if i_level == 0 or not shared.any():
+        labels = np.empty(len(first), dtype=np.int64)
+        labels[theta.order] = np.cumsum(first)
+        labels -= 1
+        return labels, int(np.count_nonzero(first))
+    pos = np.flatnonzero(shared)
+    group = np.cumsum(first[pos]) - 1  # shared bucket per atom, in key order
+    n_groups = int(group[-1]) + 1
+    n_single = len(first) - len(pos)
+    atoms = theta.order[pos]
     pscale = float(params.b) ** i_level
     grid = np.arange(1, m_grid + 1) / m_grid
-    psi = gamma_at_many_words(params, theta.phi, grid, sub_idx, theta.n_hat, theta.code, tol)
-    cols = [key_c[collided], *np.floor(psi * pscale).astype(np.int64).T]
-    order = np.lexsort(cols[::-1])
-    stacked = np.stack([c[order] for c in cols], axis=1)
-    new_group = np.empty(n_coll, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = np.any(stacked[1:] != stacked[:-1], axis=1)
-    group_ids = np.cumsum(new_group) - 1
-    labels = np.empty(len(theta.c), dtype=np.int64)
-    labels[~collided] = inverse[~collided]
-    coll_labels = np.empty(n_coll, dtype=np.int64)
-    coll_labels[order] = len(uniq) + group_ids
-    labels[collided] = coll_labels
-    used = np.zeros(len(uniq) + n_coll, dtype=bool)
-    used[labels] = True
-    rank = np.cumsum(used) - 1  # the labels in use, renumbered 0 .. n_cells-1 in order
-    return rank[labels], int(rank[-1]) + 1
+    psi = gamma_at_many_words(params, theta.phi, grid, theta.indices[atoms], theta.n_hat,
+                              theta.code, tol)
+    if float(np.max(np.abs(psi))) * pscale >= 2.0**62:
+        raise ValueError(_TOO_DEEP)
+    for col in np.floor(psi * pscale).astype(np.int64).T:
+        group, n_groups = _refine_groups(group, n_groups, col)
+    by_rank = np.cumsum(~shared)
+    by_rank -= 1  # singletons: their rank among singletons
+    by_rank[pos] = n_single + group
+    labels = np.empty_like(by_rank)
+    labels[theta.order] = by_rank
+    return labels, n_single + n_groups
+
+
+def _bucket_starts(theta: ThetaMeasure, cscale: float) -> np.ndarray:
+    """Whether each atom, in c order, opens a bucket of floor(c cscale)."""
+    key = np.floor(theta.c[theta.order] * cscale).astype(np.int64)  # non-decreasing
+    return np.concatenate(([True], key[1:] != key[:-1]))
+
+
+def _refine_groups(group: np.ndarray, n_groups: int, col: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ranks of the pairs (group, col) in lexicographic order, by one
+    argsort of the packed key group * span + (col - min col), and their
+    count."""
+    lo = int(col.min())
+    span = int(col.max()) - lo + 1
+    if n_groups * span >= 2**62:
+        raise ValueError(_TOO_DEEP)
+    key = group * span + (col - lo)
+    order = np.argsort(key)
+    sk = key[order]
+    new = np.concatenate(([False], sk[1:] != sk[:-1]))
+    ranks = np.empty_like(key)
+    ranks[order] = np.cumsum(new)
+    return ranks, int(new.sum()) + 1
 
 
 @dataclass
@@ -468,11 +520,23 @@ def _entropy_report(theta: ThetaMeasure, labels: np.ndarray, n_cells: int, i_lev
 
 def theta_cells_csv(theta: ThetaMeasure, labels: np.ndarray) -> str:
     """Dump ``word,t,cell_id`` rows, one per atom; cell_id is the atom's
-    label from ``theta_cell_labels``, 0 .. n_cells - 1."""
-    lines = ["word,t,cell_id"]
-    for i, label in enumerate(labels.tolist()):
-        lines.append(f"{''.join(map(str, theta.word(i)))},{theta.n_hat},{label}")
-    return "\n".join(lines) + "\n"
+    label from ``theta_cell_labels``, 0 .. n_cells - 1.  The word is its
+    n_hat base-b digits, most significant first, each printed in decimal.
+    The digits are numpy string arrays, one per position, joined in pairs."""
+    b = theta.params.b
+    symbols = np.array([str(k) for k in range(b)])
+    rest = theta.indices.copy()
+    parts = []
+    for _ in range(theta.n_hat):
+        parts.insert(0, symbols[rest % b])
+        rest //= b
+    parts = parts or [np.zeros(len(theta), "U1")]
+    while len(parts) > 1:  # in pairs, so most joins act on short strings
+        pairs = [np.strings.add(u, v) for u, v in zip(parts[::2], parts[1::2])]
+        parts = pairs + parts[2 * len(pairs):]
+    t = theta.n_hat
+    rows = (f"{w},{t},{label}" for w, label in zip(parts[0].tolist(), labels.tolist()))
+    return "\n".join(["word,t,cell_id", *rows]) + "\n"
 
 
 # ---------------------------------------------------------------------------

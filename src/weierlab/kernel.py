@@ -716,10 +716,13 @@ def condition_h_scan(
 
     Every unordered pair of depth-``depth`` prefixes whose first symbols
     differ is paired with ``samples_per_pair`` independent seeded tails.
-    Evidence labels: separation floor above eps_h = 1e-6 suggests distinct
-    directions everywhere (the generic regime); a ceiling below eps_star =
-    1e-8 suggests all directions coincide (the smooth regime); anything
-    else is inconclusive.  Labels are evidence, not proof.
+    Evidence labels: separation floor above eps_h = max(1e-6, 2 tol)
+    suggests distinct directions everywhere (the generic regime); a
+    ceiling below eps_star = max(1e-8, 2 tol) suggests all directions
+    coincide (the smooth regime); anything else is inconclusive.  2 tol
+    is ``_degenerate_floor``: two codes' truncated series differ by up to
+    that much where their directions agree.  The report keeps both
+    thresholds.  Labels are evidence, not proof.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -742,14 +745,16 @@ def condition_h_scan(
                 seps.append(r.sup)
             pair_index += 1
     min_sep, max_sep = min(seps), max(seps)
-    if min_sep > _EPS_H:
+    eps_h = max(_EPS_H, _degenerate_floor(tol))
+    eps_star = max(_EPS_STAR, _degenerate_floor(tol))
+    if min_sep > eps_h:
         klass = "H-evidence"
-    elif max_sep < _EPS_STAR:
+    elif max_sep < eps_star:
         klass = "H*-evidence"
     else:
         klass = "inconclusive"
     return HScanReport(rows=rows, min_sep=min_sep, max_sep=max_sep,
-                       classification=klass, eps_h=_EPS_H, eps_star=_EPS_STAR)
+                       classification=klass, eps_h=eps_h, eps_star=eps_star)
 
 
 def h_scan_to_csv(report: HScanReport) -> str:

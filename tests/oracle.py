@@ -4,8 +4,11 @@ Everything here is deliberately written against a different mechanism
 than the package: high-precision mpmath partial sums instead of float
 recursion, adaptive quadrature instead of stable-increment telescoping,
 an FFT of a dense sample instead of the coefficient recursion, a
-dictionary-based convolution instead of the dense lattice path, and
-piecewise increments at float offsets instead of exact integer knots.
+dictionary-based convolution instead of the dense lattice path,
+piecewise increments at float offsets instead of exact integer knots, a
+per-word sweep of Gamma's shallow depths instead of the residue table,
+``np.unique`` and ``np.lexsort`` cell labels instead of one sort per
+theta, and a per-atom row loop for the cell dump.
 """
 
 from __future__ import annotations
@@ -163,3 +166,80 @@ def shannon_entropy_counts(counts, log_base: float) -> float:
     c = c[c > 0]
     p = c / c.sum()
     return float(-(p * np.log(p)).sum() / np.log(log_base))
+
+
+def gamma_words_per_depth(params, phi, x, idx, width, base, tol: float = 1e-9) -> np.ndarray:
+    """``funcspace.gamma_at_many_words`` for a Fourier generator with every
+    shallow depth m <= width taken per word: the offset r mod b^m of each
+    word index r, pushed through the stable increment one depth at a time.
+    The deep depths come from the library's ``_deep_word_depths``."""
+    from weierlab.funcspace import _deep_word_depths
+    from weierlab.kernel import _y_term_count, code_offsets
+    from weierlab.phi import phi_diff_vec
+
+    idx = np.asarray(idx, dtype=np.int64)
+    x = np.asarray(x, dtype=np.float64)
+    xv = x.reshape(-1, 1)
+    n_terms = _y_term_count(params, phi, tol)
+    out = np.zeros((len(xv), len(idx)))
+    lam_inv = 1.0 / params.lam
+    scale = 1.0
+    bm = 1
+    for _ in range(min(width, n_terms)):
+        bm *= params.b
+        scale *= lam_inv
+        o = (idx % bm).astype(np.float64) / bm
+        out -= scale * phi_diff_vec(phi, o, xv / bm)
+    if n_terms > width:
+        base_offs = code_offsets(base, n_terms - width)
+        rev_val = idx.astype(np.float64) / float(params.b) ** width
+        out += _deep_word_depths(params, phi, xv[:, 0], rev_val, width, base_offs)
+    return out.T.reshape(idx.shape + x.shape)
+
+
+def theta_labels_unique_lexsort(theta, i_level: int, m_grid: int, tol: float = 1e-9):
+    """Partition-cell labels of theta's atoms and the cell count, by
+    ``np.unique`` of the constant-coordinate floors and one ``np.lexsort``
+    of (floor, psi floors) over the atoms that share a floor.  Singleton
+    floors come first, in key order, then the shared ones' cells in
+    lexicographic order of their keys."""
+    from weierlab.funcspace import gamma_at_many_words, q_height
+
+    params = theta.params
+    q = q_height(params, theta.n_hat)
+    cscale = float(params.b) ** (i_level + q)
+    key_c = np.floor(theta.c * cscale).astype(np.int64)
+    uniq, inverse, counts = np.unique(key_c, return_inverse=True, return_counts=True)
+    if i_level == 0:
+        return inverse, len(uniq)
+    collided = counts[inverse] > 1
+    n_coll = int(collided.sum())
+    if n_coll == 0:
+        return inverse, len(uniq)
+    pscale = float(params.b) ** i_level
+    grid = np.arange(1, m_grid + 1) / m_grid
+    psi = gamma_at_many_words(params, theta.phi, grid, theta.indices[collided], theta.n_hat,
+                              theta.code, tol)
+    cols = [key_c[collided], *np.floor(psi * pscale).astype(np.int64).T]
+    order = np.lexsort(cols[::-1])
+    stacked = np.stack([c[order] for c in cols], axis=1)
+    new_group = np.empty(n_coll, dtype=bool)
+    new_group[0] = True
+    new_group[1:] = np.any(stacked[1:] != stacked[:-1], axis=1)
+    labels = np.empty(len(theta.c), dtype=np.int64)
+    labels[~collided] = inverse[~collided]
+    coll_labels = np.empty(n_coll, dtype=np.int64)
+    coll_labels[order] = len(uniq) + np.cumsum(new_group) - 1
+    labels[collided] = coll_labels
+    used = np.zeros(len(uniq) + n_coll, dtype=bool)
+    used[labels] = True
+    rank = np.cumsum(used) - 1
+    return rank[labels], int(rank[-1]) + 1
+
+
+def theta_cells_rows(theta, labels) -> str:
+    """``funcspace.theta_cells_csv`` built row by row from ``ThetaMeasure.word``."""
+    lines = ["word,t,cell_id"]
+    for i, label in enumerate(np.asarray(labels).tolist()):
+        lines.append(f"{''.join(map(str, theta.word(i)))},{theta.n_hat},{label}")
+    return "\n".join(lines) + "\n"

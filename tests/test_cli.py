@@ -349,6 +349,17 @@ def test_check_h_analytic_wave(tmp_path, capsys):
     assert "classification = H*-evidence" in _read(tmp_path / "check-h.meta")
 
 
+def test_check_h_thresholds_follow_tol(tmp_path, capsys):
+    """The analytic twin's separations are truncation noise within 2 tol, so
+    it reads as H*-evidence at any tol; the cosine stays H-evidence."""
+    for tol in ("1e-9", "1e-7", "1e-6"):
+        assert main(["check-h", "--phi-from-w0", "cos", "--tol", tol,
+                     "--out", str(tmp_path)]) == 0
+        assert "classification: H*-evidence" in capsys.readouterr().out, tol
+    assert main(["check-h", "--phi", "cos", "--out", str(tmp_path)]) == 0
+    assert "classification: H-evidence" in capsys.readouterr().out
+
+
 def test_check_h_rough_wave(tmp_path, capsys):
     assert main(["check-h", "--grid", "1024", "--pairs", "2",
                  "--out", str(tmp_path)]) == 0

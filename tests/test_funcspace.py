@@ -1,5 +1,6 @@
 """Contact maps, theta measures, separation constant, and entropy gains."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -125,6 +126,26 @@ def test_build_theta_enumerates_words():
     assert cm.t == th.n_hat
 
 
+def test_build_theta_subsample_is_the_sorted_distinct_draw():
+    """The subsample keeps the first ``subsample`` distinct values of the
+    seeded draw in increasing order, as ``np.unique`` would, byte for byte
+    the same for a seed."""
+    from weierlab._util import substream
+
+    p = _p2()
+    code = seeded_code(2, 0)
+    total = 2 ** M.n_hat(p, 8)
+    for seed in (0, 5):
+        th = F.build_theta(p, P.cos_phi(), code, 8, cap=64, subsample=3000, seed=seed)
+        draw = substream(seed, 0x7E7A).integers(0, total, size=int(3000 * 1.2) + 16)
+        assert th.indices.dtype == np.int64 and len(th) == 3000
+        assert np.all(np.diff(th.indices) > 0)
+        assert np.array_equal(th.indices, np.unique(draw)[:3000])
+        again = F.build_theta(p, P.cos_phi(), code, 8, cap=64, subsample=3000, seed=seed)
+        assert again.indices.tobytes() == th.indices.tobytes()
+        assert again.c.tobytes() == th.c.tobytes()
+
+
 def test_build_theta_subsample_reproducible():
     """Beyond the cap the atom set comes from the seeded substream."""
     p = _p2()
@@ -137,6 +158,32 @@ def test_build_theta_subsample_reproducible():
     assert not np.array_equal(a.indices, c.indices)
     with pytest.raises(ValueError, match="cap"):
         F.build_theta(p, P.cos_phi(), code, 3, cap=8)
+
+
+def test_gamma_at_many_words_residue_tree_is_bitwise_per_depth():
+    """With len(idx) >= b^m the shallow depths come from the residue table;
+    every element equals the per-word sweep of ``oracle`` bit for bit, for
+    unsorted, repeated and empty index arrays."""
+    for b, lam in [(2, 0.7), (3, 0.5), (5, 0.3)]:
+        p = make_params(b, lam)
+        phis = [P.cos_phi(), P.cos_phi(0.3),
+                P.FourierPhi({1: 0.5, -1: 0.5, 2: 0.1 + 0.2j, -2: 0.1 - 0.2j,
+                              5: 0.03j, -5: -0.03j}),
+                P.phi_from_w0(P.cos_phi(), 2, 0.7)]
+        rng = np.random.default_rng(b)
+        base = seeded_code(b, 1)
+        for width in range(6, 21):
+            draw = rng.integers(0, b**width, 2 * b**3)
+            idx = np.concatenate([draw, draw[:b**2], [0, b**width - 1]])  # unsorted, repeats
+            for phi in phis:
+                for x, got in ((0.7, ()), (np.array([0.5, 1.0]), (2,))):
+                    fast = F.gamma_at_many_words(p, phi, x, idx, width, base, 1e-9)
+                    slow = oracle.gamma_words_per_depth(p, phi, x, idx, width, base, 1e-9)
+                    assert fast.shape == slow.shape == idx.shape + got
+                    assert fast.tobytes() == slow.tobytes(), (b, width)
+                empty = F.gamma_at_many_words(p, phi, np.array([0.5, 1.0]),
+                                              np.array([], dtype=np.int64), width, base)
+                assert empty.shape == (0, 2)
 
 
 def test_gamma_at_many_words_matches_scalar():
@@ -298,6 +345,59 @@ def test_theta_cell_labels_match_partition_cells():
         assert len(set(zip(labels.tolist(), cells))) == len(set(cells)) == n_cells
 
 
+def test_theta_cell_labels_match_unique_lexsort():
+    """The labels from c order and packed psi keys are the exact labels and
+    cell count of the ``np.unique`` + ``np.lexsort`` labeller, for b = 2
+    and 3 with the cosine and the triangle, at levels 0, 1, 2, n and 2n;
+    the analytic twin has one cell at each."""
+    for b, lam in [(2, 0.7), (3, 0.5)]:
+        p = make_params(b, lam)
+        code = seeded_code(b, 3)
+        twin = P.phi_from_w0(P.cos_phi(), b, lam)
+        for phi, n in [(P.cos_phi(), 4), (P.triangle_phi(), 4), (P.cos_phi(), 5), (twin, 4)]:
+            th = F.build_theta(p, phi, code, n)
+            for level in (0, 1, 2, n, 2 * n):
+                labels, n_cells = F.theta_cell_labels(th, level, b)
+                ref, ref_cells = oracle.theta_labels_unique_lexsort(th, level, b)
+                assert n_cells == ref_cells and labels.tobytes() == ref.tobytes(), (b, n, level)
+                if phi is twin:
+                    assert n_cells == 1
+
+
+def test_theta_cell_labels_with_repeated_constants():
+    """Atoms of equal c: the labels match the reference labeller, whatever
+    order the equal atoms take in ``theta.order``."""
+    p = _p2()
+    th = F.build_theta(p, P.cos_phi(), seeded_code(2, 0), 5)
+    tied = dataclasses.replace(th, c=np.round(th.c, 1))
+    assert len(np.unique(tied.c)) < len(tied) // 10
+    orders = [np.argsort(tied.c, kind="stable"),
+              np.lexsort((-np.arange(len(tied)), tied.c))]  # ties reversed
+    for level in (0, 1, 2, 5, 10):
+        ref, ref_cells = oracle.theta_labels_unique_lexsort(tied, level, 2)
+        for order in [tied.order, *orders]:
+            tied.order = order
+            labels, n_cells = F.theta_cell_labels(tied, level, 2)
+            assert n_cells == ref_cells and np.array_equal(labels, ref), level
+
+
+def test_theta_cell_labels_refuse_keys_past_int64():
+    """A level is refused where the constant-coordinate floors, the psi
+    floors or a packed key group * span would pass 2^62.  With every c
+    zero, all 64 atoms share one bucket and psi alone splits them."""
+    th = F.build_theta(_p2(), P.cos_phi(), seeded_code(2, 0), 3)
+    with pytest.raises(ValueError, match="too deep"):
+        F.theta_cell_labels(th, 62, 2)
+    flat = dataclasses.replace(th, c=np.zeros(len(th)))
+    labels, n_cells = F.theta_cell_labels(flat, 50, 2)
+    ref, ref_cells = oracle.theta_labels_unique_lexsort(flat, 50, 2)
+    assert n_cells == ref_cells == 64 and np.array_equal(labels, ref)
+    loud = F.build_theta(_p2(), P.FourierPhi({1: 50.0, -1: 50.0}), seeded_code(2, 0), 3)
+    for theta in (flat, dataclasses.replace(loud, c=np.zeros(len(loud)))):  # packed key; psi
+        with pytest.raises(ValueError, match="too deep"):
+            F.theta_cell_labels(theta, 56, 2)
+
+
 def test_theta_labels_refine_with_level():
     p = _p2()
     th = F.build_theta(p, P.cos_phi(), seeded_code(2, 0), 4)
@@ -318,6 +418,18 @@ def test_theta_cells_csv_schema():
         assert len(word) == th.n_hat
         assert int(t) == th.n_hat
         assert all(part.lstrip("-").isdigit() for part in cell.split(":"))
+
+
+def test_theta_cells_csv_matches_per_atom_rows():
+    """The column-joined dump equals the per-atom rows of ``oracle``
+    byte for byte, including bases of two-character digits and a word of
+    length zero."""
+    for b, lam, n, sub in [(2, 0.7, 6, None), (3, 0.5, 3, None), (11, 0.5, 1, None),
+                           (13, 0.6, 1, 500), (2, 0.7, 30, 500), (2, 0.7, 0, None)]:
+        p = make_params(b, lam)
+        th = F.build_theta(p, P.cos_phi(), seeded_code(b, 0), n, cap=1 << 16, subsample=sub)
+        labels, _ = F.theta_cell_labels(th, 1, b)
+        assert F.theta_cells_csv(th, labels) == oracle.theta_cells_rows(th, labels), (b, n)
 
 
 def test_separation_constant_and_stability():

@@ -438,6 +438,18 @@ def test_condition_h_scan_classifications():
     assert smooth.max_sep < 1e-8
 
 
+def test_condition_h_scan_thresholds_rise_to_the_floor():
+    """The report keeps the thresholds it judged by: eps_h and eps_star,
+    each raised to the degenerate floor 2 tol where that is larger."""
+    p = _p2()
+    an = P.phi_from_w0(P.cos_phi(), 2, 0.7)
+    for tol, eps_h, eps_star in [(1e-10, 1e-6, 1e-8), (1e-7, 1e-6, 2e-7), (1e-6, 2e-6, 2e-6)]:
+        rep = K.condition_h_scan(p, an, depth=1, samples_per_pair=1, grid_size=1 << 8,
+                                 tol=tol)
+        assert (rep.eps_h, rep.eps_star) == (eps_h, eps_star)
+        assert rep.classification == "H*-evidence", tol
+
+
 def test_h_scan_csv():
     p = _p2()
     rep = K.condition_h_scan(p, P.cos_phi(), depth=1, samples_per_pair=1,
