@@ -53,6 +53,16 @@ def main() -> None:
     print(f"  min separation {rep2.min_sep:.2e}, max {rep2.max_sep:.2e}"
           f"  -> {rep2.classification}")
 
+    u = kernel.periodic_code(2, preperiod=(0,), cycle=(0, 1))
+    v = kernel.periodic_code(2, preperiod=(1,), cycle=(0, 1))
+    reg = kernel.k_regularity(params, gen, u, v, level=2, k_max=3)
+    print("\nregularity of Gamma_u - Gamma_v on the level-2 intervals"
+          " (least k with sup |f^(k)| <= 2 inf):")
+    for i, k, lo, hi in reg.rows:
+        print(f"  [{i}/4, {i + 1}/4)  k = {k}  inf {lo:.4f}  sup {hi:.4f}")
+    twin = kernel.k_regularity(params, analytic, u, v, level=2, k_max=3)
+    print(f"  generator telescoping to cos(2 pi x): degenerate {twin.degenerate}")
+
     pairs = kernel.transversality_pairs(params, seed=0, count=8)
     cert = kernel.transversality_certificate(params, gen, pairs, 2)
     print(f"\ntransversality at level 2 over {len(pairs)} code pairs:")

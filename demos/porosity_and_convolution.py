@@ -50,7 +50,11 @@ def main() -> None:
         return measure.histogram_from_values((keys + 0.25) / 2.0**level,
                                              2, level)
 
-    gain = funcspace.convolution_entropy_gain(mk(theta_keys), mk(tau_keys),
+    theta_hist = mk(theta_keys)
+    print("  theta as a histogram file for `weierlab convolve --theta-file`:")
+    for line in measure.hist_to_text(theta_hist).splitlines():
+        print(f"    {line}")
+    gain = funcspace.convolution_entropy_gain(theta_hist, mk(tau_keys),
                                               level - k, k)
     print(f"  H(tau) = {gain.h_tau:.4f}, H(theta * tau) = {gain.h_conv:.4f}")
     print(f"  gain per level = {gain.gain:.4f}")

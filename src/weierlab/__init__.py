@@ -32,14 +32,11 @@ from .weier import (
     WLattice,
     self_affinity_residual,
     fourier_of_w,
-    holder_constant_estimate,
-    anti_holder_probe,
     regulating_energy,
     period_scan,
 )
 from .kernel import (
     Code,
-    Word,
     periodic_code,
     seeded_code,
     eval_y,
@@ -64,27 +61,21 @@ from .measure import (
     histogram_from_points,
     entropy,
     coarsen,
-    refine,
-    conditional_entropy,
     component_measure,
     sample_projected_measure,
     alpha_estimate,
     graph_box_dimension,
     dim_mu_check,
     n_hat,
-    decompose_projection,
     ucas_probe,
     porosity_probe,
 )
 from .funcspace import (
     ContactMap,
-    pibar,
-    partition_cell,
     ThetaMeasure,
     build_theta,
     theta_entropy,
     separation_constant_c,
-    eta_dot,
     convolution_entropy_gain,
     entropy_increase_experiment,
 )

@@ -35,10 +35,7 @@ from .weier import WLattice, eval_w_vec
 
 __all__ = [
     "ContactMap",
-    "pibar",
     "q_height",
-    "partition_cell",
-    "cell_from_coords",
     "ThetaMeasure",
     "build_theta",
     "gamma_at_many_words",
@@ -48,7 +45,6 @@ __all__ = [
     "theta_cells_csv",
     "SeparationCReport",
     "separation_constant_c",
-    "eta_dot",
     "ConvolutionGain",
     "convolution_entropy_gain",
     "EntropyIncreaseReport",
@@ -120,49 +116,6 @@ def _check_m(params, m: int) -> None:
         v //= params.b
     if v != 1 or m < 1:
         raise ValueError(f"M must be a power of b = {params.b}, got {m}")
-
-
-def pibar(cm: ContactMap, m_grid: int, tol: float = 1e-10) -> np.ndarray:
-    """Coordinate vector (t, psi(1/M), ..., psi(1), c) with psi = Gamma_code.
-
-    psi(0) = 0 is identically zero and is not a coordinate.  M must be a
-    power of b so the grid aligns with every b-adic partition level.
-    """
-    _check_m(cm.params, m_grid)
-    psi = [
-        eval_gamma(cm.params, cm.phi, k / m_grid, cm.code, tol)
-        for k in range(1, m_grid + 1)
-    ]
-    return np.array([float(cm.t), *psi, cm.c], dtype=np.float64)
-
-
-def cell_from_coords(params, t: int, psi_vals: Sequence[float], c: float,
-                     i_level: int) -> tuple[int, ...]:
-    """Partition cell id from precomputed coordinates.
-
-    Level i >= 1 takes the b-adic floor of each psi value at level i and
-    of c at level i + q(t); level 0 keeps only (t, floor of c at q(t)).
-    """
-    q = q_height(params, t)
-    if i_level == 0:
-        return (t, math.floor(c * float(params.b) ** q))
-    scale = float(params.b) ** i_level
-    cscale = float(params.b) ** (i_level + q)
-    return (
-        t,
-        *(math.floor(v * scale) for v in psi_vals),
-        math.floor(c * cscale),
-    )
-
-
-def partition_cell(cm: ContactMap, i_level: int, m_grid: int,
-                   tol: float = 1e-10) -> tuple[int, ...]:
-    """Cell of the map in the level-``i_level`` partition of map space."""
-    _check_m(cm.params, m_grid)
-    if i_level == 0:
-        return cell_from_coords(cm.params, cm.t, (), cm.c, 0)
-    coords = pibar(cm, m_grid, tol)
-    return cell_from_coords(cm.params, cm.t, coords[1:-1], cm.c, i_level)
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +356,11 @@ def theta_cell_labels(
     enumeration feasible at millions of atoms.  Singleton buckets take
     the first labels, in key order; then the cells of the shared buckets,
     in lexicographic order of (key, psi(1/M) floor, ..., psi(1) floor).
-    No label depends on the order among atoms of equal c.
+    No label depends on the order among atoms of equal c.  ``i_level`` is
+    taken through ``_util.depth_index``: a negative level raises ValueError.
     """
     params = theta.params
+    i_level = depth_index(i_level, "i_level")
     _check_m(params, m_grid)
     q = q_height(params, theta.n_hat)
     cscale = float(params.b) ** (i_level + q)
@@ -626,34 +581,7 @@ def separation_constant_c(
 
 
 # ---------------------------------------------------------------------------
-# pushforwards and convolution gains
-
-
-def eta_dot(
-    eta: Sequence[tuple[float, ContactMap]],
-    target_samples: Sequence[tuple[float, float]],
-    level: int,
-    tol: float = 1e-10,
-) -> BadicHistogram:
-    """Histogram of Psi(x, y) over the product of map atoms and samples.
-
-    Weights multiply: each (map weight) x (uniform sample weight).
-    """
-    if not eta:
-        raise ValueError("eta has no atoms")
-    params = eta[0][1].params
-    xs = np.array([s[0] for s in target_samples], dtype=np.float64)
-    ys = np.array([s[1] for s in target_samples], dtype=np.float64)
-    if len(xs) == 0:
-        raise ValueError("no target samples")
-    vals = []
-    weights = []
-    for w, cm in eta:
-        vals.append(cm.apply_vec(xs, ys, tol))
-        weights.append(np.full(len(xs), w / len(xs)))
-    return histogram_from_values(
-        np.concatenate(vals), params.b, level, weights=np.concatenate(weights)
-    )
+# convolution gains
 
 
 @dataclass

@@ -72,7 +72,6 @@ from . import phi as phimod
 from ._util import golden_refine, substream
 
 __all__ = [
-    "Word",
     "Code",
     "periodic_code",
     "seeded_code",
@@ -104,22 +103,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Word:
-    """Finite word over {0, .., b-1}; symbols listed most significant first."""
-
-    symbols: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(int(s) for s in self.symbols))
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def reverse(self) -> "Word":
-        return Word(self.symbols[::-1])
-
-
 _SEED_BLOCK = 1 << 10
 _seed_cache: dict[tuple, np.ndarray] = {}
 
@@ -148,7 +131,7 @@ class Code:
 
     Exactly one backing is active: a nonempty ``cycle`` makes the code
     eventually periodic after ``preperiod``; a ``seed`` key makes the tail a
-    reproducible random stream (the nu-typical case), read from ``offset``.
+    reproducible random stream (the nu-typical case).
     ``symbol`` is O(1) either way.
     """
 
@@ -156,7 +139,6 @@ class Code:
     preperiod: tuple[int, ...] = ()
     cycle: tuple[int, ...] = ()
     seed: tuple[int, ...] | None = None
-    offset: int = 0
 
     def __post_init__(self) -> None:
         if (len(self.cycle) == 0) == (self.seed is None):
@@ -173,18 +155,8 @@ class Code:
             return self.preperiod[n]
         if self.cycle:
             return self.cycle[(n - k) % len(self.cycle)]
-        idx = self.offset + (n - k)
+        idx = n - k
         return int(_seeded_symbols(self.b, self.seed, idx + 1)[idx])
-
-    def prefix(self, n: int) -> tuple[int, ...]:
-        return tuple(self.symbol(i) for i in range(n))
-
-    def shift(self) -> "Code":
-        if self.preperiod:
-            return replace(self, preperiod=self.preperiod[1:])
-        if self.cycle:
-            return replace(self, cycle=self.cycle[1:] + self.cycle[:1])
-        return replace(self, offset=self.offset + 1)
 
     def prepend(self, symbols: Sequence[int]) -> "Code":
         return replace(self, preperiod=tuple(int(s) for s in symbols) + self.preperiod)
@@ -608,7 +580,7 @@ def apply_ifs(params, phi: phimod.Phi, i: int, x, y):
     return xn, params.lam * y + phimod.eval_phi(phi, xn)
 
 
-def apply_word(params, phi: phimod.Phi, word: Word | Sequence[int], x, y):
+def apply_word(params, phi: phimod.Phi, word: Sequence[int], x, y):
     """Compose the maps named by the word, rightmost symbol acting first.
 
     The word lists the base-b digits of the image interval most significant
@@ -617,7 +589,7 @@ def apply_word(params, phi: phimod.Phi, word: Word | Sequence[int], x, y):
     Points are floats or arrays, as in ``apply_ifs``: this is the one word
     push, for single points and for whole samples alike.
     """
-    syms = word.symbols if isinstance(word, Word) else tuple(int(s) for s in word)
+    syms = tuple(int(s) for s in word)
     for s in reversed(syms):
         x, y = apply_ifs(params, phi, s, x, y)
     return x, y
@@ -626,7 +598,7 @@ def apply_word(params, phi: phimod.Phi, word: Word | Sequence[int], x, y):
 def transition_residual(
     params,
     phi: phimod.Phi,
-    word: Word | Sequence[int],
+    word: Sequence[int],
     code: Code,
     x: float,
     y: float,
@@ -637,7 +609,7 @@ def transition_residual(
     pi_code(g_u(x, y)) should equal
     lam^|u| pi_{reverse(u) code}(x, y) + pi_code(g_u(0, 0)).
     """
-    syms = word.symbols if isinstance(word, Word) else tuple(int(s) for s in word)
+    syms = tuple(int(s) for s in word)
     gx, gy = apply_word(params, phi, syms, x, y)
     lhs = project(params, phi, gx, gy, code, tol)
     zx, zy = apply_word(params, phi, syms, 0.0, 0.0)
@@ -726,6 +698,8 @@ def condition_h_scan(
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if samples_per_pair < 1:
+        raise ValueError("samples_per_pair must be at least 1")
     b = params.b
     prefixes = [tuple(w) for w in np.ndindex(*([b] * depth))]
     rows: list[tuple[str, str, int, float]] = []

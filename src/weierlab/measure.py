@@ -26,7 +26,7 @@ import numpy as np
 
 from . import phi as phimod
 from ._util import ceil_log_ratio, depth_index, ols_fit, substream
-from .kernel import Code, _gamma_blocks, apply_word, eval_gamma_vec, seeded_code
+from .kernel import Code, _gamma_blocks, eval_gamma_vec, seeded_code
 from .weier import WLattice
 # no caller in this module: kept because perfbench/tracing.py patches it here by name
 from .weier import eval_w_vec  # noqa: F401
@@ -36,16 +36,12 @@ __all__ = [
     "histogram_from_values",
     "histogram_from_points",
     "entropy",
-    "conditional_entropy",
     "coarsen",
-    "refine",
     "component_measure",
-    "add_histograms",
     "histogram_quantiles",
     "hist_to_text",
     "hist_from_text",
     "EntropyCurve",
-    "curve_to_csv",
     "sample_projected_measure",
     "stratified_x",
     "alpha_estimate",
@@ -55,8 +51,6 @@ __all__ = [
     "dim_mu_check",
     "DimMuReport",
     "n_hat",
-    "decompose_projection",
-    "DecompositionReport",
     "ucas_probe",
     "UcasReport",
     "porosity_probe",
@@ -232,41 +226,6 @@ def coarsen(hist: BadicHistogram, new_level: int) -> BadicHistogram:
     return _pack_histogram(hist.b, new_level, keys, hist.masses.copy(), hist.meta)
 
 
-def refine(hist: BadicHistogram, new_level: int) -> BadicHistogram:
-    """Redistribute each cell's mass uniformly among its descendants.
-
-    Mass is conserved exactly; the uniform split encodes that the
-    histogram carries no information below its stored level.
-    """
-    if new_level < hist.level:
-        raise ValueError("refine target must not precede the current level")
-    steps = new_level - hist.level
-    if steps == 0:
-        return hist
-    children = hist.b**steps
-    if hist.dim == 1:
-        offsets = np.arange(children, dtype=np.int64)
-        keys = (hist.keys[:, None] * children + offsets[None, :]).ravel()
-        masses = np.repeat(hist.masses / children, children)
-    else:
-        off = np.arange(children, dtype=np.int64)
-        ox, oy = np.meshgrid(off, off, indexing="ij")
-        ox, oy = ox.ravel(), oy.ravel()
-        keys = np.empty((hist.n_cells * children * children, 2), dtype=np.int64)
-        keys[:, 0] = (hist.keys[:, 0:1] * children + ox[None, :]).ravel()
-        keys[:, 1] = (hist.keys[:, 1:2] * children + oy[None, :]).ravel()
-        masses = np.repeat(hist.masses / children**2, children * children)
-    return _pack_histogram(hist.b, new_level, keys, masses, hist.meta)
-
-
-def conditional_entropy(hist: BadicHistogram, m: int) -> float:
-    """Entropy of the level-``hist.level`` refinement given the level-``m``
-    coarsening, i.e. H_n - H_m, in log base b."""
-    if m > hist.level:
-        raise ValueError("conditioning level must be at most the histogram level")
-    return entropy(hist) - entropy(coarsen(hist, m))
-
-
 def component_measure(
     hist: BadicHistogram, cell_level: int, cell_index
 ) -> BadicHistogram:
@@ -298,21 +257,6 @@ def component_measure(
     )
 
 
-def add_histograms(parts: Sequence[BadicHistogram], weights: Sequence[float] | None = None
-                   ) -> BadicHistogram:
-    """Weighted sum of histograms at a common b and level."""
-    if not parts:
-        raise ValueError("no histograms to add")
-    b, level = parts[0].b, parts[0].level
-    for h in parts:
-        if h.b != b or h.level != level or h.dim != parts[0].dim:
-            raise ValueError("histograms must share b, level, and dimension")
-    w = [1.0] * len(parts) if weights is None else list(weights)
-    keys = np.concatenate([h.keys for h in parts])
-    masses = np.concatenate([wi * h.masses for wi, h in zip(w, parts)])
-    return _pack_histogram(b, level, keys, masses)
-
-
 def histogram_quantiles(hist: BadicHistogram, qs: Sequence[float]) -> np.ndarray:
     """Value-scale quantiles of a one-dimensional histogram (cell centers)."""
     if hist.dim != 1:
@@ -335,9 +279,18 @@ def hist_to_text(hist: BadicHistogram) -> str:
 
 
 def hist_from_text(text: str, b: int) -> BadicHistogram:
+    """Parse the format of ``hist_to_text``; lines starting with # are comments.
+
+    A missing header, a dimension other than 1 or 2, and a mass that is
+    negative or not finite raise ValueError.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    head = lines[0].split()
+    head = lines[0].split() if lines else []
+    if len(head) < 2:
+        raise ValueError("histogram text needs a header line 'dim level window'")
     dim, level = int(head[0]), int(head[1])
+    if dim not in (1, 2):
+        raise ValueError(f"histogram dimension must be 1 or 2, got {dim}")
     keys = []
     masses = []
     for ln in lines[1:]:
@@ -348,8 +301,10 @@ def hist_from_text(text: str, b: int) -> BadicHistogram:
             a, b_ = cell.split(",")
             keys.append((int(a), int(b_)))
         masses.append(float(mass))
-    arr = np.asarray(keys, dtype=np.int64)
-    return _pack_histogram(b, level, arr, np.asarray(masses, dtype=np.float64))
+    mass_arr = np.asarray(masses, dtype=np.float64)
+    if not (np.isfinite(mass_arr).all() and (mass_arr >= 0.0).all()):
+        raise ValueError("histogram masses must be finite and nonnegative")
+    return _pack_histogram(b, level, np.asarray(keys, dtype=np.int64), mass_arr)
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +324,6 @@ class EntropyCurve:
     window: tuple[int, ...]
     slope: float
     slope_stderr: float
-
-    def value_at(self, level: int) -> float:
-        return self.values[self.levels.index(level)]
 
 
 def _fit_curve(levels: Sequence[int], values: Sequence[float],
@@ -397,32 +349,22 @@ def _entropy_curve(fine: BadicHistogram, window: Sequence[int]) -> EntropyCurve:
     return _fit_curve(all_levels, [entropy(coarsen(fine, lv)) for lv in all_levels], window)
 
 
-def curve_to_csv(curve: EntropyCurve) -> str:
-    lines = ["level,H,slope_window_flag"]
-    for lv, v in zip(curve.levels, curve.values):
-        flag = 1 if lv in curve.window else 0
-        lines.append(f"{lv},{v!r},{flag}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
 
-def _lattice_shift(seed: int, key: int) -> float:
+def _lattice_shift(seed: int) -> float:
     """The one seeded shift u in [0, 1) of the sampling lattice (s + u) / n."""
-    return float(substream(seed, 0x5A17, key).random())
+    return float(substream(seed, 0x5A17, 0).random())
 
 
-def stratified_x(n_strata: int, lo_stratum: int, hi_stratum: int, seed: int,
-                 key: int = 0) -> np.ndarray:
+def stratified_x(n_strata: int, lo_stratum: int, hi_stratum: int, seed: int) -> np.ndarray:
     """Stratified points (s + u) / n_strata for s in [lo, hi), one seeded shift u.
 
     Every stratum shares the shift, so any partition of the stratum range
-    into shards reproduces the same points.  ``key`` separates independent
-    sampling contexts under one root seed.
+    into shards reproduces the same points.
     """
-    u = _lattice_shift(seed, key)
+    u = _lattice_shift(seed)
     return (np.arange(lo_stratum, hi_stratum, dtype=np.float64) + u) / n_strata
 
 
@@ -435,12 +377,12 @@ def _strata_level(b: int, n_samples: int) -> int:
     return level
 
 
-def _lattice_sample(params, phi: phimod.Phi, level: int, seed: int, tol: float,
-                    key: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _lattice_sample(params, phi: phimod.Phi, level: int, seed: int,
+                    tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The points of ``stratified_x`` at n = b^level and W there, from the lattice."""
     n = params.b**level
-    xs = stratified_x(n, 0, n, seed, key)
-    w = WLattice(params, phi, level, _lattice_shift(seed, key), tol)(np.arange(n))
+    xs = stratified_x(n, 0, n, seed)
+    w = WLattice(params, phi, level, _lattice_shift(seed), tol)(np.arange(n))
     return xs, w
 
 
@@ -507,11 +449,13 @@ def alpha_estimate(
     levels = sorted(int(lv) for lv in levels)
     if len(levels) < 2:
         raise ValueError("alpha_estimate needs at least two levels")
+    codes = list(codes)
+    if not codes:
+        raise ValueError("alpha_estimate needs at least one code")
     top = levels[-1]
     s_level = _strata_level(params.b, n_samples)
     n = params.b**s_level
     xs, w = _lattice_sample(params, phi, s_level, seed, tol)
-    codes = list(codes)
     dense: list[_CellCounts | None] = [_CellCounts(params.b, top, n) for _ in codes]
     for sl, gammas in _gamma_blocks(params, phi, xs, codes, tol):
         vals = w[sl, None] - gammas
@@ -593,7 +537,7 @@ def graph_box_dimension(
     col_min = np.full(n_cols_fine, np.inf)
     col_max = np.full(n_cols_fine, -np.inf)
     step = _BLOCK_COLUMNS * per_col
-    lattice = WLattice(params, phi, col_level, _lattice_shift(seed, 0), tol)
+    lattice = WLattice(params, phi, col_level, _lattice_shift(seed), tol)
     for start in range(0, total, step):
         stop = min(start + step, total)
         ys = lattice(np.arange(start, stop))
@@ -687,75 +631,6 @@ def n_hat(params, n: int) -> int:
     """
     n = depth_index(n, "n")
     return ceil_log_ratio(n, params.b, params.lam)
-
-
-# ---------------------------------------------------------------------------
-# decomposition of a projection into word components
-
-
-@dataclass
-class DecompositionReport:
-    components: list[tuple[float, BadicHistogram]]
-    mixture: BadicHistogram
-    direct: BadicHistogram
-    tv_at_level: float
-    max_cell_gap: float
-    tolerance: float
-
-
-def decompose_projection(
-    params,
-    phi: phimod.Phi,
-    code: Code,
-    n_decomp: int,
-    level: int,
-    n_samples: int,
-    seed: int = 0,
-    component_cap: int = 1 << 12,
-    tol: float = 1e-9,
-) -> DecompositionReport:
-    """Split the projected measure into its b^n_decomp word components.
-
-    Component u is sampled as the projection of the graph pushed through
-    the word map g_u, each with its own stratified sample; the
-    equal-weight mixture is compared against an independent direct sample
-    of the projection at the same level.  Both the total variation and
-    the worst single-cell discrepancy are reported against the
-    statistical tolerance 3 / sqrt(n_samples).
-    """
-    if n_decomp < 0:
-        raise ValueError("n_decomp must be nonnegative")
-    n_comp = params.b**n_decomp
-    if n_comp > component_cap:
-        raise ValueError(f"{n_comp} components exceed the cap {component_cap}")
-    per = max(1, -(-n_samples // n_comp))
-    s_level = _strata_level(params.b, per)
-    m = params.b**s_level
-    comps: list[tuple[float, BadicHistogram]] = []
-    for ci in range(n_comp):
-        xs, ys = _lattice_sample(params, phi, s_level, seed, tol, key=ci + 1)
-        word = [(ci // params.b**k) % params.b for k in reversed(range(n_decomp))]
-        gx, gy = apply_word(params, phi, word, xs, ys)
-        vals = gy - eval_gamma_vec(params, phi, gx, code, tol)
-        comps.append((1.0 / n_comp, histogram_from_values(vals, params.b, level)))
-    mixture = add_histograms([h for _, h in comps], [w for w, _ in comps])
-    direct = sample_projected_measure(
-        params, phi, code, n_comp * m, level, seed=seed + 1, tol=tol
-    )
-    keys = np.union1d(mixture.keys, direct.keys)
-    pm = np.zeros(len(keys))
-    pd = np.zeros(len(keys))
-    pm[np.searchsorted(keys, mixture.keys)] = mixture.masses / mixture.total
-    pd[np.searchsorted(keys, direct.keys)] = direct.masses / direct.total
-    gaps = np.abs(pm - pd)
-    return DecompositionReport(
-        components=comps,
-        mixture=mixture,
-        direct=direct,
-        tv_at_level=float(gaps.sum() / 2.0),
-        max_cell_gap=float(gaps.max()),
-        tolerance=3.0 / math.sqrt(n_comp * m),
-    )
 
 
 # ---------------------------------------------------------------------------

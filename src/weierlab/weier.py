@@ -36,13 +36,8 @@ __all__ = [
     "WFourier",
     "fourier_of_w",
     "wfourier_partial_sum",
-    "wfourier_to_csv",
-    "holder_constant_estimate",
-    "anti_holder_probe",
     "EnergyBounds",
     "regulating_energy",
-    "KeyEstimateReport",
-    "key_estimate_probe",
     "PeriodRow",
     "period_scan",
     "period_rows_to_csv",
@@ -248,15 +243,12 @@ class WFourier:
     """Fourier data of W up to |m| <= m_max.
 
     Coefficients follow A_m = c_m + lam A_{m/b} when b divides m and
-    A_m = c_m otherwise, with A_0 = c_0 / (1 - lam).  err_bound[m] tracks
-    accumulated rounding, essentially chain length times machine epsilon.
+    A_m = c_m otherwise, with A_0 = c_0 / (1 - lam).
     """
 
     params: SystemParams
     m_max: int
     coeffs: dict[int, complex]
-    err_bound: dict[int, float]
-    phi_label: str = ""
 
 
 def fourier_of_w(params: SystemParams, phi: phimod.Phi, m_max: int) -> WFourier:
@@ -266,28 +258,22 @@ def fourier_of_w(params: SystemParams, phi: phimod.Phi, m_max: int) -> WFourier:
         raise TypeError("fourier_of_w needs a Fourier generator")
     lam, b = params.lam, params.b
     coeffs: dict[int, complex] = {}
-    errs: dict[int, float] = {}
     for m in range(-m_max, m_max + 1):
         if m == 0:
             a = phi.coeffs.get(0, 0.0 + 0.0j) / (1.0 - lam)
-            steps = 1
         else:  # A_m = sum_j lam^j c_(m / b^j) over the b-power divisors of m
             a = 0.0 + 0.0j
             q = m
             lam_pow = 1.0
-            steps = 0
             while True:
                 a += lam_pow * phi.coeffs.get(q, 0.0 + 0.0j)
-                steps += 1
                 if q % b != 0:  # m != 0, so q // b never reaches 0
                     break
                 q //= b
                 lam_pow *= lam
         if a != 0:
             coeffs[m] = a
-            errs[m] = abs(a) * steps * 2.0 * np.finfo(np.float64).eps
-    return WFourier(params=params, m_max=m_max, coeffs=coeffs, err_bound=errs,
-                    phi_label=phi.label)
+    return WFourier(params=params, m_max=m_max, coeffs=coeffs)
 
 
 def wfourier_partial_sum(wf: WFourier, xs: np.ndarray, deriv: int = 0,
@@ -315,80 +301,6 @@ def _twist(m: int, t: Fraction) -> complex:
     """e^{2 pi i m t} - 1, with m t reduced mod 1 exactly."""
     phase = Fraction(m) * t
     return np.exp(2j * math.pi * float(phase - math.floor(phase))) - 1.0
-
-
-def wfourier_to_csv(wf: WFourier) -> str:
-    lines = ["m,re,im,err"]
-    for m in sorted(wf.coeffs):
-        a = wf.coeffs[m]
-        lines.append(f"{m},{a.real!r},{a.imag!r},{float(wf.err_bound[m])!r}")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# modulus probes
-
-
-@dataclass
-class HolderReport:
-    kappa_hat: float
-    per_scale: list[tuple[float, float]]  # (delta, best ratio at that scale)
-
-
-def holder_constant_estimate(
-    params: SystemParams,
-    phi: phimod.Phi,
-    pairs_per_scale: int = 512,
-    seed: int = 0,
-    tol: float = 1e-12,
-) -> HolderReport:
-    """Empirical upper constant sup |W(x) - W(y)| / |x - y|^h over seeded pairs.
-
-    Scales run over delta = b^-2 .. b^-10; doubling
-    pairs_per_scale moves the estimate by less than twenty percent.
-    """
-    h = params.holder_exp
-    per_scale = []
-    best = 0.0
-    for j in range(2, 11):
-        delta = float(params.b) ** (-j)
-        rng = substream(seed, 0x401D, j)
-        xs = rng.random(pairs_per_scale)
-        us = rng.random(pairs_per_scale) * delta
-        w1 = eval_w_vec(params, phi, xs, tol)
-        w2 = eval_w_vec(params, phi, (xs + us) % 1.0, tol)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.abs(w2 - w1) / np.maximum(us, 1e-300) ** h
-        r = float(np.max(ratios))
-        per_scale.append((delta, r))
-        best = max(best, r)
-    return HolderReport(kappa_hat=best, per_scale=per_scale)
-
-
-def anti_holder_probe(
-    params: SystemParams,
-    phi: phimod.Phi,
-    x: float,
-    delta: float,
-    tol: float = 1e-12,
-) -> tuple[float, float]:
-    """Best oscillation witness near x: returns (y, |W(y) - W(x)| / delta^h).
-
-    y ranges over a grid of 1,024 points of the punctured window
-    [x - delta, x + delta].
-    For a Lipschitz W the ratio decays like delta^(dim - 1) as delta -> 0;
-    for a genuinely rough W it stabilizes at the lower modulus constant.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    offs = np.linspace(-delta, delta, 1025)
-    ys = (x + offs) % 1.0
-    w = eval_w_vec(params, phi, ys, tol)
-    wx = eval_w(params, phi, x, tol)
-    gaps = np.abs(w - wx)
-    gaps[len(gaps) // 2] = 0.0  # puncture y = x, the middle point
-    i = int(np.argmax(gaps))
-    return float(ys[i]), float(gaps[i] / delta**params.holder_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -561,50 +473,6 @@ def _chain_dies(tq: Fraction, r: int, b: int) -> bool:
     den = tq.denominator
     g = math.gcd(den, abs(r))
     return _is_b_adic(den // g, b)
-
-
-@dataclass
-class KeyEstimateReport:
-    t: Fraction
-    e2_lo: float
-    e2_hi: float
-    product: float
-    per_m: list[tuple[int, float, float]]  # (m_max, lo, product)
-    trivial: bool
-
-
-def key_estimate_probe(
-    params: SystemParams,
-    phi: phimod.Phi,
-    t,
-    m_maxes: tuple[int, ...] = (16, 32, 64),
-) -> KeyEstimateReport:
-    """Reports E_2 bounds and the scaled product dist(t, Z) * sqrt(E2_lo).
-
-    Integer periods flag trivial and report (0, 0); t congruent to 0 mod 1
-    but passed as 0 itself is rejected since the probe needs a period.
-    """
-    tq = _as_fraction(t)
-    if tq == 0:
-        raise ValueError("t = 0 is not a period; probe needs a nonzero shift")
-    tq_red = tq - math.floor(tq)
-    if tq_red == 0:
-        return KeyEstimateReport(t=tq, e2_lo=0.0, e2_hi=0.0, product=0.0,
-                                 per_m=[(m, 0.0, 0.0) for m in m_maxes], trivial=True)
-    dist = float(min(tq_red, 1 - tq_red))
-    per_m = []
-    last = None
-    for m in m_maxes:
-        eb = regulating_energy(params, phi, tq_red, 2, m)
-        prod = dist * math.sqrt(max(eb.lo, 0.0))
-        per_m.append((m, eb.lo, prod))
-        last = eb
-    assert last is not None
-    return KeyEstimateReport(
-        t=tq_red, e2_lo=last.lo, e2_hi=last.hi,
-        product=dist * math.sqrt(max(last.lo, 0.0)),
-        per_m=per_m, trivial=False,
-    )
 
 
 @dataclass

@@ -8,11 +8,13 @@ dictionary-based convolution instead of the dense lattice path,
 piecewise increments at float offsets instead of exact integer knots, a
 per-word sweep of Gamma's shallow depths instead of the residue table,
 ``np.unique`` and ``np.lexsort`` cell labels instead of one sort per
-theta, and a per-atom row loop for the cell dump.
+theta, scalar partition cells of single contact maps instead of labels
+for a whole theta, and a per-atom row loop for the cell dump.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -243,3 +245,37 @@ def theta_cells_rows(theta, labels) -> str:
     for i, label in enumerate(np.asarray(labels).tolist()):
         lines.append(f"{''.join(map(str, theta.word(i)))},{theta.n_hat},{label}")
     return "\n".join(lines) + "\n"
+
+
+def pibar(cm, m_grid: int, tol: float = 1e-10) -> np.ndarray:
+    """Coordinate vector (t, psi(1/M), ..., psi(1), c) of one contact map,
+    psi = Gamma_code by the scalar ``eval_gamma`` at each grid point.
+
+    psi(0) = 0 is identically zero and is not a coordinate.  M must be a
+    power of b so the grid aligns with every b-adic partition level.
+    """
+    from weierlab.funcspace import _check_m
+    from weierlab.kernel import eval_gamma
+
+    _check_m(cm.params, m_grid)
+    psi = [eval_gamma(cm.params, cm.phi, k / m_grid, cm.code, tol)
+           for k in range(1, m_grid + 1)]
+    return np.array([float(cm.t), *psi, cm.c], dtype=np.float64)
+
+
+def partition_cell(cm, i_level: int, m_grid: int, tol: float = 1e-10) -> tuple[int, ...]:
+    """Cell of one contact map in the level-``i_level`` partition of map
+    space, from its own coordinate vector: level i >= 1 takes the b-adic
+    floor of each psi value at level i and of c at level i + q(t); level 0
+    keeps only (t, floor of c at q(t))."""
+    from weierlab.funcspace import _check_m, q_height
+
+    params = cm.params
+    _check_m(params, m_grid)
+    q = q_height(params, cm.t)
+    if i_level == 0:
+        return (cm.t, math.floor(cm.c * float(params.b) ** q))
+    scale = float(params.b) ** i_level
+    psi = pibar(cm, m_grid, tol)[1:-1]
+    return (cm.t, *(math.floor(v * scale) for v in psi),
+            math.floor(cm.c * float(params.b) ** (i_level + q)))

@@ -360,6 +360,18 @@ def test_check_h_thresholds_follow_tol(tmp_path, capsys):
     assert "classification: H-evidence" in capsys.readouterr().out
 
 
+def test_empty_counts_are_exit_2(tmp_path, capsys):
+    """No codes and no samples per pair are refused by name, where
+    ``np.percentile`` and ``min()`` used to fail on empty sequences."""
+    for argv, message in [
+        (["dim-entropy", "--codes", "0"], "at least one code"),
+        (["dim-entropy", "--codes", "-2"], "at least one code"),
+        (["check-h", "--pairs", "0"], "samples_per_pair must be at least 1"),
+    ]:
+        assert main([*argv, "--out", str(tmp_path)]) == 2, argv
+        assert message in capsys.readouterr().err, argv
+
+
 def test_check_h_rough_wave(tmp_path, capsys):
     assert main(["check-h", "--grid", "1024", "--pairs", "2",
                  "--out", str(tmp_path)]) == 0
@@ -430,6 +442,14 @@ def test_theta_dump_cells_over_cap_is_exit_2(tmp_path, capsys):
     assert main(["theta", "--n", "9", "--dump-cells",
                  "--out", str(tmp_path)]) == 2
     assert "65536" in capsys.readouterr().err
+
+
+def test_theta_negative_i_level_is_exit_2(tmp_path, capsys):
+    """Level -1 used to pass and report more entropy than level 0."""
+    for extra in ([], ["--experiment"]):
+        assert main(["theta", "--n", "4", "--i-level", "-1", *extra,
+                     "--out", str(tmp_path)]) == 2
+        assert "i_level must be nonnegative" in capsys.readouterr().err
 
 
 def test_theta_subsample_past_int64_is_exit_2(tmp_path, capsys):
@@ -538,6 +558,26 @@ def test_convolve_unreadable_file_is_exit_2(tmp_path, capsys):
                  "--tau-file", str(tmp_path / "no.hist"),
                  "--out", str(tmp_path)]) == 2
     assert "cannot read histogram file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "header"),
+    ("# only a comment\n", "header"),
+    ("3 8 0 1\n0 1.0\n", "dimension must be 1 or 2"),
+    ("1 8 0 1\n0 nan\n1 1.0\n", "finite and nonnegative"),
+    ("1 8 0 1\n0 -0.5\n1 1.0\n", "finite and nonnegative"),
+    ("1 8 0 1\n0 inf\n1 1.0\n", "finite and nonnegative"),
+], ids=["empty", "no-header", "dim-3", "nan", "negative", "inf"])
+def test_convolve_bad_histogram_file_is_exit_2(tmp_path, capsys, text, message):
+    """A file that is not a histogram is refused: an empty one used to end in
+    an IndexError traceback, and a nan, negative or inf mass in a gain."""
+    bad, good = tmp_path / "bad.hist", tmp_path / "good.hist"
+    bad.write_text(text)
+    _ap_hist_file(good, [0, 1, 2, 3], 2, 8)
+    assert main(["convolve", "--theta-file", str(bad), "--tau-file", str(good),
+                 "--n", "4", "--k", "4", "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "convolve.csv").exists()
 
 
 # ---------------------------------------------------------------------------

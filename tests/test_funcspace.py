@@ -75,7 +75,7 @@ def test_q_height_exact():
 def test_pibar_layout():
     p = _p2()
     cm = F.ContactMap.from_word(p, P.cos_phi(), (1, 1, 0), seeded_code(2, 2))
-    coords = F.pibar(cm, 4)
+    coords = oracle.pibar(cm, 4)
     assert len(coords) == 4 + 2
     assert coords[0] == 3.0
     assert coords[-1] == cm.c
@@ -84,14 +84,14 @@ def test_pibar_layout():
     assert coords[-2] == pytest.approx(eval_gamma(p, P.cos_phi(), 1.0, cm.code),
                                        abs=1e-12)
     with pytest.raises(ValueError, match="power of b"):
-        F.pibar(cm, 3)
+        oracle.pibar(cm, 3)
 
 
 def test_partition_cell_level_zero():
     """Level 0 keeps only the height and the constant floor at depth q."""
     p = _p2()
     cm = F.ContactMap.from_word(p, P.cos_phi(), (0, 1), seeded_code(2, 3))
-    cell = F.partition_cell(cm, 0, 2)
+    cell = oracle.partition_cell(cm, 0, 2)
     q = F.q_height(p, 2)
     assert cell == (2, math.floor(cm.c * 2**q))
 
@@ -105,8 +105,8 @@ def test_partition_cells_nest():
         word = tuple(int(s) for s in rng.integers(0, 2, int(rng.integers(1, 6))))
         cm = F.ContactMap.from_word(p, P.cos_phi(), word, base)
         for i in [1, 2]:
-            fine = F.partition_cell(cm, i + 1, 2)
-            coarse = F.partition_cell(cm, i, 2)
+            fine = oracle.partition_cell(cm, i + 1, 2)
+            coarse = oracle.partition_cell(cm, i, 2)
             assert fine[0] == coarse[0]
             assert all(f // 2 == c for f, c in zip(fine[1:], coarse[1:]))
 
@@ -334,14 +334,14 @@ def test_theta_entropy_analytic_collapses():
 
 def test_theta_cell_labels_match_partition_cells():
     """Labels number the scalar partition cells: two atoms share a label
-    exactly when ``partition_cell`` agrees, and the labels are 0 ..
+    exactly when ``oracle.partition_cell`` agrees, and the labels are 0 ..
     n_cells - 1, each in use."""
     p = _p2()
     th = F.build_theta(p, P.cos_phi(), seeded_code(2, 0), 4)
     for level in (0, 1, 3):  # at level 1, 73 constant-coordinate cells hold several atoms
         labels, n_cells = F.theta_cell_labels(th, level, 2)
         assert np.array_equal(np.unique(labels), np.arange(n_cells))
-        cells = [F.partition_cell(th.contact_map(i), level, 2, 1e-9) for i in range(len(th))]
+        cells = [oracle.partition_cell(th.contact_map(i), level, 2, 1e-9) for i in range(len(th))]
         assert len(set(zip(labels.tolist(), cells))) == len(set(cells)) == n_cells
 
 
@@ -404,6 +404,21 @@ def test_theta_labels_refine_with_level():
     _, cells0 = F.theta_cell_labels(th, 0, 2)
     _, cells2 = F.theta_cell_labels(th, 2, 2)
     assert cells2 >= cells0
+
+
+def test_negative_partition_level_is_refused():
+    """Level -1 is no coarser partition: it used to floor c at b^(q-1) and
+    psi at b^-1, giving theta at n=4 more cells than level 0 has."""
+    p = _p2()
+    code = seeded_code(2, 0)
+    th = F.build_theta(p, P.cos_phi(), code, 4)
+    for level in (-1, -3):
+        with pytest.raises(ValueError, match="i_level must be nonnegative"):
+            F.theta_cell_labels(th, level, 2)
+    with pytest.raises(ValueError, match="i_level must be nonnegative"):
+        F.theta_entropy(p, P.cos_phi(), code, 4, -1, 2, theta=th)
+    with pytest.raises(ValueError, match="i_level must be nonnegative"):
+        F.entropy_increase_experiment(p, P.cos_phi(), code, 4, -1, 2, 2)
 
 
 def test_theta_cells_csv_schema():
@@ -504,22 +519,6 @@ def test_convolution_input_guards():
     a = _hist(list(range(10)), [1] * 10, 2, 8)
     with pytest.raises(ValueError, match="too wide"):
         F.convolution_entropy_gain(a, a, 4, 4, dense_cap=8)
-
-
-def test_eta_dot_histograms_map_values():
-    p = _p2()
-    base = seeded_code(2, 0)
-    cm1 = F.ContactMap.from_word(p, P.cos_phi(), (0,), base)
-    cm2 = F.ContactMap.from_word(p, P.cos_phi(), (1,), base)
-    samples = [(0.1, 0.3), (0.4, -0.2), (0.9, 0.05)]
-    h = F.eta_dot([(0.5, cm1), (0.5, cm2)], samples, 6)
-    assert h.total == pytest.approx(1.0, abs=1e-12)
-    single = F.eta_dot([(1.0, cm1)], samples, 6)
-    vals = np.array([cm1(x, y) for x, y in samples])
-    direct = M.histogram_from_values(vals, 2, 6)
-    assert single.keys.tolist() == direct.keys.tolist()
-    with pytest.raises(ValueError):
-        F.eta_dot([], samples, 6)
 
 
 def test_entropy_increase_experiment_positive_gains():

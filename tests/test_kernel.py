@@ -17,29 +17,30 @@ def _p2():
     return make_params(2, 0.7)
 
 
-def test_word_reverse():
-    w = K.Word((1, 0, 1, 1))
-    assert w.reverse().symbols == (1, 1, 0, 1)
-    assert len(w) == 4
+def _symbols(code, count):
+    return [code.symbol(i) for i in range(count)]
 
 
-def test_code_symbols_and_shift():
-    """Eventually periodic codes index and shift like the digit stream."""
+def test_code_symbols_and_prepend():
+    """Eventually periodic codes index like the digit stream, and a
+    prepended word is read before the rest."""
     c = K.periodic_code(2, (1,), (0, 1))
-    assert [c.symbol(i) for i in range(6)] == [1, 0, 1, 0, 1, 0]
-    s = c.shift()
-    assert [s.symbol(i) for i in range(5)] == [0, 1, 0, 1, 0]
+    assert _symbols(c, 6) == [1, 0, 1, 0, 1, 0]
     p = c.prepend((0, 1))
-    assert [p.symbol(i) for i in range(5)] == [0, 1, 1, 0, 1]
+    assert _symbols(p, 5) == [0, 1, 1, 0, 1]
+    with pytest.raises(IndexError):
+        c.symbol(-1)
 
 
 def test_seeded_code_is_reproducible():
+    """A seeded code's symbols depend on its key alone, not on the order or
+    reach of earlier reads, and a prepended word leaves the tail in place."""
     a = K.seeded_code(2, 42)
-    bcode = K.seeded_code(2, 42)
-    assert a.prefix(64) == bcode.prefix(64)
-    shifted = a.shift()
-    assert shifted.prefix(10) == a.prefix(11)[1:]
-    assert K.seeded_code(2, 43).prefix(64) != a.prefix(64)
+    first = _symbols(a, 64)
+    a.symbol(5000)  # regrows the cached stream past its first block
+    assert _symbols(K.seeded_code(2, 42), 64) == first
+    assert _symbols(a.prepend((1, 0)), 12)[2:] == first[:10]
+    assert _symbols(K.seeded_code(2, 43), 64) != _symbols(a, 64)
 
 
 def test_code_validation():

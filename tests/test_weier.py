@@ -224,7 +224,6 @@ def test_fourier_chain_closed_form():
         assert wf.coeffs[2**j] == pytest.approx(0.7**j * 0.5, abs=1e-15)
         assert wf.coeffs[-(2**j)] == pytest.approx(0.7**j * 0.5, abs=1e-15)
     assert 3 not in wf.coeffs
-    assert all(e >= 0.0 for e in wf.err_bound.values())
 
 
 def test_fourier_mean_of_constant_generator():
@@ -232,42 +231,6 @@ def test_fourier_mean_of_constant_generator():
     p = make_params(2, 0.7)
     wf = W.fourier_of_w(p, P.const_phi(2.5), 8)
     assert wf.coeffs[0] == pytest.approx(2.5 / 0.3, rel=1e-12)
-
-
-def test_wfourier_csv_schema():
-    p = make_params(2, 0.7)
-    wf = W.fourier_of_w(p, P.cos_phi(), 16)
-    text = W.wfourier_to_csv(wf)
-    lines = text.strip().splitlines()
-    assert lines[0] == "m,re,im,err"
-    assert len(lines) == 1 + len(wf.coeffs)
-    for row in lines[1:]:
-        m, re_, im_, err = row.split(",")
-        float(re_), float(im_), float(err)
-        int(m)
-
-
-def test_holder_estimate_is_stable():
-    """Doubling the pair budget moves the constant by well under a third."""
-    p = make_params(2, 0.7)
-    h1 = W.holder_constant_estimate(p, P.cos_phi(), pairs_per_scale=256)
-    h2 = W.holder_constant_estimate(p, P.cos_phi(), pairs_per_scale=512)
-    assert len(h1.per_scale) == 9
-    assert 0 < h1.kappa_hat < 30
-    assert abs(h2.kappa_hat - h1.kappa_hat) < 0.3 * h1.kappa_hat
-    assert all(r <= h1.kappa_hat + 1e-12 for _, r in h1.per_scale)
-
-
-def test_anti_holder_separates_rough_from_analytic():
-    """The lower-modulus witness stays large only for the rough function."""
-    p = make_params(2, 0.7)
-    rough = P.cos_phi()
-    smooth = P.phi_from_w0(P.cos_phi(), 2, 0.7)
-    _, r_rough = W.anti_holder_probe(p, rough, 0.3, 2.0**-10)
-    _, r_smooth = W.anti_holder_probe(p, smooth, 0.3, 2.0**-10)
-    assert r_rough > 2.0
-    assert r_smooth < 0.5
-    assert r_rough > 5.0 * r_smooth
 
 
 def test_regulating_energy_integer_period_is_zero():
@@ -347,19 +310,6 @@ def test_period_rows_csv():
         float(lo)
         assert hi == "inf" or float(hi) == float(hi)
         assert klass in ("trivial", "non-regulating", "candidate-regulating")
-
-
-def test_key_estimate_probe():
-    p = make_params(2, 0.7)
-    with pytest.raises(ValueError):
-        W.key_estimate_probe(p, P.cos_phi(), 0)
-    rep = W.key_estimate_probe(p, P.cos_phi(), 2)
-    assert rep.trivial and rep.product == 0.0
-    rep = W.key_estimate_probe(p, P.cos_phi(), Fraction(1, 3), m_maxes=(16, 32, 64))
-    assert not rep.trivial
-    assert len(rep.per_m) == 3
-    assert rep.product > 0.0
-    assert rep.product == pytest.approx(rep.per_m[-1][2])
 
 
 @given(st.floats(0, 1, exclude_max=True, allow_nan=False))
