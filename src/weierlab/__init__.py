@@ -58,7 +58,6 @@ from .kernel import (
 from .measure import (
     BadicHistogram,
     histogram_from_values,
-    histogram_from_points,
     entropy,
     coarsen,
     component_measure,

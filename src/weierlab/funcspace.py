@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -78,20 +77,6 @@ class ContactMap:
         g = eval_gamma_vec(self.params, self.phi, np.asarray(xs, dtype=np.float64),
                            self.code, tol)
         return self.params.lam**self.t * (np.asarray(ys, dtype=np.float64) - g) + self.c
-
-    @classmethod
-    def from_word(cls, params, phi: phimod.Phi, word: Sequence[int], base_code: Code,
-                  tol: float = 1e-10) -> "ContactMap":
-        syms = tuple(int(s) for s in word)
-        x0, y0 = apply_word(params, phi, syms, 0.0, 0.0)
-        c = y0 - eval_gamma(params, phi, x0, base_code, tol)
-        return cls(
-            params=params,
-            phi=phi,
-            t=len(syms),
-            code=base_code.prepend(tuple(reversed(syms))),
-            c=float(c),
-        )
 
 
 def q_height(params, t: int) -> int:
@@ -607,12 +592,11 @@ def convolution_entropy_gain(
     inputs; on the lattice it is never negative and a point-mass theta
     gives exactly zero.
     """
+    n = depth_index(n, "n")
     if k < 1:
         raise ValueError("k must be positive")
     b = theta_hist.b
     for h, name in ((theta_hist, "theta"), (tau_hist, "tau")):
-        if h.dim != 1:
-            raise ValueError(f"{name} histogram must be one-dimensional")
         if h.level != n + k:
             raise ValueError(f"{name} histogram must be at level n + k = {n + k}")
         span = int(h.keys.max() - h.keys.min())

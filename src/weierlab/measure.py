@@ -19,7 +19,7 @@ lattice with one phi evaluation per point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +34,6 @@ from .weier import eval_w_vec  # noqa: F401
 __all__ = [
     "BadicHistogram",
     "histogram_from_values",
-    "histogram_from_points",
     "entropy",
     "coarsen",
     "component_measure",
@@ -64,62 +63,45 @@ __all__ = [
 
 @dataclass
 class BadicHistogram:
-    """Sparse nonnegative measure on the level-``level`` b-adic lattice.
+    """Sparse nonnegative measure on the level-``level`` b-adic cells of the line.
 
-    ``keys`` holds cell indices (shape (m,) in one dimension, (m, 2) in
-    two), sorted, unique, with strictly positive ``masses``.  ``window``
-    is the level-0 bounding box, one (lo, hi) pair per axis with hi
-    exclusive.  ``total`` caches the mass sum.
+    ``keys`` holds the cell indices, sorted and unique, with strictly
+    positive ``masses``.  ``total`` caches the mass sum.
     """
 
     b: int
     level: int
     keys: np.ndarray
     masses: np.ndarray
-    window: tuple[tuple[int, int], ...]
     total: float
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def dim(self) -> int:
-        return 1 if self.keys.ndim == 1 else int(self.keys.shape[1])
 
     @property
     def n_cells(self) -> int:
         return int(len(self.masses))
 
 
-def _window_of(keys: np.ndarray, b: int, level: int) -> tuple[tuple[int, int], ...]:
-    cols = keys.reshape(len(keys), -1)
-    return tuple((int(lo) // b**level, int(hi) // b**level + 1)
-                 for lo, hi in zip(cols.min(axis=0), cols.max(axis=0)))
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Indices where the runs of equal entries of sorted ``keys`` start."""
+    boundary = np.ones(len(keys), dtype=bool)  # empty keys have no run
+    np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
+    return np.flatnonzero(boundary)
 
 
-def _pack_histogram(
-    b: int, level: int, keys: np.ndarray, masses: np.ndarray, meta: dict | None = None
-) -> BadicHistogram:
-    """Sort, merge duplicate cells, drop zeros, and wrap."""
-    order = np.argsort(keys, kind="stable") if keys.ndim == 1 else np.lexsort(keys.T[::-1])
-    keys, masses = keys[order], masses[order]
-    cols = keys[:, None] if keys.ndim == 1 else keys
-    boundary = np.ones(len(keys), dtype=bool)
-    boundary[1:] = np.any(cols[1:] != cols[:-1], axis=1)
-    starts = np.flatnonzero(boundary)
+def _merge_sorted(b: int, level: int, keys: np.ndarray, masses: np.ndarray) -> BadicHistogram:
+    """Merge the runs of equal cells of sorted ``keys``, drop zeros, and wrap."""
+    starts = _run_starts(keys)
     merged = np.add.reduceat(masses, starts)
-    keys = keys[starts]
     keep = merged > 0.0
-    keys, merged = keys[keep], merged[keep]
+    keys, merged = keys[starts][keep], merged[keep]
     if len(merged) == 0:
         raise ValueError("histogram has zero total mass")
-    return BadicHistogram(
-        b=b,
-        level=level,
-        keys=keys,
-        masses=merged,
-        window=_window_of(keys, b, level),
-        total=float(merged.sum()),
-        meta=dict(meta or {}),
-    )
+    return BadicHistogram(b=b, level=level, keys=keys, masses=merged, total=float(merged.sum()))
+
+
+def _pack_histogram(b: int, level: int, keys: np.ndarray, masses: np.ndarray) -> BadicHistogram:
+    """Sort, merge duplicate cells, drop zeros, and wrap."""
+    order = np.argsort(keys, kind="stable")
+    return _merge_sorted(b, level, keys[order], masses[order])
 
 
 def _cell_indices(values: np.ndarray, b: int, level: int) -> np.ndarray:
@@ -159,20 +141,13 @@ class _CellCounts:
         self.counts[blo - self.lo:bhi - self.lo + 1] += np.bincount(idx - blo)
         return True
 
-    def histogram(self, meta: dict | None = None) -> BadicHistogram:
+    def histogram(self) -> BadicHistogram:
         nz = np.flatnonzero(self.counts)
-        return _pack_histogram(self.b, self.level, nz + self.lo,
-                               self.counts[nz].astype(np.float64), meta)
+        return _merge_sorted(self.b, self.level, nz + self.lo, self.counts[nz].astype(np.float64))
 
 
-def histogram_from_values(
-    values: np.ndarray,
-    b: int,
-    level: int,
-    weights: np.ndarray | None = None,
-    meta: dict | None = None,
-) -> BadicHistogram:
-    """One-dimensional histogram of floor(values * b^level).
+def histogram_from_values(values: np.ndarray, b: int, level: int) -> BadicHistogram:
+    """Histogram of the counts of the cells floor(values * b^level).
 
     A dense ``bincount`` path handles the common case of a narrow value
     range; wide or pathological ranges fall back to sort-and-merge.
@@ -180,26 +155,16 @@ def histogram_from_values(
     values = np.asarray(values, dtype=np.float64)
     if len(values) == 0:
         raise ValueError("histogram needs at least one value")
-    if weights is None:
-        counts = _CellCounts(b, level, len(values))
-        if counts.add(values):
-            return counts.histogram(meta)
-    w = np.ones(len(values)) if weights is None else np.asarray(weights, dtype=np.float64)
-    return _pack_histogram(b, level, _cell_indices(values, b, level), w, meta)
+    counts = _CellCounts(b, level, len(values))
+    if counts.add(values):
+        return counts.histogram()
+    return _pack_histogram(b, level, _cell_indices(values, b, level), np.ones(len(values)))
 
 
-def histogram_from_points(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    b: int,
-    level: int,
-) -> BadicHistogram:
-    """Two-dimensional histogram of the point set on level-``level`` squares."""
-    scale = float(b) ** level
-    ix = np.floor(np.asarray(xs, dtype=np.float64) * scale).astype(np.int64)
-    iy = np.floor(np.asarray(ys, dtype=np.float64) * scale).astype(np.int64)
-    keys = np.stack([ix, iy], axis=1)
-    return _pack_histogram(b, level, keys, np.ones(len(ix)))
+def _shannon(masses: np.ndarray, total: float, base: int) -> float:
+    """Entropy in log base ``base`` of positive masses that sum to ``total``."""
+    p = masses / total
+    return float(-(p * np.log(p)).sum() / math.log(base))
 
 
 def entropy(hist: BadicHistogram, base_b: int | None = None) -> float:
@@ -210,9 +175,7 @@ def entropy(hist: BadicHistogram, base_b: int | None = None) -> float:
     """
     if hist.total <= 0.0:
         raise ValueError("entropy of a zero-mass histogram is undefined")
-    base = hist.b if base_b is None else base_b
-    p = hist.masses / hist.total
-    return float(-(p * np.log(p)).sum() / math.log(base))
+    return _shannon(hist.masses, hist.total, hist.b if base_b is None else base_b)
 
 
 def coarsen(hist: BadicHistogram, new_level: int) -> BadicHistogram:
@@ -221,14 +184,11 @@ def coarsen(hist: BadicHistogram, new_level: int) -> BadicHistogram:
         raise ValueError("coarsen target must not exceed the current level")
     if new_level == hist.level:
         return hist
-    d = hist.b ** (hist.level - new_level)
-    keys = hist.keys // d
-    return _pack_histogram(hist.b, new_level, keys, hist.masses.copy(), hist.meta)
+    return _merge_sorted(hist.b, new_level, hist.keys // hist.b ** (hist.level - new_level),
+                         hist.masses)
 
 
-def component_measure(
-    hist: BadicHistogram, cell_level: int, cell_index
-) -> BadicHistogram:
+def component_measure(hist: BadicHistogram, cell_level: int, cell_index: int) -> BadicHistogram:
     """Normalized restriction of the measure to one coarser cell.
 
     The component keeps absolute coordinates and the original level; its
@@ -237,30 +197,16 @@ def component_measure(
     """
     if cell_level > hist.level:
         raise ValueError("component cell must be at a coarser or equal level")
-    d = hist.b ** (hist.level - cell_level)
-    if hist.dim == 1:
-        sel = hist.keys // d == int(cell_index)
-    else:
-        ci = np.asarray(cell_index, dtype=np.int64)
-        sel = np.all(hist.keys // d == ci[None, :], axis=1)
+    sel = hist.keys // hist.b ** (hist.level - cell_level) == int(cell_index)
     if not np.any(sel):
         raise ValueError("component cell carries no mass")
     masses = hist.masses[sel]
-    return BadicHistogram(
-        b=hist.b,
-        level=hist.level,
-        keys=hist.keys[sel].copy(),
-        masses=masses / masses.sum(),
-        window=hist.window,
-        total=1.0,
-        meta=dict(hist.meta),
-    )
+    return BadicHistogram(b=hist.b, level=hist.level, keys=hist.keys[sel],
+                          masses=masses / masses.sum(), total=1.0)
 
 
 def histogram_quantiles(hist: BadicHistogram, qs: Sequence[float]) -> np.ndarray:
-    """Value-scale quantiles of a one-dimensional histogram (cell centers)."""
-    if hist.dim != 1:
-        raise ValueError("quantiles need a one-dimensional histogram")
+    """Value-scale quantiles of the histogram (cell centers)."""
     cum = np.cumsum(hist.masses) / hist.total
     scale = float(hist.b) ** hist.level
     picks = np.searchsorted(cum, np.asarray(qs, dtype=np.float64), side="left")
@@ -269,37 +215,32 @@ def histogram_quantiles(hist: BadicHistogram, qs: Sequence[float]) -> np.ndarray
 
 
 def hist_to_text(hist: BadicHistogram) -> str:
-    """Serialize as a header line ``dim level window`` then ``cell_index mass``
-    lines; two-dimensional cell indices join their coordinates with a comma."""
-    win = " ".join(f"{lo} {hi}" for lo, hi in hist.window)
-    lines = [f"{hist.dim} {hist.level} {win}"]
-    for k, m in zip(hist.keys.tolist(), hist.masses.tolist()):
-        lines.append(f"{k} {m!r}" if hist.dim == 1 else f"{k[0]},{k[1]} {m!r}")
+    """Serialize as a header line ``1 level lo hi``, with [lo, hi) the level-0
+    cells the support meets, then one ``cell_index mass`` line per cell."""
+    span = hist.b**hist.level
+    lines = [f"1 {hist.level} {int(hist.keys[0]) // span} {int(hist.keys[-1]) // span + 1}"]
+    lines += [f"{k} {m!r}" for k, m in zip(hist.keys.tolist(), hist.masses.tolist())]
     return "\n".join(lines) + "\n"
 
 
 def hist_from_text(text: str, b: int) -> BadicHistogram:
     """Parse the format of ``hist_to_text``; lines starting with # are comments.
 
-    A missing header, a dimension other than 1 or 2, and a mass that is
-    negative or not finite raise ValueError.
+    A missing header, a dimension other than 1, a negative level and a
+    mass that is negative or not finite raise ValueError.
     """
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     head = lines[0].split() if lines else []
     if len(head) < 2:
-        raise ValueError("histogram text needs a header line 'dim level window'")
-    dim, level = int(head[0]), int(head[1])
-    if dim not in (1, 2):
-        raise ValueError(f"histogram dimension must be 1 or 2, got {dim}")
+        raise ValueError("histogram text needs a header line '1 level lo hi'")
+    dim, level = int(head[0]), depth_index(int(head[1]), "histogram level")
+    if dim != 1:
+        raise ValueError(f"histogram dimension must be 1, got {dim}")
     keys = []
     masses = []
     for ln in lines[1:]:
         cell, mass = ln.split()
-        if dim == 1:
-            keys.append(int(cell))
-        else:
-            a, b_ = cell.split(",")
-            keys.append((int(a), int(b_)))
+        keys.append(int(cell))
         masses.append(float(mass))
     mass_arr = np.asarray(masses, dtype=np.float64)
     if not (np.isfinite(mass_arr).all() and (mass_arr >= 0.0).all()):
@@ -399,22 +340,14 @@ def sample_projected_measure(
 
     One x per cell of the level-ceil(log_b n_samples) partition of [0, 1),
     all cells sharing one seeded shift, so the histogram is deterministic
-    given the seed and independent of sharding.  The ``undersampled`` meta
-    flag marks n_samples < b^level.
+    given the seed and independent of sharding.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     s_level = _strata_level(params.b, n_samples)
     xs, vals = _lattice_sample(params, phi, s_level, seed, tol)
     vals -= eval_gamma_vec(params, phi, xs, code, tol)
-    meta = {
-        "seed": seed,
-        "n_samples": int(params.b**s_level),
-        "undersampled": bool(n_samples < params.b**level),
-        "stratified": True,
-        "strata_level": s_level,
-    }
-    return histogram_from_values(vals, params.b, level, meta=meta)
+    return histogram_from_values(vals, params.b, level)
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +507,29 @@ def graph_box_dimension(
     )
 
 
+def _square_entropies(xs: np.ndarray, ys: np.ndarray, b: int, top: int) -> list[float]:
+    """Entropy of the points' counts in level-n squares, for n = 1 .. top.
+
+    A square is the pair (column, row) of its level-``top`` cell indices
+    divided by b^(top - n).  Each level packs the pair into one int64 key
+    whose sort lists the squares in lexicographic order, the order the
+    counts enter the entropy sum in.
+    """
+    cols, rows = _cell_indices(xs, b, top), _cell_indices(ys, b, top)
+    out = []
+    for n in range(1, top + 1):
+        d = b ** (top - n)
+        col, row = cols // d, rows // d
+        row -= row.min()
+        height = int(row.max()) + 1
+        if (int(col.max()) + 1) * height > 2**63:
+            raise ValueError("level too deep for packed square keys")
+        keys = np.sort(col * height + row)
+        counts = np.diff(np.append(_run_starts(keys), len(keys))).astype(np.float64)
+        out.append(_shannon(counts, float(len(keys)), b))
+    return out
+
+
 @dataclass
 class DimMuReport:
     dim_mu_est: float
@@ -594,16 +550,16 @@ def dim_mu_check(
 ) -> DimMuReport:
     """Consistency gap between the graph-measure dimension and 1 + (D-1) alpha.
 
-    The left side is the entropy slope of the two-dimensional histogram
-    of (x, W(x)); alpha comes from ``alpha_estimate`` over ``code_count``
-    seeded codes at the same levels.
+    The left side is the entropy slope of the graph measure, from the
+    sampled points (x, W(x)) counted in level-n squares; alpha comes from
+    ``alpha_estimate`` over ``code_count`` seeded codes at the same levels.
     """
     levels = sorted(int(lv) for lv in levels)
     if len(levels) < 2:
         raise ValueError("dim_mu_check needs at least two levels")
-    top = levels[-1]
     xs, ys = _lattice_sample(params, phi, _strata_level(params.b, n_samples), seed, tol)
-    curve = _entropy_curve(histogram_from_points(xs, ys, params.b, top), levels)
+    all_levels = list(range(1, levels[-1] + 1))
+    curve = _fit_curve(all_levels, _square_entropies(xs, ys, params.b, levels[-1]), levels)
     codes = [seeded_code(params.b, seed, i) for i in range(code_count)]
     alpha = alpha_estimate(params, phi, codes, levels, n_samples, seed, tol)
     rhs = 1.0 + (params.dim - 1.0) * alpha.median
@@ -777,11 +733,7 @@ def porosity_probe(
     per_scale: dict[int, float] = {}
     for i in range(n1, n2 + 1):
         fine = coarsen(hist, i + m)
-        group = fine.keys // (params.b**m)
-        boundary = np.empty(len(group), dtype=bool)
-        boundary[0] = True
-        np.not_equal(group[1:], group[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
+        starts = _run_starts(fine.keys // params.b**m)
         cell_mass = np.add.reduceat(fine.masses, starts)
         plogp = fine.masses * np.log(fine.masses)
         sums = np.add.reduceat(plogp, starts)

@@ -9,12 +9,16 @@ piecewise increments at float offsets instead of exact integer knots, a
 per-word sweep of Gamma's shallow depths instead of the residue table,
 ``np.unique`` and ``np.lexsort`` cell labels instead of one sort per
 theta, scalar partition cells of single contact maps instead of labels
-for a whole theta, and a per-atom row loop for the cell dump.
+for a whole theta, a per-atom row loop for the cell dump, a contact map
+built from one word pushed through the graph maps instead of from a
+word index, and a ``collections.Counter`` of (column, row) pairs instead
+of packed-key sorts for the graph measure's squares.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -279,3 +283,26 @@ def partition_cell(cm, i_level: int, m_grid: int, tol: float = 1e-10) -> tuple[i
     psi = pibar(cm, m_grid, tol)[1:-1]
     return (cm.t, *(math.floor(v * scale) for v in psi),
             math.floor(cm.c * float(params.b) ** (i_level + q)))
+
+
+def contact_map_from_word(params, phi, word, base_code, tol: float = 1e-10):
+    """The contact map of one word over ``base_code``: t is the word length,
+    the code is the reversed word prepended to the base code, and c is the
+    base projection of the word's image of the origin."""
+    from weierlab.funcspace import ContactMap
+    from weierlab.kernel import apply_word, eval_gamma
+
+    syms = tuple(int(s) for s in word)
+    x0, y0 = apply_word(params, phi, syms, 0.0, 0.0)
+    return ContactMap(params=params, phi=phi, t=len(syms),
+                      code=base_code.prepend(tuple(reversed(syms))),
+                      c=float(y0 - eval_gamma(params, phi, x0, base_code, tol)))
+
+
+def square_counts(xs, ys, b: int, level: int) -> list[int]:
+    """Counts of the points in the squares (floor(x b^level), floor(y b^level)),
+    listed in sorted order of the squares."""
+    scale = float(b) ** level
+    counts = Counter((math.floor(x * scale), math.floor(y * scale))
+                     for x, y in zip(np.asarray(xs).tolist(), np.asarray(ys).tolist()))
+    return [counts[sq] for sq in sorted(counts)]

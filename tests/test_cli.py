@@ -563,11 +563,13 @@ def test_convolve_unreadable_file_is_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     ("", "header"),
     ("# only a comment\n", "header"),
-    ("3 8 0 1\n0 1.0\n", "dimension must be 1 or 2"),
+    ("3 8 0 1\n0 1.0\n", "dimension must be 1"),
+    ("2 8 0 1 0 1\n0,0 1.0\n", "dimension must be 1"),
+    ("1 6 0 1\n", "histogram has zero total mass"),
     ("1 8 0 1\n0 nan\n1 1.0\n", "finite and nonnegative"),
     ("1 8 0 1\n0 -0.5\n1 1.0\n", "finite and nonnegative"),
     ("1 8 0 1\n0 inf\n1 1.0\n", "finite and nonnegative"),
-], ids=["empty", "no-header", "dim-3", "nan", "negative", "inf"])
+], ids=["empty", "no-header", "dim-3", "dim-2", "no-cells", "nan", "negative", "inf"])
 def test_convolve_bad_histogram_file_is_exit_2(tmp_path, capsys, text, message):
     """A file that is not a histogram is refused: an empty one used to end in
     an IndexError traceback, and a nan, negative or inf mass in a gain."""
@@ -576,6 +578,21 @@ def test_convolve_bad_histogram_file_is_exit_2(tmp_path, capsys, text, message):
     _ap_hist_file(good, [0, 1, 2, 3], 2, 8)
     assert main(["convolve", "--theta-file", str(bad), "--tau-file", str(good),
                  "--n", "4", "--k", "4", "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "convolve.csv").exists()
+
+
+@pytest.mark.parametrize("level, n, message", [
+    (-3, -7, "histogram level must be nonnegative"),
+    (3, -1, "n must be nonnegative"),
+], ids=["level", "n"])
+def test_convolve_negative_level_is_exit_2(tmp_path, capsys, level, n, message):
+    """A negative level is no b-adic partition: it used to pass the checks
+    whenever n + k matched it, and write a gain."""
+    path = tmp_path / "two.hist"
+    path.write_text(f"1 {level} 0 1\n0 1.0\n1 1.0\n")
+    assert main(["convolve", "--theta-file", str(path), "--tau-file", str(path),
+                 "--n", str(n), "--k", "4", "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "convolve.csv").exists()
 

@@ -22,9 +22,8 @@ def _p2():
 
 
 def _hist(keys, masses, b, level):
-    vals = (np.asarray(keys, dtype=np.float64) + 0.25) / float(b) ** level
-    return M.histogram_from_values(vals, b, level,
-                                   weights=np.asarray(masses, dtype=np.float64))
+    return M._pack_histogram(b, level, np.asarray(keys, dtype=np.int64),
+                             np.asarray(masses, dtype=np.float64))
 
 
 def test_contact_map_is_projection_of_word_image():
@@ -37,7 +36,7 @@ def test_contact_map_is_projection_of_word_image():
     for i in range(30):
         length = int(rng.integers(1, 7))
         word = tuple(int(s) for s in rng.integers(0, 2, length))
-        cm = F.ContactMap.from_word(p, cos, word, base)
+        cm = oracle.contact_map_from_word(p, cos, word, base)
         assert cm.t == length
         x, y = float(rng.random()), float(rng.random()) * 2 - 1
         gx, gy = apply_word(p, cos, word, x, y)
@@ -47,7 +46,7 @@ def test_contact_map_is_projection_of_word_image():
 
 def test_contact_map_apply_vec_matches_scalar():
     p = _p2()
-    cm = F.ContactMap.from_word(p, P.cos_phi(), (1, 0), seeded_code(2, 1))
+    cm = oracle.contact_map_from_word(p, P.cos_phi(), (1, 0), seeded_code(2, 1))
     xs = np.linspace(0, 1, 33, endpoint=False)
     ys = np.sin(xs * 7)
     v = cm.apply_vec(xs, ys)
@@ -74,7 +73,7 @@ def test_q_height_exact():
 
 def test_pibar_layout():
     p = _p2()
-    cm = F.ContactMap.from_word(p, P.cos_phi(), (1, 1, 0), seeded_code(2, 2))
+    cm = oracle.contact_map_from_word(p, P.cos_phi(), (1, 1, 0), seeded_code(2, 2))
     coords = oracle.pibar(cm, 4)
     assert len(coords) == 4 + 2
     assert coords[0] == 3.0
@@ -90,7 +89,7 @@ def test_pibar_layout():
 def test_partition_cell_level_zero():
     """Level 0 keeps only the height and the constant floor at depth q."""
     p = _p2()
-    cm = F.ContactMap.from_word(p, P.cos_phi(), (0, 1), seeded_code(2, 3))
+    cm = oracle.contact_map_from_word(p, P.cos_phi(), (0, 1), seeded_code(2, 3))
     cell = oracle.partition_cell(cm, 0, 2)
     q = F.q_height(p, 2)
     assert cell == (2, math.floor(cm.c * 2**q))
@@ -103,7 +102,7 @@ def test_partition_cells_nest():
     rng = np.random.default_rng(1)
     for _ in range(12):
         word = tuple(int(s) for s in rng.integers(0, 2, int(rng.integers(1, 6))))
-        cm = F.ContactMap.from_word(p, P.cos_phi(), word, base)
+        cm = oracle.contact_map_from_word(p, P.cos_phi(), word, base)
         for i in [1, 2]:
             fine = oracle.partition_cell(cm, i + 1, 2)
             coarse = oracle.partition_cell(cm, i, 2)
@@ -121,7 +120,7 @@ def test_build_theta_enumerates_words():
     assert not th.subsampled
     assert th.word(5) == (0, 0, 0, 1, 0, 1)
     cm = th.contact_map(5)
-    ref = F.ContactMap.from_word(p, cos, th.word(5), code)
+    ref = oracle.contact_map_from_word(p, cos, th.word(5), code)
     assert abs(cm.c - ref.c) < 4e-9
     assert cm.t == th.n_hat
 

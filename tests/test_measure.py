@@ -28,20 +28,19 @@ def test_histogram_from_values_exact_cells():
     assert h.keys.tolist() == [0, 1, 3]
     assert h.masses.tolist() == [1.0, 2.0, 1.0]
     assert h.total == 4.0
-    assert h.window == ((0, 1),)
-    assert h.dim == 1 and h.n_cells == 3
+    assert h.n_cells == 3
 
 
 def test_histogram_negative_values():
     h = M.histogram_from_values(np.array([-0.3, 0.6]), 2, 1)
     assert h.keys.tolist() == [-1, 1]
-    assert h.window == ((-1, 1),)
+    assert M.hist_to_text(h).splitlines()[0] == "1 1 -1 1"
 
 
 def test_histogram_weighted_matches_counting():
     vals = np.array([0.1, 0.3, 0.3, 0.9])
     a = M.histogram_from_values(vals, 2, 2)
-    b = M.histogram_from_values(vals, 2, 2, weights=np.ones(4))
+    b = M._pack_histogram(2, 2, M._cell_indices(vals, 2, 2), np.ones(4))
     assert a.keys.tolist() == b.keys.tolist()
     assert a.masses.tolist() == b.masses.tolist()
 
@@ -52,7 +51,7 @@ def test_histogram_guards():
     with pytest.raises(ValueError, match="non-finite"):
         M.histogram_from_values(np.array([0.5, np.nan]), 2, 3)
     with pytest.raises(ValueError, match="zero total mass"):
-        M.histogram_from_values(np.array([0.5]), 2, 3, weights=np.array([0.0]))
+        M._pack_histogram(2, 3, np.array([4]), np.array([0.0]))
     with pytest.raises(ValueError):
         M.histogram_from_values(np.array([]), 2, 3)
 
@@ -71,13 +70,6 @@ def test_cell_counts_grow_and_reject_non_finite_blocks():
     with pytest.raises(ValueError, match="non-finite"):
         counts.add(np.array([0.2, np.nan]))
     assert not M._CellCounts(2, 30, 4).add(np.array([0.0, 0.9]))
-
-
-def test_histogram_from_points_2d():
-    h = M.histogram_from_points(np.array([0.1, 0.6]), np.array([0.2, 0.9]), 2, 1)
-    assert h.dim == 2
-    assert h.keys.tolist() == [[0, 0], [1, 1]]
-    assert h.window == ((0, 1), (0, 1))
 
 
 def test_entropy_exact_values():
@@ -113,7 +105,7 @@ def test_component_mixture_chain_rule():
     rng = np.random.default_rng(5)
     vals = rng.random(2000)
     w = rng.random(2000) + 0.1
-    h = M.histogram_from_values(vals, 2, 6, weights=w)
+    h = M._pack_histogram(2, 6, M._cell_indices(vals, 2, 6), w)
     coarse = M.coarsen(h, 2)
     total = M.entropy(coarse)
     for key, mass in zip(coarse.keys, coarse.masses):
@@ -137,14 +129,10 @@ def test_histogram_quantiles():
 
 def test_hist_text_roundtrip():
     rng = np.random.default_rng(9)
-    h1 = M.histogram_from_values(rng.random(300), 2, 6, weights=rng.random(300))
+    h1 = M._pack_histogram(2, 6, M._cell_indices(rng.random(300), 2, 6), rng.random(300))
     back = M.hist_from_text(M.hist_to_text(h1), 2)
     assert back.keys.tolist() == h1.keys.tolist()
     assert np.allclose(back.masses, h1.masses, rtol=0, atol=0)
-    h2 = M.histogram_from_points(rng.random(50), rng.random(50), 3, 2)
-    back2 = M.hist_from_text(M.hist_to_text(h2), 3)
-    assert back2.dim == 2
-    assert back2.keys.tolist() == h2.keys.tolist()
 
 
 def test_hist_from_text_skips_comments():
@@ -172,9 +160,6 @@ def test_sample_projected_measure_deterministic():
     assert h1.keys.tolist() == h2.keys.tolist()
     assert h1.masses.tolist() == h2.masses.tolist()
     assert h1.n_cells > 8
-    assert not h1.meta["undersampled"]
-    h3 = M.sample_projected_measure(p, cos, code, 1 << 3, 12, seed=3)
-    assert h3.meta["undersampled"]
 
 
 def test_alpha_estimate_small_run():
@@ -248,6 +233,21 @@ def test_dim_mu_check_consistency():
     assert rep.rhs == pytest.approx(1.0 + (p.dim - 1.0) * rep.alpha_median, abs=1e-12)
     assert rep.gap == pytest.approx(abs(rep.dim_mu_est - rep.rhs), abs=1e-12)
     assert 1.2 < rep.dim_mu_est < 1.7
+
+
+@pytest.mark.parametrize("b, lam", [(2, 0.7), (3, 0.6)])
+def test_dim_mu_curve_is_the_square_count_entropy(b, lam):
+    """The graph-measure entropies of ``dim_mu_check`` are, bit for bit, the
+    entropies of the lattice sample's counts in level-n squares, listed in
+    sorted order of the squares."""
+    p = make_params(b, lam)
+    cos = P.cos_phi()
+    rep = M.dim_mu_check(p, cos, code_count=2, levels=range(3, 7), n_samples=1 << 12, seed=1)
+    xs, ys = M._lattice_sample(p, cos, M._strata_level(b, 1 << 12), 1, 1e-9)
+    assert rep.curve.levels == tuple(range(1, 7))
+    for lv, value in zip(rep.curve.levels, rep.curve.values):
+        counts = np.asarray(oracle.square_counts(xs, ys, b, lv), dtype=np.float64)
+        assert value == M.entropy(M._pack_histogram(b, lv, np.arange(len(counts)), counts))
 
 
 def test_n_hat_double_inequality():

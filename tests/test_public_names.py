@@ -6,12 +6,14 @@ criteria of ``tests/test_acceptance.py``.  A unit test alone does not
 keep a name alive.  Imports, the ``__all__`` entry itself and uses inside
 the name's own top-level definition do not count, nor does a bare name
 that a parameter or local of an enclosing function binds: such a name is
-not the module's definition.  Likewise every parameter with a default
-must be set by some call in the package, the tests, the demos or the
-benchmark.
+not the module's definition.  The same readers must read every public
+method of a public class, as an attribute outside the method's own
+definition.  Likewise every parameter with a default must be set by some
+call in the package, the tests, the demos or the benchmark.
 """
 
 import ast
+import collections
 import functools
 import pathlib
 
@@ -132,6 +134,56 @@ def test_a_parameter_is_no_reader(tmp_path):
                       "    from mod import kept\n"
                       "    return kept()\n")
     assert _unread(module, [module, reader]) == ["probe", "refine", "rows", "scale"]
+
+
+def _attribute_reads(node: ast.AST) -> collections.Counter:
+    return collections.Counter(n.attr for n in ast.walk(node)
+                               if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+@functools.cache
+def _file_attribute_reads(path: pathlib.Path) -> collections.Counter:
+    return _attribute_reads(ast.parse(path.read_text(), filename=str(path)))
+
+
+def _unread_methods(module: pathlib.Path, readers) -> list[str]:
+    """``Class.method`` for each public method of a class in ``__all__`` that
+    no reader reads as an attribute outside the method itself."""
+    tree = ast.parse(module.read_text())
+    public = set(_public_names(tree))
+    unread = []
+    for cls in tree.body:
+        if not (isinstance(cls, ast.ClassDef) and cls.name in public):
+            continue
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                reads = sum(_file_attribute_reads(path)[fn.name] for path in readers)
+                if module in readers:
+                    reads -= _attribute_reads(fn)[fn.name]
+                if reads == 0:
+                    unread.append(f"{cls.name}.{fn.name}")
+    return unread
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_every_public_method_has_a_caller(module):
+    assert _unread_methods(module, READERS) == []
+
+
+def test_a_method_is_no_reader_of_itself(tmp_path):
+    """A method that only calls itself is unread; one that another method
+    reads is not, and neither are the methods of a class left out of
+    ``__all__`` or private ones."""
+    module = tmp_path / "mod.py"
+    module.write_text('__all__ = ["Shown"]\n'
+                      "class Shown:\n"
+                      "    def walk(self, n):\n"
+                      "        return self.walk(n - 1) if n else self.step()\n"
+                      "    def step(self): pass\n"
+                      "    def _hidden(self): pass\n"
+                      "class Hidden:\n"
+                      "    def idle(self): pass\n")
+    assert _unread_methods(module, [module]) == ["Shown.walk"]
 
 
 EXEMPT_KEYWORDS = {"tol", "seed"}  # every evaluator takes them
