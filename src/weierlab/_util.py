@@ -17,13 +17,13 @@ __all__ = [
     "ceil_log_ratio",
     "depth_index",
     "grid_sup",
-    "golden_refine",
+    "bracket_max",
     "ols_fit",
     "atomic_write_text",
     "substream",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_BRACKET_POINTS = 513  # points per bracket of bracket_max, ends included
 
 
 def badic_offsets_exact(x: float, b: int, count: int) -> np.ndarray:
@@ -150,55 +150,34 @@ def depth_index(value, name: str) -> int:
     return value
 
 
-def golden_refine(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Golden section maximization of a vectorized f on every bracket
-    [lo_i, hi_i] at once; returns the arrays (argmax, max).
+def bracket_max(f, lo, hi) -> np.ndarray:
+    """Max of a vectorized f on every bracket [lo_i, hi_i], from
+    ``_BRACKET_POINTS`` equally spaced points per bracket, ends included.
 
-    The brackets run in lockstep, 60 steps with one call of f per step and
-    one point per bracket in each call.  Each bracket sees the probes and
-    float operations of a search of its own.
+    f takes all brackets' points in one call, as an array of shape
+    (brackets, ``_BRACKET_POINTS``).
     """
-    a, b_ = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
-    c = b_ - _GOLDEN * (b_ - a)
-    d = a + _GOLDEN * (b_ - a)
-    fc, fd = f(c), f(d)
-    for _ in range(60):
-        left = fc >= fd  # keep [a, d]; else keep [c, b_]
-        a, b_ = np.where(left, a, c), np.where(left, d, b_)
-        t = np.where(left, b_ - _GOLDEN * (b_ - a), a + _GOLDEN * (b_ - a))
-        ft = f(t)
-        c, d = np.where(left, t, d), np.where(left, c, t)
-        fc, fd = np.where(left, ft, fd), np.where(left, fc, ft)
-    left = fc >= fd
-    return np.where(left, c, d), np.where(left, fc, fd)
+    lo = np.asarray(lo, dtype=np.float64)[:, None]
+    hi = np.asarray(hi, dtype=np.float64)[:, None]
+    return np.max(f(lo + (hi - lo) * np.linspace(0.0, 1.0, _BRACKET_POINTS)), axis=1)
 
 
-def grid_sup(fvec, n_points: int) -> tuple[float, float]:
-    """Supremum of a scalar field on [0, 1) estimated from a uniform grid.
+def grid_sup(fvec, n_points: int) -> float:
+    """Supremum of a scalar field on [0, 1) from a uniform grid, refined.
 
-    Parameters
-    ----------
-    fvec : callable
-        Vectorized map ndarray -> ndarray of the quantity to maximize
-        (callers pass absolute values themselves if needed).
-    n_points : int
-        Grid resolution; endpoint excluded.  One golden section pass then
-        runs on the bracket around the grid argmax: deterministic, with a
-        fixed iteration count.
-
-    Returns
-    -------
-    (x_star, sup_value)
+    ``fvec`` is a vectorized map ndarray -> ndarray of the quantity to
+    maximize (callers pass absolute values themselves if needed).  It is
+    called twice: once on the n_points grid, endpoint excluded, and once
+    by ``bracket_max`` on the two grid cells beside the grid maximum.
+    The result is the larger of the two maxima, so it never falls below
+    the grid's.
     """
     xs = np.arange(n_points, dtype=np.float64) / n_points
     vals = np.asarray(fvec(xs), dtype=np.float64)
     i = int(np.argmax(vals))
-    best_x, best_v = float(xs[i]), float(vals[i])
     step = 1.0 / n_points
-    xr, vr = golden_refine(fvec, [max(0.0, best_x - step)], [min(1.0, best_x + step)])
-    if vr[0] > best_v:
-        best_x, best_v = float(xr[0]), float(vr[0])
-    return best_x, best_v
+    refined = bracket_max(fvec, [max(0.0, xs[i] - step)], [min(1.0, xs[i] + step)])
+    return max(float(vals[i]), float(refined[0]))
 
 
 def ols_fit(x, y) -> tuple[float, float, float]:

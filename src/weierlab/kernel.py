@@ -63,13 +63,12 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import phi as phimod
-from ._util import golden_refine, substream
+from ._util import bracket_max, depth_index, grid_sup, substream
 
 __all__ = [
     "Code",
@@ -87,12 +86,10 @@ __all__ = [
     "apply_ifs",
     "apply_word",
     "transition_residual",
-    "SeparationResult",
     "separation_sup",
     "HScanReport",
     "condition_h_scan",
     "h_scan_to_csv",
-    "interval_regularity",
     "KRegularityReport",
     "k_regularity",
     "TransversalityReport",
@@ -626,14 +623,6 @@ _EPS_H = 1e-6  # separation floor above which a scan reads as H-evidence
 _EPS_STAR = 1e-8  # separation ceiling below which it reads as H*-evidence
 
 
-@dataclass
-class SeparationResult:
-    sup: float
-    argmax: float
-    identical: bool
-    grid_size: int
-
-
 def separation_sup(
     params,
     phi: phimod.Phi,
@@ -641,27 +630,16 @@ def separation_sup(
     v: Code,
     grid_size: int = 1 << 12,
     tol: float = 1e-10,
-) -> SeparationResult:
-    """sup_x |Y(x, u) - Y(x, v)| over a dyadic grid with golden refinement.
+) -> float:
+    """sup_x |Y(x, u) - Y(x, v)|: ``_util.grid_sup`` of the engine's gap on a
+    dyadic grid of grid_size points, refined on the two cells beside the
+    grid maximum.
 
-    Structurally identical codes short-circuit to zero with the
-    ``identical`` flag set.  A golden search over the two grid cells beside
-    the grid maximum refines it, never lowering it; the value is then
-    stable to about a percent across grid sizes once the kernel
-    difference is resolved.
+    The engine's gap of two equal codes is exactly 0.0.  Once the kernel
+    difference is resolved the value is stable to about a percent across
+    grid sizes.
     """
-    if u == v:
-        return SeparationResult(sup=0.0, argmax=0.0, identical=True, grid_size=grid_size)
-    xs = np.arange(grid_size, dtype=np.float64) / grid_size
-    diff = np.abs(_y_gap(params, phi, xs, u, v, tol))
-    i = int(np.argmax(diff))
-    best_x, best = float(xs[i]), float(diff[i])
-    xr, vr = golden_refine(
-        lambda t: np.abs(eval_y(params, phi, t, u, tol) - eval_y(params, phi, t, v, tol)),
-        [max(0.0, best_x - 1.0 / grid_size)], [min(1.0, best_x + 1.0 / grid_size)])
-    if vr[0] > best:
-        best_x, best = float(xr[0]), float(vr[0])
-    return SeparationResult(sup=best, argmax=best_x, identical=False, grid_size=grid_size)
+    return grid_sup(lambda xs: np.abs(_y_gap(params, phi, xs, u, v, tol)), grid_size)
 
 
 @dataclass
@@ -711,11 +689,11 @@ def condition_h_scan(
             for s in range(samples_per_pair):
                 u = Code(b=b, preperiod=pa, seed=(seed, pair_index, s, 0))
                 v = Code(b=b, preperiod=pb, seed=(seed, pair_index, s, 1))
-                r = separation_sup(params, phi, u, v, grid_size, tol=tol)
+                sep = separation_sup(params, phi, u, v, grid_size, tol=tol)
                 word_a = "".join(map(str, pa))
                 word_b = "".join(map(str, pb))
-                rows.append((word_a, word_b, s, r.sup))
-                seps.append(r.sup)
+                rows.append((word_a, word_b, s, sep))
+                seps.append(sep)
             pair_index += 1
     min_sep, max_sep = min(seps), max(seps)
     eps_h = max(_EPS_H, _degenerate_floor(tol))
@@ -741,69 +719,42 @@ def h_scan_to_csv(report: HScanReport) -> str:
 # interval regularity
 
 
-_CHEB_NODES = 0.5 * (1.0 + np.cos(np.pi * np.arange(129) / 128.0))
+_CHEB_NODES = 0.5 * (1.0 + np.cos(np.pi * np.arange(129) / 128.0))  # descending: node j + 1 lies left of node j
 
 
 def _intervals_inf_sup(idx: np.ndarray, cells: int,
-                       grid_at: Callable[[np.ndarray], np.ndarray],
-                       probe_at: Callable[[np.ndarray], np.ndarray]):
+                       f: Callable[[np.ndarray], np.ndarray], continuous: bool):
     """inf and sup of |f| on each interval [i / cells, (i + 1) / cells), i in idx.
 
-    ``grid_at`` evaluates f on the 129 Chebyshev nodes of every interval in
-    one call.  Then one lockstep golden search runs over 2 len(idx)
-    brackets of width 1 / (32 cells), one around each interval's grid
-    minimum and one around its grid maximum, with ``probe_at`` taking one
-    point per bracket per step.  The refinement can only lower the inf and
-    raise the sup, and each interval gets the values a search of its own
-    would give.
+    f is called twice, on arrays of points.  The first call takes the 129
+    Chebyshev nodes of every interval.  The second, through
+    ``_util.bracket_max``, takes 2 len(idx) brackets, each spanning the two
+    node gaps beside an interval's node minimum or node maximum of |f|, as
+    ``_util.grid_sup`` spans the two grid cells beside its maximum.  The
+    brackets can only lower the inf and raise the sup.  Where f is
+    continuous and its node values change sign, the inf is exactly 0.0, by
+    the intermediate value theorem.  A step function (the Y of piecewise
+    data) keeps its node and bracket values.
     """
     count = len(idx)
-    lo = idx / cells
-    width = 1.0 / cells
-    xs = lo[:, None] + width * _CHEB_NODES
-    vals = np.abs(grid_at(xs))
+    xs = (idx / cells)[:, None] + (1.0 / cells) * _CHEB_NODES
+    signed = f(xs)
+    vals = np.abs(signed)
     rows = np.tile(np.arange(count), 2)
     nodes = np.concatenate([np.argmin(vals, axis=1), np.argmax(vals, axis=1)])
-    x_ext, v_ext = xs[rows, nodes], vals[rows, nodes]
-    sign = np.repeat([-1.0, 1.0], count)  # the min brackets maximize -|f|
-    _, best = golden_refine(lambda t: sign * np.abs(probe_at(t)),
-                            np.maximum(lo[rows], x_ext - width / 64),
-                            np.minimum(lo[rows] + width, x_ext + width / 64))
-    return np.minimum(-best[:count], v_ext[:count]), np.maximum(best[count:], v_ext[count:])
+    v_ext = vals[rows, nodes]
+    sign = np.repeat([-1.0, 1.0], count)[:, None]  # the min brackets maximize -|f|
+    best = bracket_max(lambda t: sign * np.abs(f(t)), xs[rows, np.minimum(nodes + 1, 128)],
+                       xs[rows, np.maximum(nodes - 1, 0)])
+    inf = np.minimum(-best[:count], v_ext[:count])
+    if continuous:
+        inf[(signed.min(axis=1) < 0.0) & (signed.max(axis=1) > 0.0)] = 0.0
+    return inf, np.maximum(best[count:], v_ext[count:])
 
 
 def _degenerate_floor(tol: float) -> float:
     """2 tol, the truncation bound of a difference of two codes' series."""
     return 2.0 * tol
-
-
-def interval_regularity(
-    b: int,
-    level: int,
-    k_max: int,
-    deriv_eval: Callable[[int, np.ndarray], np.ndarray],
-    tol: float = 1e-10,
-) -> list[tuple[int, int | None, float, float]]:
-    """Per level-``level`` interval, the least order k <= k_max whose |f^(k)|
-    has sup above 2 tol and at most twice its inf, with that sup and inf.
-
-    ``deriv_eval(k, xs)`` must return f^(k) on an array of points to within
-    ``tol``.  Each order takes the 129 Chebyshev nodes of every interval
-    still open in one call and refines all their extrema in one lockstep
-    golden search, so the procedure is deterministic and reproducible bit
-    for bit.
-    """
-    cells = b**level
-    rows: list[tuple[int, int | None, float, float]] = [(i, None, 0.0, 0.0) for i in range(cells)]
-    idx = np.arange(cells)
-    for k in range(1, k_max + 1):
-        f = partial(deriv_eval, k)
-        inf, sup = _intervals_inf_sup(idx, cells, f, f)
-        done = (sup <= 2.0 * inf) & (sup > _degenerate_floor(tol))
-        for i, ok, lo_v, hi_v in zip(idx.tolist(), done.tolist(), inf.tolist(), sup.tolist()):
-            rows[i] = (i, k if ok else None, lo_v, hi_v)
-        idx = idx[~done]
-    return rows
 
 
 @dataclass
@@ -824,15 +775,23 @@ def k_regularity(
 ) -> KRegularityReport:
     """Regularity classification of f = Gamma_u - Gamma_v over b-adic intervals.
 
-    f^(k) is the order k-1 derivative of the kernel difference.  A
+    Per level-``level`` interval, a row holds the least order k <= k_max
+    whose |f^(k)| has sup above 2 tol and at most twice its inf, with that
+    sup and inf, or None and the last order's values.  f^(k) is the order
+    k-1 derivative of the kernel difference.  Each order takes the
+    intervals still open through ``_intervals_inf_sup``, which evaluates
+    f^(k) in two calls, so the scan is deterministic bit for bit.  A
     generator without enough classical smoothness truncates the k range
     (with a marker) rather than failing; a difference within 2 tol
-    everywhere reports the degenerate flag.
+    everywhere reports the degenerate flag.  A negative level raises
+    ValueError.
     """
     _require_c1(phi, "k_regularity")
+    cells = params.b ** depth_index(level, "level")
     truncated: int | None = None
     k_eff = k_max
-    if isinstance(phi, phimod.PiecewisePhi):
+    continuous = not isinstance(phi, phimod.PiecewisePhi)
+    if not continuous:
         k_eff = 1
         if k_max > 1:
             truncated = 1
@@ -843,7 +802,14 @@ def k_regularity(
         return (eval_y_deriv(params, phi, xs, u, k - 1, tol)
                 - eval_y_deriv(params, phi, xs, v, k - 1, tol))
 
-    rows = interval_regularity(params.b, level, k_eff, deriv_eval, tol)
+    rows: list[tuple[int, int | None, float, float]] = [(i, None, 0.0, 0.0) for i in range(cells)]
+    idx = np.arange(cells)
+    for k in range(1, k_eff + 1):
+        inf, sup = _intervals_inf_sup(idx, cells, lambda xs: deriv_eval(k, xs), continuous)
+        done = (sup <= 2.0 * inf) & (sup > _degenerate_floor(tol))
+        for i, ok, lo_v, hi_v in zip(idx.tolist(), done.tolist(), inf.tolist(), sup.tolist()):
+            rows[i] = (i, k if ok else None, lo_v, hi_v)
+        idx = idx[~done]
     degenerate = all(sup <= _degenerate_floor(tol) for _, _, _, sup in rows)
     return KRegularityReport(rows=rows, degenerate=degenerate, truncated_k=truncated)
 
@@ -894,14 +860,14 @@ def transversality_certificate(
     _require_c1(phi, "transversality_certificate")
     per_pair = []
     ratios = []
-    cells = params.b**l0
+    cells = params.b ** depth_index(l0, "l0")
+    continuous = not isinstance(phi, phimod.PiecewisePhi)
     for u, v in pairs:
         infs, sups = _intervals_inf_sup(
-            np.arange(cells), cells, lambda xs: _y_gap(params, phi, xs, u, v, tol),
-            lambda t: eval_y(params, phi, t, u, tol) - eval_y(params, phi, t, v, tol))
+            np.arange(cells), cells, lambda xs: _y_gap(params, phi, xs, u, v, tol), continuous)
         rhs = float(np.max(sups))
         lhs = float(np.mean(infs))
-        identical = u == v or rhs <= _degenerate_floor(tol)
+        identical = rhs <= _degenerate_floor(tol)
         ratio = 0.0 if identical else min(1.0, lhs / rhs)
         per_pair.append({"u": u, "v": v, "lhs": lhs, "rhs_sup": rhs, "ratio": ratio,
                          "identical": identical, "interval_inf": infs, "interval_sup": sups})
@@ -925,8 +891,11 @@ def transversality_stability(
     """Smallest level whose certificate ratio rho0_hat is stable to the next level.
 
     Returns (level, {level: certificate}); falls back to l0_max when no
-    level stabilizes within 5% of its ratio.
+    level stabilizes within 5% of its ratio.  An l0_max below 1 raises
+    ValueError.
     """
+    if l0_max < 1:
+        raise ValueError(f"l0_max must be at least 1, got {l0_max}")
     history = {l0: transversality_certificate(params, phi, pairs, l0, tol)
                for l0 in range(1, l0_max + 1)}
     for l0 in range(1, l0_max):

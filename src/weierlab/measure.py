@@ -112,7 +112,7 @@ def _cell_indices(values: np.ndarray, b: int, level: int) -> np.ndarray:
 
 
 class _CellCounts:
-    """Dense counts of the cells floor(v * b^level) of values added block by block.
+    """Dense counts of cell indices floor(v * b^level), added block by block.
 
     The count array grows when a block widens the index range.  Once the
     range passes max(4 n, 2^22) cells for the n values expected in all,
@@ -126,8 +126,7 @@ class _CellCounts:
         self.lo = 0
         self.counts = np.zeros(0, dtype=np.int64)
 
-    def add(self, values: np.ndarray) -> bool:
-        idx = _cell_indices(values, self.b, self.level)
+    def add(self, idx: np.ndarray) -> bool:
         blo, bhi = int(idx.min()), int(idx.max())
         lo, hi = blo, bhi
         if len(self.counts):
@@ -155,10 +154,11 @@ def histogram_from_values(values: np.ndarray, b: int, level: int) -> BadicHistog
     values = np.asarray(values, dtype=np.float64)
     if len(values) == 0:
         raise ValueError("histogram needs at least one value")
+    idx = _cell_indices(values, b, level)
     counts = _CellCounts(b, level, len(values))
-    if counts.add(values):
+    if counts.add(idx):
         return counts.histogram()
-    return _pack_histogram(b, level, _cell_indices(values, b, level), np.ones(len(values)))
+    return _pack_histogram(b, level, idx, np.ones(len(values)))
 
 
 def _shannon(masses: np.ndarray, total: float, base: int) -> float:
@@ -393,7 +393,7 @@ def alpha_estimate(
     for sl, gammas in _gamma_blocks(params, phi, xs, codes, tol):
         vals = w[sl, None] - gammas
         for j, counts in enumerate(dense):
-            if counts is not None and not counts.add(vals[:, j]):
+            if counts is not None and not counts.add(_cell_indices(vals[:, j], params.b, top)):
                 dense[j] = None
     curves = []
     for code, counts in zip(codes, dense):

@@ -376,7 +376,7 @@ def regulating_energy(
     def field(xs: np.ndarray) -> np.ndarray:
         return np.abs(wfourier_partial_sum(wf, xs, deriv=k, twist=tq))
 
-    _, lo_raw = grid_sup(field, grid_n)
+    lo_raw = grid_sup(field, grid_n)
 
     tail, finite = _energy_tail(params, phi, tq, k, m_max)
     if finite:
@@ -497,8 +497,11 @@ def period_scan(
 
     Classes: ``trivial`` for fully b-adic denominators, ``non-regulating``
     when the tail diverges and the partial-sum floor beats the threshold at
-    m_max and at 2 m_max both, ``candidate-regulating`` otherwise.
+    m_max and at 2 m_max both, ``candidate-regulating`` otherwise.  A
+    threshold that is not finite raises ValueError.
     """
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     rows: list[PeriodRow] = []
     for d in denominators:
         d = int(d)

@@ -11,8 +11,9 @@ per-word sweep of Gamma's shallow depths instead of the residue table,
 theta, scalar partition cells of single contact maps instead of labels
 for a whole theta, a per-atom row loop for the cell dump, a contact map
 built from one word pushed through the graph maps instead of from a
-word index, and a ``collections.Counter`` of (column, row) pairs instead
-of packed-key sorts for the graph measure's squares.
+word index, a ``collections.Counter`` of (column, row) pairs instead
+of packed-key sorts for the graph measure's squares, and a scalar golden
+section search instead of equally spaced points in one call.
 """
 
 from __future__ import annotations
@@ -160,6 +161,25 @@ def dict_convolution_entropy(keys_a, mass_a, keys_b, mass_b, log_base: float):
     pv = np.array(list(sums.values()))
     pv = pv[pv > 0]
     return float(-(pv * np.log(pv)).sum() / np.log(log_base))
+
+
+def golden_max(f, lo: float, hi: float) -> float:
+    """Max of a scalar f on [lo, hi] by golden section search: 60 steps of
+    one probe each, keeping the left part where the probes tie."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b_ = lo, hi
+    c, d = b_ - g * (b_ - a), a + g * (b_ - a)
+    fc, fd = f(c), f(d)
+    for _ in range(60):
+        if fc >= fd:
+            b_, d, fd = d, c, fc
+            c = b_ - g * (b_ - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b_ - a)
+            fd = f(d)
+    return max(fc, fd)
 
 
 def central_difference(f, x: float, h: float = 1e-6) -> float:

@@ -388,6 +388,19 @@ def test_transversality_with_fixed_level(tmp_path, capsys):
     assert "# rho0_hat = " in meta
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--l0", "-1", "l0 must be nonnegative"),
+    ("--l0-max", "0", "l0_max must be at least 1"),
+], ids=["l0", "l0-max"])
+def test_transversality_bad_level_is_exit_2(tmp_path, capsys, flag, value, message):
+    """b**-1 made one interval spanning [0, 2), and an empty level range
+    failed with a KeyError."""
+    assert main(["transversality", "--pairs-count", "2", flag, value,
+                 "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "transversality.csv").exists()
+
+
 def test_transversality_analytic_twin_scores_zero(tmp_path, capsys):
     """The analytic twin's kernel differences are truncation noise, below the
     degenerate floor 2 tol, so every pair is identical and rho0_hat is 0."""
@@ -409,6 +422,16 @@ def test_period_scan_classes(tmp_path, capsys):
     assert classes[("1", "2")] == "trivial"
     assert classes[("1", "3")] == "non-regulating"
     assert "# n_rows = " in _read(tmp_path / "period-scan.meta")
+
+
+def test_period_scan_non_finite_threshold_is_exit_2(tmp_path, capsys):
+    """A NaN threshold compares false both ways, so it used to turn every
+    non-regulating row into a candidate."""
+    for value in ("nan", "inf"):
+        assert main(["period-scan", "--denominators", "3", "--threshold", value,
+                     "--out", str(tmp_path)]) == 2
+        assert "threshold must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "period_scan.csv").exists()
 
 
 # ---------------------------------------------------------------------------

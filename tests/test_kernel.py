@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import weierlab._util as _util
 import weierlab.kernel as K
 import weierlab.phi as P
 from weierlab import make_params
@@ -407,13 +408,24 @@ def test_separation_sup_basic():
     cos = P.cos_phi()
     u = K.periodic_code(2, (0,), (0, 1))
     v = K.periodic_code(2, (1,), (0, 1))
-    r = K.separation_sup(p, cos, u, v, 1 << 10)
-    assert not r.identical
-    assert r.sup > 1.0
-    same = K.separation_sup(p, cos, u, u)
-    assert same.identical and same.sup == 0.0
+    sep = K.separation_sup(p, cos, u, v, 1 << 10)
+    assert sep > 1.0
     xs = np.arange(1 << 10, dtype=np.float64) / (1 << 10)
-    assert r.sup >= np.abs(K._y_gap(p, cos, xs, u, v, 1e-10)).max()
+    assert sep >= np.abs(K._y_gap(p, cos, xs, u, v, 1e-10)).max()
+
+
+@pytest.mark.parametrize("b, lam, phi", [
+    (2, 0.7, P.cos_phi()),
+    (2, 0.7, P.triangle_phi()),
+    (2, 0.7, P.phi_from_w0(P.cos_phi(), 2, 0.7)),
+    (3, 0.5, P.cos_phi(0.3)),
+], ids=["cos", "triangle", "twin", "cos0.3-b3"])
+def test_separation_sup_equal_codes_is_zero(b, lam, phi):
+    """The engine gives equal codes' Y bit for bit, so their gap is 0.0
+    without a special case."""
+    p = make_params(b, lam)
+    for u in (K.periodic_code(b, (1,), (0, 1)), K.seeded_code(b, 3)):
+        assert K.separation_sup(p, phi, u, u) == 0.0
 
 
 def test_separation_sup_analytic_degenerate():
@@ -421,8 +433,126 @@ def test_separation_sup_analytic_degenerate():
     an = P.phi_from_w0(P.cos_phi(), 2, 0.7)
     u = K.periodic_code(2, (0,), (0, 1))
     v = K.periodic_code(2, (1,), (0, 1))
-    r = K.separation_sup(p, an, u, v, 1 << 10)
-    assert r.sup < 1e-8
+    assert K.separation_sup(p, an, u, v, 1 << 10) < 1e-8
+
+
+def _scalar_gap(p, phi, u, v, tol):
+    """Y(., u) - Y(., v) through the exact scalar ``eval_y``."""
+    return lambda t: K.eval_y(p, phi, t, u, tol) - K.eval_y(p, phi, t, v, tol)
+
+
+def _reference_separation(p, phi, u, v, grid_size, tol):
+    """Grid maximum of the scalar gap, refined by a golden section search on
+    the two cells beside it."""
+    gap = _scalar_gap(p, phi, u, v, tol)
+    xs = np.arange(grid_size, dtype=np.float64) / grid_size
+    vals = np.abs(gap(xs))
+    i = int(np.argmax(vals))
+    lo, hi = max(0.0, xs[i] - 1.0 / grid_size), min(1.0, xs[i] + 1.0 / grid_size)
+    return max(float(vals[i]), oracle.golden_max(lambda t: abs(gap(t)), lo, hi))
+
+
+def _reference_intervals(p, phi, u, v, l0, tol):
+    """Per level-l0 interval, inf and sup of the scalar |gap|: the Chebyshev
+    node extremes, each refined by a golden section search on a bracket of
+    width 1 / (32 cells) around it.  That bracket is wider than the two node
+    gaps the library searches, so agreement also shows that the extremes
+    lie between the extreme node's neighbours."""
+    gap = _scalar_gap(p, phi, u, v, tol)
+    cells = p.b**l0
+    width = 1.0 / cells
+    infs, sups = [], []
+    for i in range(cells):
+        lo = i * width
+        xs = lo + width * K._CHEB_NODES
+        vals = np.abs(gap(xs))
+        for sign, j, out in ((-1.0, np.argmin(vals), infs), (1.0, np.argmax(vals), sups)):
+            best = oracle.golden_max(lambda t: sign * abs(gap(t)),
+                                     max(lo, xs[j] - width / 64), min(lo + width, xs[j] + width / 64))
+            out.append(sign * max(best, sign * vals[j]))
+    return np.array(infs), np.array(sups)
+
+
+_PARITY_SYSTEMS = [
+    (2, 0.7, P.cos_phi()),
+    (2, 0.9, P.cos_phi(0.3)),
+    (3, 0.5, P.cos_phi()),
+    (2, 0.7, P.triangle_phi()),
+]
+_PARITY_IDS = ["cos", "cos0.3", "cos-b3", "triangle"]
+
+
+@pytest.mark.parametrize("b, lam, phi", _PARITY_SYSTEMS, ids=_PARITY_IDS)
+def test_separation_sup_matches_golden_reference(b, lam, phi):
+    """One call on equally spaced bracket points gives the sup that a
+    golden section search through the scalar ``eval_y`` gives, to 1e-9."""
+    p = make_params(b, lam)
+    for u, v in K.transversality_pairs(p, 0, 2):
+        sep = K.separation_sup(p, phi, u, v, 1 << 10, 1e-9)
+        ref = _reference_separation(p, phi, u, v, 1 << 10, 1e-9)
+        assert sep == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("b, lam, phi", _PARITY_SYSTEMS, ids=_PARITY_IDS)
+def test_certificate_intervals_match_golden_reference(b, lam, phi):
+    """The certificate's interval inf and sup equal a golden section search
+    through the scalar ``eval_y`` to 1e-9 relative, except that a Fourier
+    gap whose node values change sign has inf exactly 0.0, where the search
+    stops within rounding of the zero."""
+    p = make_params(b, lam)
+    pairs = K.transversality_pairs(p, 0, 2)
+    for l0 in (1, 2):
+        rep = K.transversality_certificate(p, phi, pairs, l0, 1e-9)
+        for (u, v), entry in zip(pairs, rep.per_pair):
+            ref_inf, ref_sup = _reference_intervals(p, phi, u, v, l0, 1e-9)
+            infs, sups = entry["interval_inf"], entry["interval_sup"]
+            assert sups == pytest.approx(ref_sup, rel=1e-9, abs=0.0)
+            zero = infs == 0.0
+            assert infs[~zero] == pytest.approx(ref_inf[~zero], rel=1e-9, abs=0.0)
+            assert np.all(ref_inf[zero] < 1e-12 * ref_sup.max())
+            if isinstance(phi, P.PiecewisePhi):
+                assert not zero.any()
+
+
+def test_scans_call_f_twice():
+    """A grid sup and an interval scan each evaluate f in two calls: the grid
+    or Chebyshev nodes, then every bracket at once."""
+    calls = []
+
+    def f(xs):
+        calls.append(np.shape(xs))
+        return np.cos(3.0 * xs) - 0.5
+
+    assert _util.grid_sup(f, 64) == 0.5
+    assert calls == [(64,), (1, _util._BRACKET_POINTS)]
+    calls.clear()
+    inf, sup = K._intervals_inf_sup(np.arange(4), 4, f, True)
+    assert calls == [(4, 129), (8, _util._BRACKET_POINTS)]
+    assert inf[1] == 0.0  # cos(3x) = 0.5 at x = pi / 9
+    assert inf[0] == pytest.approx(math.cos(0.75) - 0.5) and sup[0] == 0.5
+
+
+def test_certificate_inf_is_zero_where_cos_gap_changes_sign():
+    """Y of cos is continuous, so where the gap's node values change sign
+    the interval inf is 0.0 exactly, not the rounding residue a search
+    stops at."""
+    p = _p2()
+    pair = K.transversality_pairs(p, 0, 12)[:1]
+    low = K.transversality_certificate(p, P.cos_phi(), pair, 1, 1e-9).per_pair[0]
+    assert low["interval_inf"].tolist() == [0.0, 0.0]
+    high = K.transversality_certificate(p, P.cos_phi(), pair, 5, 1e-9).per_pair[0]
+    assert high["interval_inf"][1] == 0.0
+
+
+def test_triangle_certificate_keeps_step_values():
+    """Y of the triangle is a step function, so a sign change between nodes
+    does not make an inf zero: rho0_hat stays 0.10796106068681725 at
+    every level (it would halve if a zero rule applied)."""
+    p = _p2()
+    pairs = K.transversality_pairs(p, 0, 12)
+    _, history = K.transversality_stability(p, P.triangle_phi(), pairs, 5, 1e-9)
+    for l0 in range(1, 6):
+        assert history[l0].rho0_hat == pytest.approx(0.10796106068681725, rel=1e-12), l0
 
 
 def test_condition_h_scan_classifications():

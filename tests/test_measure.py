@@ -23,6 +23,23 @@ def _p2():
     return make_params(2, 0.7)
 
 
+def test_histogram_wide_range_takes_cell_indices_once(monkeypatch):
+    """A range too wide to count densely falls back to sorting the same
+    cell indices: they are computed once, not again for the fallback."""
+    calls = []
+
+    def counted(values, b, level):
+        calls.append(len(values))
+        return cell_indices(values, b, level)
+
+    cell_indices = M._cell_indices
+    monkeypatch.setattr(M, "_cell_indices", counted)
+    h = M.histogram_from_values(np.array([0.5, 1e6, 0.5]), 2, 10)
+    assert calls == [3]
+    assert h.keys.tolist() == [512, 1024000000]
+    assert h.masses.tolist() == [2.0, 1.0]
+
+
 def test_histogram_from_values_exact_cells():
     h = M.histogram_from_values(np.array([0.1, 0.3, 0.3, 0.9]), 2, 2)
     assert h.keys.tolist() == [0, 1, 3]
@@ -58,18 +75,18 @@ def test_histogram_guards():
 
 def test_cell_counts_grow_and_reject_non_finite_blocks():
     """Blocks that widen the range either way pack to the one-shot
-    histogram; a NaN block fails the overflow guard; a range past
-    max(4 n, 2^22) cells stops the dense counts."""
+    histogram; a NaN block fails the overflow guard of its cell indices; a
+    range past max(4 n, 2^22) cells stops the dense counts."""
     blocks = [np.array([0.30, 0.41]), np.array([-0.52, 0.33]), np.array([1.9, 0.3])]
     counts = M._CellCounts(2, 5, 6)
-    assert all(counts.add(v) for v in blocks)
+    assert all(counts.add(M._cell_indices(v, 2, 5)) for v in blocks)
     whole = M.histogram_from_values(np.concatenate(blocks), 2, 5)
     packed = counts.histogram()
     assert packed.keys.tolist() == whole.keys.tolist()
     assert packed.masses.tolist() == whole.masses.tolist()
     with pytest.raises(ValueError, match="non-finite"):
-        counts.add(np.array([0.2, np.nan]))
-    assert not M._CellCounts(2, 30, 4).add(np.array([0.0, 0.9]))
+        M._cell_indices(np.array([0.2, np.nan]), 2, 5)
+    assert not M._CellCounts(2, 30, 4).add(M._cell_indices(np.array([0.0, 0.9]), 2, 30))
 
 
 def test_entropy_exact_values():
@@ -368,49 +385,6 @@ def test_depth_maps_take_integer_arguments():
             M.n_hat(p, bad)
         with pytest.raises(TypeError):
             F.q_height(p, bad)
-
-
-def test_golden_refine_lockstep_matches_single_brackets():
-    """Brackets searched together give each bracket exactly the (argmax,
-    max) of a search of its own, and of the plain scalar golden section.
-    The clipped wave is flat at its top, so probes tie (fc == fd) and the
-    tie branch, which keeps the left part, runs."""
-    calls = []
-
-    def f(t):
-        calls.append(len(t))
-        return np.minimum(np.sin(9.0 * t) + 0.3 * np.cos(31.0 * t), 0.8)
-
-    def scalar_search(lo, hi):
-        g = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b_ = lo, hi
-        c, d = b_ - g * (b_ - a), a + g * (b_ - a)
-        fc, fd = f(np.array([c]))[0], f(np.array([d]))[0]
-        ties = 0
-        for _ in range(60):
-            ties += fc == fd
-            if fc >= fd:
-                b_, d, fd = d, c, fc
-                c = b_ - g * (b_ - a)
-                fc = f(np.array([c]))[0]
-            else:
-                a, c, fc = c, d, fd
-                d = a + g * (b_ - a)
-                fd = f(np.array([d]))[0]
-        return (c, fc, ties) if fc >= fd else (d, fd, ties)
-
-    lo = np.array([0.0, 0.05, 0.1, 0.3, 0.9, 1.7, 2.0])
-    hi = lo + np.array([0.3, 0.01, 2.0, 0.5, 0.02, 0.6, 1e-9])
-    xs, vs = _util.golden_refine(f, lo, hi)
-    assert calls == [len(lo)] * 62
-    ties = 0
-    for i in range(len(lo)):
-        x1, v1 = _util.golden_refine(f, lo[i:i + 1], hi[i:i + 1])
-        xr, vr, t = scalar_search(float(lo[i]), float(hi[i]))
-        assert (xs[i], vs[i]) == (x1[0], v1[0]) == (xr, vr), i
-        ties += t
-    assert ties > 0
-    assert np.all(vs <= 0.8) and np.any(vs == 0.8)
 
 
 def test_ucas_probe_rough_case():

@@ -278,6 +278,34 @@ def test_regulating_energy_order_zero_bounds():
     assert 0.0 < eb.lo <= eb.hi < 2.0 / 0.3 + 1e-9
 
 
+def _golden_grid_sup(f, n_points):
+    """Reference grid sup: the grid maximum, refined by a scalar golden
+    section search on the two cells beside it."""
+    xs = np.arange(n_points, dtype=np.float64) / n_points
+    vals = f(xs)
+    i = int(np.argmax(vals))
+    lo, hi = max(0.0, xs[i] - 1.0 / n_points), min(1.0, xs[i] + 1.0 / n_points)
+    return max(float(vals[i]), oracle.golden_max(lambda t: float(f(np.array([t]))[0]), lo, hi))
+
+
+@pytest.mark.parametrize("b, lam, t, k", [
+    (2, 0.7, Fraction(1, 3), 2),
+    (2, 0.7, Fraction(2, 5), 1),
+    (2, 0.7, Fraction(1, 3), 0),
+    (2, 0.7, Fraction(1, 4), 2),
+    (3, 0.5, Fraction(1, 2), 2),
+])
+def test_regulating_energy_lo_matches_golden_reference(monkeypatch, b, lam, t, k):
+    """E_lo from equally spaced bracket points agrees with a golden section
+    search on the same bracket to 1e-5 relative."""
+    p = make_params(b, lam)
+    lo = W.regulating_energy(p, P.cos_phi(), t, k).lo
+    monkeypatch.setattr(W, "grid_sup", _golden_grid_sup)
+    ref = W.regulating_energy(p, P.cos_phi(), t, k).lo
+    assert lo > 0.0
+    assert lo == pytest.approx(ref, rel=1e-5)
+
+
 def test_period_scan_classes():
     """Base-adic periods come out trivial, thirds non-regulating here."""
     p = make_params(2, 0.7)
