@@ -82,6 +82,13 @@ class _Options:
             pass
         raise ValueError(f"option {key} expects an integer, got {v!r}")
 
+    def get_count(self, key: str) -> int:
+        """Whole number of at least 1."""
+        v = self.get_int(key)
+        if v < 1:
+            raise ValueError(f"option {key} must be at least 1, got {v}")
+        return v
+
     def get_float(self, key: str) -> float:
         try:
             return float(self.table[key])
@@ -335,7 +342,7 @@ def cmd_check_h(args) -> int:
         depth=opt.get_int("depth"),
         samples_per_pair=opt.get_int("pairs"),
         seed=seed,
-        grid_size=opt.get_int("grid"),
+        grid_size=opt.get_count("grid"),
         tol=opt.get_float("tol"),
     )
     outdir = _outdir(args)
@@ -354,7 +361,7 @@ def cmd_transversality(args) -> int:
     params, phi = _make_system(opt)
     seed = opt.get_int("seed")
     tol = opt.get_float("tol")
-    pairs = kn.transversality_pairs(params, seed, count=opt.get_int("pairs_count"))
+    pairs = kn.transversality_pairs(params, seed, count=opt.get_count("pairs_count"))
     history: dict[int, kn.TransversalityReport] = {}
     if opt.raw("l0"):
         l0 = opt.get_int("l0")

@@ -27,8 +27,9 @@ import numpy as np
 
 from . import phi as phimod
 from ._util import depth_index, floor_scaled_log, substream
-from .kernel import (_LINEARIZE_BELOW, Code, _block_rows, _piecewise_gamma, _sin_vers,
-                     _y_term_count, apply_word, code_offsets, eval_gamma, eval_gamma_vec)
+from .kernel import (_LINEARIZE_BELOW, Code, _block_rows, _gamma_lattice, _piecewise_gamma,
+                     _sin_vers, _y_term_count, apply_word, code_offsets, eval_gamma,
+                     eval_gamma_vec)
 from .measure import BadicHistogram, entropy, histogram_from_values, n_hat
 from .weier import WLattice, eval_w_vec
 
@@ -51,7 +52,7 @@ __all__ = [
     "experiment_to_csv",
 ]
 
-_THETA_CHUNK = 1 << 22  # atoms per pass over the origin constants of build_theta
+_THETA_CHUNK = 1 << 22  # atoms per pass over the heights of the origin constants
 _C_CAP = 8  # the largest separation constant tried: a pair apart only past level 8 n fails
 _PAIR_CAP = 200_000  # word pairs per length beyond which a seeded subsample is drawn
 _GAIN_THRESHOLD = 0.02  # a convolution gain above this counts as positive
@@ -154,16 +155,32 @@ class ThetaMeasure:
 
 
 def _origin_constants(params, phi: phimod.Phi, code: Code, heights: WLattice,
-                      idx: np.ndarray, tol: float) -> np.ndarray:
-    """c = pi_code(g_word(0, 0)) for all word indices at once.
+                      idx: np.ndarray | None, tol: float) -> np.ndarray:
+    """c = pi_code(g_word(0, 0)) for the word indices ``idx``, or for every
+    index 0 .. b^width - 1 in order when ``idx`` is None.
 
     The image of the origin under the word with index r is (r / b^width,
     sum_{m < width} lam^m phi(b^m r / b^width mod 1)); that sum is
     ``heights``, the unshifted level-width lattice started from 0.  The
-    projection subtracts Gamma at the x image.
+    projection subtracts Gamma at the x image.  For the whole lattice,
+    Gamma is ``kernel._gamma_lattice``'s product, and the heights are
+    subtracted from it in place, _THETA_CHUNK atoms at a time.  Given
+    indices take ``eval_gamma_vec`` on their points, chunk by chunk.
     """
-    xs = idx.astype(np.float64) / float(params.b) ** heights.level
-    return heights(idx) - eval_gamma_vec(params, phi, xs, code, tol)
+    level = heights.level
+    if idx is None:
+        c = _gamma_lattice(params, phi, code, level, tol)
+        for a in range(0, len(c), _THETA_CHUNK):
+            part = c[a : a + _THETA_CHUNK]
+            part -= heights(np.arange(a, a + len(part)))
+            np.negative(part, out=part)
+        return c
+    c = np.empty(len(idx))
+    for a in range(0, len(idx), _THETA_CHUNK):
+        part = idx[a : a + _THETA_CHUNK]
+        xs = part.astype(np.float64) / float(params.b) ** level
+        c[a : a + _THETA_CHUNK] = heights(part) - eval_gamma_vec(params, phi, xs, code, tol)
+    return c
 
 
 def build_theta(
@@ -179,6 +196,10 @@ def build_theta(
     """Enumerate (or subsample) the theta measure at index n.
 
     Raises when b^n_hat exceeds the cap and no subsample size is given.
+    The constants c of a full enumeration take Gamma on the whole lattice
+    of level n_hat from ``kernel._gamma_lattice``'s matrix product; a
+    subsample takes ``eval_gamma_vec`` at its drawn points.  The two agree
+    to rounding, within 1e-13 of max(1, |Gamma|).
     """
     nh = n_hat(params, n)
     total = params.b**nh
@@ -200,12 +221,8 @@ def build_theta(
         distinct = np.concatenate(([True], draw[1:] != draw[:-1]))
         indices = draw[distinct][:subsample].astype(np.int64)  # np.unique(draw), sooner
         sub = True
-    c = np.empty(len(indices), dtype=np.float64)
     heights = WLattice(params, phi, nh, start=0.0)
-    for a in range(0, len(indices), _THETA_CHUNK):
-        c[a : a + _THETA_CHUNK] = _origin_constants(
-            params, phi, code, heights, indices[a : a + _THETA_CHUNK], tol
-        )
+    c = _origin_constants(params, phi, code, heights, indices if sub else None, tol)
     return ThetaMeasure(
         params=params, phi=phi, code=code, n=n, n_hat=nh,
         indices=indices, c=c, subsampled=sub,
@@ -364,21 +381,28 @@ def theta_cell_labels(
     group = np.cumsum(first[pos]) - 1  # shared bucket per atom, in key order
     n_groups = int(group[-1]) + 1
     n_single = len(first) - len(pos)
-    atoms = theta.order[pos]
-    pscale = float(params.b) ** i_level
-    grid = np.arange(1, m_grid + 1) / m_grid
-    psi = gamma_at_many_words(params, theta.phi, grid, theta.indices[atoms], theta.n_hat,
-                              theta.code, tol)
-    if float(np.max(np.abs(psi))) * pscale >= 2.0**62:
-        raise ValueError(_TOO_DEEP)
-    for col in np.floor(psi * pscale).astype(np.int64).T:
-        group, n_groups = _refine_groups(group, n_groups, col)
+    group, n_groups = _psi_groups(theta, theta.order[pos], group, n_groups, i_level, m_grid, tol)
     by_rank = np.cumsum(~shared)
     by_rank -= 1  # singletons: their rank among singletons
     by_rank[pos] = n_single + group
     labels = np.empty_like(by_rank)
     labels[theta.order] = by_rank
     return labels, n_single + n_groups
+
+
+def _psi_groups(theta: ThetaMeasure, atoms: np.ndarray, group: np.ndarray, n_groups: int,
+                i_level: int, m_grid: int, tol: float) -> tuple[np.ndarray, int]:
+    """The atoms' groups refined by their psi floors at level i, one column
+    at a time; psi and its floors die here, before the labels are built."""
+    pscale = float(theta.params.b) ** i_level
+    grid = np.arange(1, m_grid + 1) / m_grid
+    psi = gamma_at_many_words(theta.params, theta.phi, grid, theta.indices[atoms], theta.n_hat,
+                              theta.code, tol)
+    if float(np.max(np.abs(psi))) * pscale >= 2.0**62:
+        raise ValueError(_TOO_DEEP)
+    for col in np.floor(psi * pscale).astype(np.int64).T:
+        group, n_groups = _refine_groups(group, n_groups, col)
+    return group, n_groups
 
 
 def _bucket_starts(theta: ThetaMeasure, cscale: float) -> np.ndarray:
@@ -519,7 +543,7 @@ def separation_constant_c(
         count = params.b**n
         idx = np.arange(count, dtype=np.int64)
         heights = WLattice(params, phi, n, start=0.0)
-        cvals = _origin_constants(params, phi, code, heights, idx, tol)
+        cvals = _origin_constants(params, phi, code, heights, None, tol)
         psi = gamma_at_many_words(params, phi, np.arange(1, m_grid + 1) / m_grid,
                                   idx, n, code, tol).T
         q = q_height(params, n)

@@ -41,6 +41,16 @@ take the linear tail, within the bound of ``eval_gamma_many``.
 ``funcspace.gamma_at_many_words`` factors the deep depths of its word
 codes through the same climb.
 
+On the whole level-L lattice x = r / b^L, as a fully enumerated theta
+needs, ``_gamma_lattice`` splits r = a b^h + c with h = L // 2, so x is
+x_a + x_c, and angle addition in (vers, sin) form turns E(x) @ C into
+Gamma(x_a) + Gamma(x_c) + [vers, sin](x_a) @ M(x_c): one GEMM of
+b^(L-h) by 2 n0 (frequencies) by b^h, every factor from ``_sin_vers`` on
+about b^(L/2) points instead of b^L.  The split adds only rounding: it
+agrees with ``eval_gamma_vec`` at the same points to a few units in
+1e-15 of max(1, |Gamma|), and both keep the linearization bound of
+``eval_gamma_many`` against the scalar ``eval_gamma``.
+
 Piecewise generators do not factor; ``_piecewise_gamma`` is their one
 vectorized Gamma, for ``eval_gamma_many`` and ``gamma_at_many_words``
 alike.  In units of b^-m the offset at depth m is an integer, and each
@@ -345,6 +355,7 @@ def eval_gamma(params, phi: phimod.Phi, x: float, code: Code, tol: float = 1e-10
 
 _LINEARIZE_BELOW = 2.0**-24  # x / b^m below this: the increment is first order in x
 _BLOCK_BYTES = 1 << 22  # largest matrix of one row block of Gamma
+_LATTICE_CHUNK = 1 << 22  # lattice points per pass where Gamma does not factor
 
 
 def _block_rows(cols: int) -> int:
@@ -456,26 +467,14 @@ def _piecewise_gamma(params, phi: phimod.PiecewisePhi, x: np.ndarray, idx, width
     return -ramps
 
 
-def _gamma_blocks(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code],
-                  tol: float, deriv: bool = False):
-    """Yield (slice, Gamma on xs[slice] for every code) over row blocks of the
-    flat array ``xs``, or Y = Gamma' with ``deriv``; each block is a (rows,
-    len(codes)) matrix of at most about 4 MB, as is each block of the
-    matrix E behind it for Fourier data.  Piecewise data run
-    ``_piecewise_gamma`` once per code over all of xs.
-    """
-    _require_c1(phi, "eval_y_vec" if deriv else "eval_gamma_many")
-    _require_finite(np.isfinite(xs).all())
-    codes = list(codes)
-    n = _y_term_count(params, phi, tol)
-    if isinstance(phi, phimod.PiecewisePhi):
-        cols = np.empty((len(xs), len(codes)))
-        for j, code in enumerate(codes):
-            cols[:, j] = _piecewise_gamma(params, phi, xs, [0], 0, code, n, deriv)[:, 0]
-        rows = _block_rows(max(len(codes), 1))
-        for a in range(0, len(xs), rows):
-            yield slice(a, a + rows), cols[a:a + rows]
-        return
+def _fourier_factors(params, phi: phimod.FourierPhi, codes: list[Code], n: int, deriv: bool):
+    """The code factor of Gamma = E @ C over depths 1 .. n for a real Fourier
+    generator, or of Y = Gamma' with ``deriv``: (n0, freqs, cmat, const,
+    quad).  Depths m <= n0, the first with b^-n0 <= 2^-24, are E's rows,
+    per frequency in ``freqs`` n0 versine rows then n0 sine rows, and the
+    matching rows of ``cmat`` (one column per code); when n0 < n a last
+    row pairs x with the linear tail.  Y adds ``const`` and x^2 ``quad``
+    per code."""
     n0 = 0
     width = 1.0
     while n0 < n and width > _LINEARIZE_BELOW:
@@ -506,6 +505,41 @@ def _gamma_blocks(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code]
     elif linear:
         parts.append(-tail[:, None])
     cmat = np.concatenate(parts, axis=1).T if parts else np.zeros((0, len(codes)))
+    return n0, freqs, cmat, const, quad
+
+
+def _fill_e(e: np.ndarray, x: np.ndarray, b: int, freqs, n0: int) -> None:
+    """E(x) held transposed in e, one row per row of ``_fourier_factors``'s
+    cmat: 1 - cos and sin of 2 pi k x / b^m, m = 1 .. n0, and x last when
+    e has the linear row."""
+    for i, k in enumerate(freqs):
+        _sin_vers((2.0 * math.pi * k / float(b) ** n0) * x, b,
+                  e[(2 * i + 1) * n0:(2 * i + 2) * n0], e[2 * i * n0:(2 * i + 1) * n0])
+    if len(e) > 2 * n0 * len(freqs):
+        e[-1] = x
+
+
+def _gamma_blocks(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code],
+                  tol: float, deriv: bool = False):
+    """Yield (slice, Gamma on xs[slice] for every code) over row blocks of the
+    flat array ``xs``, or Y = Gamma' with ``deriv``; each block is a (rows,
+    len(codes)) matrix of at most about 4 MB, as is each block of the
+    matrix E behind it for Fourier data.  Piecewise data run
+    ``_piecewise_gamma`` once per code over all of xs.
+    """
+    _require_c1(phi, "eval_y_vec" if deriv else "eval_gamma_many")
+    _require_finite(np.isfinite(xs).all())
+    codes = list(codes)
+    n = _y_term_count(params, phi, tol)
+    if isinstance(phi, phimod.PiecewisePhi):
+        cols = np.empty((len(xs), len(codes)))
+        for j, code in enumerate(codes):
+            cols[:, j] = _piecewise_gamma(params, phi, xs, [0], 0, code, n, deriv)[:, 0]
+        rows = _block_rows(max(len(codes), 1))
+        for a in range(0, len(xs), rows):
+            yield slice(a, a + rows), cols[a:a + rows]
+        return
+    n0, freqs, cmat, const, quad = _fourier_factors(params, phi, codes, n, deriv)
     rows = _block_rows(max(len(cmat), len(codes), 1))
     # E is held transposed, one contiguous row per column, and reused by every block
     e_buf = np.empty((len(cmat), min(rows, len(xs))))
@@ -513,12 +547,49 @@ def _gamma_blocks(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code]
         sl = slice(a, a + rows)
         x = xs[sl]
         e = e_buf[:, :len(x)]
-        for i, k in enumerate(freqs):  # 1 - cos and sin of 2 pi k h_m, m = 1 .. n0
-            _sin_vers((2.0 * math.pi * k / float(params.b) ** n0) * x, params.b,
-                      e[(2 * i + 1) * n0:(2 * i + 2) * n0], e[2 * i * n0:(2 * i + 1) * n0])
-        if linear:
-            e[-1] = x
+        _fill_e(e, x, params.b, freqs, n0)
         yield sl, (e.T @ cmat + const + np.multiply.outer(x * x, quad) if deriv else e.T @ cmat)
+
+
+def _gamma_lattice(params, phi: phimod.Phi, code: Code, level: int, tol: float) -> np.ndarray:
+    """Gamma(r / b^level, code) for r = 0 .. b^level - 1, in index order:
+    the lattice product of the module docstring.  With h = level // 2, r =
+    a b^h + c, x_a = a / b^(level-h) and x_c = c / b^level, angle addition
+
+        vers(A + B) = vA + vB - vA vB + sA sB,
+        sin(A + B) = sA + sB - sA vB - vA sB
+
+    gives M's rows -(Cv vB + Cs sB) and Cv sB - Cs vB from C's versine and
+    sine coefficients; E's last row x is additive.  Piecewise data do not
+    factor and take ``eval_gamma_vec`` on the points, _LATTICE_CHUNK at a
+    time.
+    """
+    b = params.b
+    size = b**level
+    out = np.empty(size)
+    if isinstance(phi, phimod.PiecewisePhi):
+        for a in range(0, size, _LATTICE_CHUNK):
+            r = np.arange(a, min(a + _LATTICE_CHUNK, size))
+            out[a:a + len(r)] = eval_gamma_vec(params, phi, r / float(b) ** level, code, tol)
+        return out
+    n0, freqs, cmat, _, _ = _fourier_factors(params, phi, [code], _y_term_count(params, phi, tol),
+                                             deriv=False)
+    h = level // 2
+    e_a = np.empty((len(cmat), b ** (level - h)))
+    e_c = np.empty((len(cmat), b**h))
+    _fill_e(e_a, np.arange(e_a.shape[1]) / float(b) ** (level - h), b, freqs, n0)
+    _fill_e(e_c, np.arange(e_c.shape[1]) / float(b) ** level, b, freqs, n0)
+    cross = np.empty((2 * n0 * len(freqs), e_c.shape[1]))
+    for i in range(len(freqs)):
+        vers, sin = slice(2 * i * n0, (2 * i + 1) * n0), slice((2 * i + 1) * n0, (2 * i + 2) * n0)
+        cv, cs, vb, sb = cmat[vers], cmat[sin], e_c[vers], e_c[sin]
+        cross[vers] = -(cv * vb + cs * sb)
+        cross[sin] = cv * sb - cs * vb
+    grid = out.reshape(e_a.shape[1], e_c.shape[1])
+    np.matmul(e_a[:len(cross)].T, cross, out=grid)
+    grid += e_a.T @ cmat
+    grid += (e_c.T @ cmat)[:, 0]
+    return out
 
 
 def _eval_many(params, phi: phimod.Phi, xs: np.ndarray, codes: Sequence[Code], tol: float,
@@ -805,6 +876,8 @@ def k_regularity(
     rows: list[tuple[int, int | None, float, float]] = [(i, None, 0.0, 0.0) for i in range(cells)]
     idx = np.arange(cells)
     for k in range(1, k_eff + 1):
+        if not len(idx):  # every interval classified
+            break
         inf, sup = _intervals_inf_sup(idx, cells, lambda xs: deriv_eval(k, xs), continuous)
         done = (sup <= 2.0 * inf) & (sup > _degenerate_floor(tol))
         for i, ok, lo_v, hi_v in zip(idx.tolist(), done.tolist(), inf.tolist(), sup.tolist()):

@@ -372,6 +372,20 @@ def test_empty_counts_are_exit_2(tmp_path, capsys):
         assert message in capsys.readouterr().err, argv
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["transversality", "--pairs-count", "0"], "pairs_count"),
+    (["transversality", "--pairs-count", "-3"], "pairs_count"),
+    (["check-h", "--grid", "0"], "grid"),
+    (["check-h", "--grid", "-1"], "grid"),
+], ids=["pairs-count-0", "pairs-count-neg", "grid-0", "grid-neg"])
+def test_empty_pair_and_grid_counts_name_the_option(tmp_path, capsys, argv, option):
+    """No pairs and no grid points are refused by the option's name; numpy
+    used to fail on an empty reduction and an empty argmax."""
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert f"option {option} must be at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_check_h_rough_wave(tmp_path, capsys):
     assert main(["check-h", "--grid", "1024", "--pairs", "2",
                  "--out", str(tmp_path)]) == 0

@@ -12,7 +12,7 @@ import weierlab.funcspace as F
 import weierlab.measure as M
 import weierlab.phi as P
 from weierlab import make_params
-from weierlab.kernel import apply_word, periodic_code, project, seeded_code
+from weierlab.kernel import apply_word, eval_gamma_vec, periodic_code, project, seeded_code
 
 import oracle
 
@@ -157,6 +157,33 @@ def test_build_theta_subsample_reproducible():
     assert not np.array_equal(a.indices, c.indices)
     with pytest.raises(ValueError, match="cap"):
         F.build_theta(p, P.cos_phi(), code, 3, cap=8)
+
+
+def test_build_theta_lattice_and_subsample_constants_agree():
+    """A full enumeration takes Gamma from the lattice product, a subsample
+    from ``eval_gamma_vec`` at its points: at the same indices the two c
+    agree within 1e-13 of max(1, |Gamma|).  The triangle wave does not
+    factor, so both branches evaluate it the same way, bit for bit, and its
+    c is the scalar contact map's."""
+    for b, lam, n in [(2, 0.7, 5), (3, 0.5, 4)]:
+        p = make_params(b, lam)
+        code = seeded_code(b, 4)
+        for phi in [P.cos_phi(), P.cos_phi(0.3), P.phi_from_w0(P.cos_phi(), b, lam),
+                    P.triangle_phi()]:
+            full = F.build_theta(p, phi, code, n)
+            assert not full.subsampled and np.array_equal(full.indices, np.arange(len(full)))
+            sub = F.build_theta(p, phi, code, n, cap=len(full) - 1, subsample=len(full) // 4,
+                                seed=3)
+            assert sub.subsampled
+            xs = sub.indices / float(b) ** full.n_hat
+            scale = max(1.0, float(np.max(np.abs(eval_gamma_vec(p, phi, xs, code)))))
+            diff = np.max(np.abs(full.c[sub.indices] - sub.c))
+            assert diff <= 1e-13 * scale, (b, phi)
+            if isinstance(phi, P.PiecewisePhi):
+                assert full.c[sub.indices].tobytes() == sub.c.tobytes()
+                for i in (0, 7, len(full) - 1):
+                    ref = oracle.contact_map_from_word(p, phi, full.word(i), code)
+                    assert abs(full.c[i] - ref.c) < 4e-9
 
 
 def test_gamma_at_many_words_residue_tree_is_bitwise_per_depth():

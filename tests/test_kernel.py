@@ -1,5 +1,6 @@
 """Kernel, flow projections, transition identity, and separation scans."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -296,6 +297,32 @@ def test_sin_vers_climb_matches_direct_sines(b):
                 ang = mpmath.pi * mpmath.mpf(float(x[i])) / mpmath.mpf(b) ** r
                 assert abs(sin_out[r, i] - float(mpmath.sin(ang))) <= 2e-14
                 assert abs(vers_out[r, i] - float(1 - mpmath.cos(ang))) <= 2e-14
+
+
+@pytest.mark.parametrize("b, lam, levels", [(2, 0.7, (0, 1, 2, 7, 10)),
+                                             (3, 0.5, (0, 1, 4, 5)),
+                                             (5, 0.3, (0, 1, 3, 4))])
+def test_gamma_lattice_matches_eval_gamma_vec(b, lam, levels):
+    """Gamma on the whole level-L lattice from the split product equals
+    ``eval_gamma_vec`` at the points r / b^L within 1e-13 of max(1, |Gamma|),
+    at odd and even levels, and the scalar ``eval_gamma`` within the
+    linearization bound of ``eval_gamma_many``."""
+    params = make_params(b, lam)
+    n0 = math.ceil(24 / math.log2(b))  # the first depth with b^-n0 <= 2^-24
+    codes = [K.seeded_code(b, 11, 0), K.periodic_code(b, (1,), (0, b - 1))]
+    for phi in [P.cos_phi(), P.cos_phi(0.3), P.phi_from_w0(P.cos_phi(), b, lam)]:
+        lin = (2.0**-24 * P.sup_deriv(phi, 2) * params.gamma**n0
+               / (2.0 * (1.0 - params.gamma)))
+        for code, level in itertools.product(codes, levels):
+            got = K._gamma_lattice(params, phi, code, level, 1e-10)
+            xs = np.arange(b**level) / float(b) ** level
+            ref = K.eval_gamma_vec(params, phi, xs, code, 1e-10)
+            assert got.shape == (b**level,)
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(got - ref)) <= 1e-13 * scale, (level, code)
+            for r in {0, b**level // 3, b**level // 2, b**level - 1}:
+                exact = K.eval_gamma(params, phi, float(xs[r]), code, 1e-10)
+                assert abs(got[r] - exact) <= lin + 1e-13 * scale, (level, r)
 
 
 def test_eval_gamma_many_empty_and_zero():
@@ -607,6 +634,32 @@ def test_k_regularity_reports():
     assert rep2.degenerate
     tri = K.k_regularity(make_params(2, 0.6), P.triangle_phi(), u, v, level=1, k_max=3)
     assert tri.truncated_k == 1
+
+
+def test_k_regularity_stops_once_every_interval_is_classified(monkeypatch):
+    """For cos at (2, 0.7), codes 0|01 and 1|01, level 2, every interval
+    closes by order 2, so order 3 has nothing to scan; it used to call
+    ``_intervals_inf_sup`` with no intervals.  The rows keep their values."""
+    calls = []
+    inner = K._intervals_inf_sup
+
+    def counted(idx, *args):
+        calls.append(len(idx))
+        return inner(idx, *args)
+
+    monkeypatch.setattr(K, "_intervals_inf_sup", counted)
+    u = K.periodic_code(2, (0,), (0, 1))
+    v = K.periodic_code(2, (1,), (0, 1))
+    rep = K.k_regularity(_p2(), P.cos_phi(), u, v, level=2, k_max=3)
+    assert calls == [4, 2]
+    expected = [(0, 2, 25.963967064829838, 33.00653851629417),
+                (1, 1, 6.451094299249936, 10.648364251812016),
+                (2, 1, 9.537320503393428, 10.87367309925687),
+                (3, 2, 14.316471983480103, 24.260467891197475)]
+    for row, ref in zip(rep.rows, expected, strict=True):
+        assert row[:2] == ref[:2]
+        assert row[2:] == pytest.approx(ref[2:], rel=1e-12)
+    assert not rep.degenerate and rep.truncated_k is None
 
 
 def test_degenerate_floor_follows_tol():
