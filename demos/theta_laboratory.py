@@ -45,8 +45,7 @@ def main() -> None:
 
     print("\nentropy increase experiment (n=8, k=4, demo sizes):")
     rep = funcspace.entropy_increase_experiment(
-        params, gen, code, 8, 0, 4, 2,
-        n_tau=1 << 12, max_components=30)
+        params, gen, code, 8, 0, 4, 2, max_components=30)
     print(f"  components processed: {rep.n_processed}, "
           f"selected: {rep.n_selected}")
     print(f"  fraction with positive convolution gain: "

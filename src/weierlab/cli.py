@@ -446,14 +446,14 @@ def cmd_theta(args) -> int:
     i_level = opt.get_int("i_level")
     m_grid = opt.get_int("m") if opt.raw("m") else params.b
     cap = opt.get_int("cap")
-    subsample = opt.get_int("subsample") if opt.raw("subsample") else None
+    subsample = opt.get_count("subsample") if opt.raw("subsample") else None
     outdir = _outdir(args)
     if args.experiment:
         rep = fs.entropy_increase_experiment(
-            params, phi, code, n, i_level, opt.get_int("k"), m_grid,
+            params, phi, code, n, i_level, opt.get_count("k"), m_grid,
             seed=seed, cap=cap, subsample=subsample,
             h_threshold=opt.get_float("h_threshold"),
-            max_components=opt.get_int("max_components"),
+            max_components=opt.get_count("max_components"),
             tol=tol,
         )
         atomic_write_text(os.path.join(outdir, "theta_experiment.csv"),
@@ -522,7 +522,8 @@ def cmd_porosity(args) -> int:
         lines.append(f"{sc},{rep.per_scale[sc]!r}")
     outdir = _outdir(args)
     atomic_write_text(os.path.join(outdir, "porosity.csv"), "\n".join(lines) + "\n")
-    summary.update({"fraction": rep.fraction, "porous": rep.porous, "h": h})
+    summary.update({"fraction": rep.fraction, "porous": rep.porous, "vacuous": rep.vacuous,
+                    "h": h})
     if opt.raw("ucas_delta") or args.ucas:
         delta = (opt.get_float("ucas_delta") if opt.raw("ucas_delta")
                  else float(params.b) ** -4)
@@ -532,7 +533,9 @@ def cmd_porosity(args) -> int:
                         "ucas_degenerate": urep.degenerate_atom})
         print(f"ucas sup ratio {urep.sup_ratio:.4f} at delta {delta!r}")
     _write_meta(outdir, "porosity", opt, summary)
-    print(f"porosity fraction {rep.fraction:.4f} (porous: {rep.porous})")
+    verdict = (f"vacuous (h + delta = {rep.threshold:.4f} >= 1)" if rep.vacuous
+               else rep.porous)
+    print(f"porosity fraction {rep.fraction:.4f} (porous: {verdict})")
     return 0
 
 

@@ -30,8 +30,11 @@ from ._util import depth_index, floor_scaled_log, substream
 from .kernel import (_LINEARIZE_BELOW, Code, _block_rows, _gamma_lattice, _piecewise_gamma,
                      _sin_vers, _y_term_count, apply_word, code_offsets, eval_gamma,
                      eval_gamma_vec)
-from .measure import BadicHistogram, entropy, histogram_from_values, n_hat
-from .weier import WLattice, eval_w_vec
+from .measure import (BadicHistogram, _lattice_sample, _strata_level, entropy,
+                      histogram_from_values, n_hat)
+from .weier import WLattice
+# no caller in this module: kept because perfbench/tracing.py patches it here by name
+from .weier import eval_w_vec  # noqa: F401
 
 __all__ = [
     "ContactMap",
@@ -57,6 +60,7 @@ _C_CAP = 8  # the largest separation constant tried: a pair apart only past leve
 _PAIR_CAP = 200_000  # word pairs per length beyond which a seeded subsample is drawn
 _GAIN_THRESHOLD = 0.02  # a convolution gain above this counts as positive
 _MIN_ATOMS = 16  # smallest component the entropy-increase experiment takes
+_TAU_SAMPLES = 1 << 15  # least size b^L of the experiment's shared lattice sample of the graph
 _TOO_DEEP = "partition level too deep for exact integer cell keys"
 
 
@@ -195,12 +199,15 @@ def build_theta(
 ) -> ThetaMeasure:
     """Enumerate (or subsample) the theta measure at index n.
 
-    Raises when b^n_hat exceeds the cap and no subsample size is given.
+    Raises when b^n_hat exceeds the cap and no subsample size is given,
+    and for a subsample size below 1.
     The constants c of a full enumeration take Gamma on the whole lattice
     of level n_hat from ``kernel._gamma_lattice``'s matrix product; a
     subsample takes ``eval_gamma_vec`` at its drawn points.  The two agree
     to rounding, within 1e-13 of max(1, |Gamma|).
     """
+    if subsample is not None and subsample < 1:
+        raise ValueError(f"subsample must be at least 1, got {subsample}")
     nh = n_hat(params, n)
     total = params.b**nh
     if total <= cap:
@@ -373,16 +380,19 @@ def theta_cell_labels(
     shared = ~first  # the atom shares the bucket of the one before it ...
     shared[:-1] |= ~first[1:]  # ... or of the one after it
     if i_level == 0 or not shared.any():
-        labels = np.empty(len(first), dtype=np.int64)
-        labels[theta.order] = np.cumsum(first)
-        labels -= 1
+        rank = first.astype(np.int64)  # summed in place: cumsum of a bool casts a copy first
+        np.cumsum(rank, out=rank)
+        rank -= 1
+        labels = np.empty_like(rank)
+        labels[theta.order] = rank
         return labels, int(np.count_nonzero(first))
     pos = np.flatnonzero(shared)
     group = np.cumsum(first[pos]) - 1  # shared bucket per atom, in key order
     n_groups = int(group[-1]) + 1
     n_single = len(first) - len(pos)
     group, n_groups = _psi_groups(theta, theta.order[pos], group, n_groups, i_level, m_grid, tol)
-    by_rank = np.cumsum(~shared)
+    by_rank = (~shared).astype(np.int64)
+    np.cumsum(by_rank, out=by_rank)
     by_rank -= 1  # singletons: their rank among singletons
     by_rank[pos] = n_single + group
     labels = np.empty_like(by_rank)
@@ -681,7 +691,6 @@ def entropy_increase_experiment(
     cap: int = 1 << 20,
     subsample: int | None = None,
     h_threshold: float = 0.1,
-    n_tau: int = 1 << 15,
     max_components: int | None = None,
     tol: float = 1e-9,
 ) -> EntropyIncreaseReport:
@@ -693,9 +702,19 @@ def entropy_increase_experiment(
     measure (the component's maps applied to one seeded word image of the
     origin) is convolved into the pushforward of the graph measure under a
     representative map composed with that word, and the per-level entropy
-    gain recorded.  Degenerate systems report every gain near zero or no
-    candidates at all.
+    gain recorded.  The graph measure is one sample shared by every
+    component: the b^L >= 2^15 points of ``measure._lattice_sample``, one
+    seeded shifted lattice with W from ``WLattice``, pushed through each
+    component's word by ``apply_word``.  Degenerate systems report every
+    gain near zero or no candidates at all.  ``k`` and ``max_components``
+    must be at least 1, and ``h_threshold`` a number.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if max_components is not None and max_components < 1:
+        raise ValueError(f"max_components must be at least 1, got {max_components}")
+    if math.isnan(h_threshold):
+        raise ValueError("h_threshold must be a number, got nan")
     theta = build_theta(params, phi, code, n, cap, subsample, seed, tol)
     labels_i, n_comp = theta_cell_labels(theta, i_level, m_grid, tol)
     labels_f, _ = theta_cell_labels(theta, i_level + k, m_grid, tol)
@@ -716,6 +735,7 @@ def entropy_increase_experiment(
         )
         eligible = eligible[np.sort(pick)]
     word_len = max(n, 1)
+    xs, ws = _lattice_sample(params, phi, _strata_level(params.b, _TAU_SAMPLES), seed, tol)
     for comp_id in eligible:
         members = order[bounds[comp_id] : bounds[comp_id + 1]]
         fine = labels_f[members]
@@ -736,8 +756,7 @@ def entropy_increase_experiment(
         )
         line_vals = params.lam**theta.n_hat * (y0 - g0) + theta.c[members]
         rep = theta.contact_map(int(members[0]))
-        xs = substream(seed, 0x7A0, int(comp_id)).random(n_tau)
-        gx, gy = apply_word(params, phi, u, xs, eval_w_vec(params, phi, xs, tol))
+        gx, gy = apply_word(params, phi, u, xs, ws)
         tau_vals = rep.apply_vec(gx, gy, tol)
         diam = max(
             float(line_vals.max() - line_vals.min()),

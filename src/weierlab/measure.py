@@ -692,6 +692,7 @@ class PorosityReport:
     per_scale: dict[int, float]
     porous: bool
     delta: float
+    vacuous: bool  # h + delta >= 1: no rate exceeds 1, so the verdict tells no measures apart
 
 
 def porosity_probe(
@@ -715,7 +716,10 @@ def porosity_probe(
     measure's entropy over the next m levels is compared to m (h +
     delta); the fraction is the average over scales of the mass carried
     by components below the threshold.  A fraction above 1 - delta
-    reports the measure as entropy-porous at these parameters.
+    reports the measure as entropy-porous at these parameters.  A rate
+    over m levels is at most 1, so once h + delta >= 1 only components of
+    rate exactly 1 can miss the threshold: the report marks that verdict
+    ``vacuous``.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -748,4 +752,5 @@ def porosity_probe(
         per_scale=per_scale,
         porous=fraction > 1.0 - delta,
         delta=delta,
+        vacuous=h + delta >= 1.0,
     )

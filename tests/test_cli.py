@@ -495,6 +495,27 @@ def test_theta_subsample_past_int64_is_exit_2(tmp_path, capsys):
     assert "2^63" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra,option", [
+    (["--cap", "16", "--subsample", "-5"], "subsample"),
+    (["--cap", "16", "--subsample", "0"], "subsample"),
+    (["--experiment", "--k", "0"], "k"),
+    (["--experiment", "--k", "-1"], "k"),
+    (["--experiment", "--max-components", "-3"], "max_components"),
+], ids=["subsample-5", "subsample0", "k0", "k-1", "max_components-3"])
+def test_theta_counts_below_one_are_exit_2(tmp_path, capsys, extra, option):
+    """--subsample -5 used to exit 0 on a theta short of five draws, and
+    the others failed inside numpy or with a traceback."""
+    assert main(["theta", "--n", "8", *extra, "--out", str(tmp_path)]) == 2
+    assert f"option {option} must be at least 1" in capsys.readouterr().err
+
+
+def test_theta_nan_h_threshold_is_exit_2(tmp_path, capsys):
+    """A nan threshold used to select every component."""
+    assert main(["theta", "--n", "4", "--experiment", "--h-threshold", "nan",
+                 "--out", str(tmp_path)]) == 2
+    assert "h_threshold" in capsys.readouterr().err
+
+
 def test_theta_passes_tol_to_labels(tmp_path, capsys, monkeypatch):
     from weierlab import funcspace as fs
 
@@ -555,6 +576,19 @@ def test_porosity_quick_run(tmp_path, capsys):
     assert "porosity fraction" in out
     meta = _read(tmp_path / "porosity.meta")
     assert "# ucas_delta = 0.0625" in meta
+
+
+@pytest.mark.parametrize("extra,verdict,vacuous", [
+    ([], "porous: vacuous (h + delta = 1.0957 >= 1)", True),  # h is the alpha median, 0.9957
+    (["--phi-from-w0", "cos"], "porous: True", False),  # the twin's h is 0
+    (["--h", "0.5"], "porous: False", False),
+], ids=["cos", "twin", "cos-h0.5"])
+def test_porosity_says_when_its_verdict_is_vacuous(tmp_path, capsys, extra, verdict, vacuous):
+    """Once h + delta >= 1 every component's rate is below it, so every
+    measure would read porous: the command says so rather than "True"."""
+    assert main(["porosity", *extra, "--out", str(tmp_path)]) == 0
+    assert f"({verdict})" in capsys.readouterr().out
+    assert f"# vacuous = {vacuous}" in _read(tmp_path / "porosity.meta")
 
 
 # ---------------------------------------------------------------------------

@@ -551,8 +551,7 @@ def test_entropy_increase_experiment_positive_gains():
     """High-entropy components convolve the line measure strictly finer."""
     p = _p2()
     rep = F.entropy_increase_experiment(
-        p, P.cos_phi(), seeded_code(2, 0), 8, 0, 4, 2,
-        n_tau=1 << 13, max_components=40,
+        p, P.cos_phi(), seeded_code(2, 0), 8, 0, 4, 2, max_components=40,
     )
     assert rep.n_processed == 40
     assert len(rep.rows) > 0
@@ -565,18 +564,91 @@ def test_entropy_increase_experiment_positive_gains():
 def test_entropy_increase_experiment_analytic_empty():
     p = _p2()
     an = P.phi_from_w0(P.cos_phi(), 2, 0.7)
-    rep = F.entropy_increase_experiment(p, an, seeded_code(2, 0), 4, 0, 2, 2,
-                                        n_tau=1 << 10)
+    rep = F.entropy_increase_experiment(p, an, seeded_code(2, 0), 4, 0, 2, 2)
     assert rep.rows == []
     assert rep.message == "no (H)-type components"
     assert rep.positive_fraction == 0.0
 
 
+@pytest.mark.parametrize("b,lam,n", [(2, 0.7, 6), (3, 0.5, 4)])
+def test_experiment_pushes_the_shared_lattice_onto_the_graph(monkeypatch, b, lam, n):
+    """Every component pushes the same seeded lattice sample through its
+    word, and each pushed point lies on the graph: y is W at the exact
+    rational image of the lattice point, and x lies in the word's cell."""
+    p = make_params(b, lam)
+    seed = 3
+    words, pushed = [], []
+    push = F.apply_word
+
+    def spy_word(params, phi, word, x, y):
+        if np.ndim(x):
+            words.append((tuple(word), np.array(x), np.array(y)))
+        return push(params, phi, word, x, y)
+
+    apply_vec = F.ContactMap.apply_vec
+
+    def spy_vec(self, xs, ys, tol=1e-10):
+        pushed.append((np.array(xs), np.array(ys)))
+        return apply_vec(self, xs, ys, tol)
+
+    monkeypatch.setattr(F, "apply_word", spy_word)
+    monkeypatch.setattr(F.ContactMap, "apply_vec", spy_vec)
+    rep = F.entropy_increase_experiment(p, P.cos_phi(), seeded_code(b, 0), n, 0, 2, b,
+                                        seed=seed, h_threshold=0.0, max_components=2,
+                                        tol=1e-13)
+    assert len(rep.rows) == 2 and len(words) == len(pushed) == 2
+    level = M._strata_level(b, F._TAU_SAMPLES)
+    shift = Fraction(M._lattice_shift(seed))
+    xs_lattice = M.stratified_x(b**level, 0, b**level, seed)
+    rng = np.random.default_rng(0)
+    for (word, xs, _), (gx, gy) in zip(words, pushed):
+        assert np.array_equal(xs, xs_lattice)  # one shared sample
+        m_u = int("".join(map(str, word)), b)
+        cell = b ** len(word)
+        assert all(Fraction(m_u, cell) <= Fraction(x) < Fraction(m_u + 1, cell)
+                   for x in gx.tolist())
+        for s in rng.choice(len(gx), size=24, replace=False).tolist():
+            exact = ((s + shift) / b**level + m_u) / cell
+            assert abs(gy[s] - oracle.mp_w_cos_rational(b, lam, exact)) <= 1e-12
+
+
+def test_seeded_experiment_csv_is_byte_identical():
+    p = _p2()
+    texts = [F.experiment_to_csv(F.entropy_increase_experiment(
+        p, P.cos_phi(), seeded_code(2, 0), 6, 0, 2, 2, seed=7, max_components=10))
+        for _ in range(2)]
+    assert texts[0] == texts[1]
+    assert len(texts[0].splitlines()) > 1
+
+
+def test_experiment_refuses_bad_options():
+    """k 0 ended in a ZeroDivisionError, k -1 blamed i_level, a negative
+    component cap reached numpy's "negative dimensions", and a nan
+    threshold selected every component."""
+    p = _p2()
+    code = seeded_code(2, 0)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            F.entropy_increase_experiment(p, P.cos_phi(), code, 4, 0, k, 2)
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="max_components must be at least 1"):
+            F.entropy_increase_experiment(p, P.cos_phi(), code, 4, 0, 2, 2, max_components=cap)
+    with pytest.raises(ValueError, match="h_threshold"):
+        F.entropy_increase_experiment(p, P.cos_phi(), code, 4, 0, 2, 2, h_threshold=math.nan)
+
+
+def test_build_theta_refuses_subsample_below_one():
+    """A negative size used to drop the last draws through draw[:-5]."""
+    p = _p2()
+    for sub in (0, -5):
+        with pytest.raises(ValueError, match="subsample must be at least 1"):
+            F.build_theta(p, P.cos_phi(), seeded_code(2, 0), 8, cap=16, subsample=sub)
+
+
 def test_experiment_csv_schema():
     p = _p2()
     rep = F.entropy_increase_experiment(
-        p, P.cos_phi(), seeded_code(2, 0), 6, 0, 2, 2,
-        n_tau=1 << 10, max_components=10,
+        p, P.cos_phi(), seeded_code(2, 0), 6, 0, 2, 2, max_components=10,
     )
     lines = F.experiment_to_csv(rep).strip().splitlines()
     assert lines[0] == "n,i_level,k,component_id,H_eta,gain"

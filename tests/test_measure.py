@@ -422,11 +422,13 @@ def test_porosity_uniform_and_atom_are_exact():
                              hist=uniform)
     assert rep_u.fraction == 1.0
     assert rep_u.porous
+    assert rep_u.vacuous  # h + delta = 1.1: every measure would pass
     atom = M.histogram_from_values(np.full(4, 0.37), 2, n2 + m)
     rep_a = M.porosity_probe(p, cos, code, h=0.5, delta=0.1, m=m, n1=n1, n2=n2,
                              hist=atom)
     assert rep_a.fraction == 1.0
     assert rep_a.porous
+    assert not rep_a.vacuous
 
 
 def test_porosity_guards():
