@@ -22,13 +22,12 @@ def main() -> None:
 
     uniform = measure.histogram_from_values(
         (np.arange(1 << 10) + 0.5) / (1 << 10), 2, 10)
-    rep = measure.porosity_probe(params, gen, code, 1.0, delta=0.1, m=3,
-                                 n1=2, n2=4, hist=uniform)
+    rep = measure.porosity_probe(uniform, 1.0, delta=0.1, m=3, n1=2, n2=4)
     print("porosity probe on the uniform reference (h = 1):")
     print(f"  low-entropy fraction {rep.fraction:.3f}  porous: {rep.porous}")
 
-    proj = measure.porosity_probe(params, gen, code, 0.98, delta=0.1, m=3,
-                                  n1=4, n2=8, n_samples=1 << 18)
+    projected = measure.sample_projected_measure(params, gen, code, 1 << 18, 8 + 3)
+    proj = measure.porosity_probe(projected, 0.98, delta=0.1, m=3, n1=4, n2=8)
     print("porosity probe on the projected wave measure (h = 0.98):")
     print(f"  low-entropy fraction {proj.fraction:.3f}  porous: {proj.porous}")
     for sc in sorted(proj.per_scale):

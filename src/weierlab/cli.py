@@ -2,12 +2,16 @@
 
 Every subcommand resolves its options from built-in defaults, then an
 optional ``key = value`` config file, then explicit flags (flags win).
-Outputs are written atomically into the output directory (flag ``--out``,
-else the WEIERLAB_OUT environment variable, else the working directory),
-and each run leaves a ``<command>.meta`` record holding the resolved
-options; the record doubles as a config file that reproduces the run.
-Exit codes: 0 success, 1 when an internal invariant check fails during a
-run, 2 for invalid input.
+A command reads its options through ``_Options``, which records each key
+read, and returns its data files, its ``.meta`` summary and its stdout
+lines; it writes nothing itself.  ``main`` then refuses any option given
+by flag or config file that the run never read, and only after that
+writes the files atomically into the output directory (flag ``--out``,
+else the WEIERLAB_OUT environment variable, else the working directory)
+with a ``<command>.meta`` record of exactly the keys the run read, then
+prints the stdout lines.  The record doubles as a config file that
+reproduces the run.  Exit codes: 0 success, 1 when an internal invariant
+check fails during a run, 2 for invalid input.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +31,7 @@ from . import kernel as kn
 from . import measure as ms
 from . import phi as phimod
 from . import weier as wr
-from ._util import atomic_write_text
+from ._util import atomic_write_text, depth_index
 
 _DEFAULTS: dict[str, dict[str, str]] = {
     "params": {},
@@ -42,10 +47,10 @@ _DEFAULTS: dict[str, dict[str, str]] = {
                     "m_max": "64", "threshold": "100"},
     "theta": {"n": "8", "i_level": "0", "m": "", "cap": "1048576",
               "subsample": "", "k": "4", "h_threshold": "0.1",
-              "max_components": "200", "tol": "1e-9"},
+              "max_components": "200", "experiment": "0", "dump_cells": "0",
+              "tol": "1e-9"},
     "porosity": {"h": "", "delta": "0.1", "m": "6", "scales": "4:12",
-                 "samples": "1048576", "level_cap": "26", "ucas_delta": "",
-                 "tol": "1e-9"},
+                 "samples": "1048576", "ucas": "0", "tol": "1e-9"},
     "convolve": {"theta_file": "", "tau_file": "", "n": "0", "k": "4"},
 }
 
@@ -57,19 +62,28 @@ _COMMON_DEFAULTS = {
     "seed": "0",
 }
 
+_SWITCHES = ("experiment", "dump_cells", "ucas")  # 0/1 keys whose bare flag means 1
+
 
 class _Options:
-    """Resolved string options with typed accessors that fail as exit 2."""
+    """Resolved string options with typed accessors that fail as exit 2.
 
-    def __init__(self, table: dict[str, str]):
+    ``given`` holds the keys set by flag or config file; every accessor
+    adds its key to ``read``.
+    """
+
+    def __init__(self, table: dict[str, str], given: set[str]):
         self.table = table
+        self.given = given
+        self.read: set[str] = set()
 
     def raw(self, key: str) -> str:
-        return self.table.get(key, "")
+        self.read.add(key)
+        return self.table[key]
 
     def get_int(self, key: str) -> int:
         """Whole number, also written in float notation such as 4e6."""
-        v = self.table[key]
+        v = self.raw(key)
         try:
             return int(v)
         except ValueError:
@@ -89,14 +103,25 @@ class _Options:
             raise ValueError(f"option {key} must be at least 1, got {v}")
         return v
 
+    def get_depth(self, key: str) -> int:
+        """Whole number of at least 0."""
+        return depth_index(self.get_int(key), f"option {key}")
+
+    def get_switch(self, key: str) -> bool:
+        v = self.raw(key)
+        if v not in ("0", "1"):
+            raise ValueError(f"option {key} expects 0 or 1, got {v!r}")
+        return v == "1"
+
     def get_float(self, key: str) -> float:
+        v = self.raw(key)
         try:
-            return float(self.table[key])
+            return float(v)
         except ValueError:
-            raise ValueError(f"option {key} expects a number, got {self.table[key]!r}")
+            raise ValueError(f"option {key} expects a number, got {v!r}")
 
     def get_range(self, key: str) -> list[int]:
-        v = self.table[key]
+        v = self.raw(key)
         lo, sep, hi = v.partition(":")
         if not sep:
             raise ValueError(f"option {key} expects lo:hi, got {v!r}")
@@ -107,6 +132,16 @@ class _Options:
         if b < a:
             raise ValueError(f"option {key} has an empty range {v!r}")
         return list(range(a, b + 1))
+
+
+@dataclass
+class _Run:
+    """What a command produced: data files by name, the ``.meta`` summary
+    and the stdout lines."""
+
+    files: dict[str, str]
+    summary: dict[str, object]
+    stdout: list[str]
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -131,6 +166,7 @@ def _read_config(path: str) -> dict[str, str]:
 def _resolve(command: str, args: argparse.Namespace) -> _Options:
     table = dict(_COMMON_DEFAULTS)
     table.update(_DEFAULTS[command])
+    given: set[str] = set()
     if args.config:
         cfg = _read_config(args.config)
         unknown = set(cfg) - set(table)
@@ -139,40 +175,36 @@ def _resolve(command: str, args: argparse.Namespace) -> _Options:
                 f"unknown config keys for {command}: {', '.join(sorted(unknown))}"
             )
         table.update(cfg)
+        given.update(cfg)
     for key in list(table):
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             table[key] = flag_val
-    return _Options(table)
+            given.add(key)
+    return _Options(table, given)
 
 
-def _outdir(args: argparse.Namespace) -> str:
-    out = args.out or os.environ.get("WEIERLAB_OUT") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+def _params(opt: _Options):
+    return wr.make_params(opt.get_int("b"), opt.get_float("lam"))
 
 
 def _make_system(opt: _Options):
-    b = opt.get_int("b")
-    lam = opt.get_float("lam")
-    params = wr.make_params(b, lam)
-    if opt.raw("phi_from_w0"):
-        w0 = phimod.parse_phi_spec(opt.raw("phi_from_w0"))
-        phi = phimod.phi_from_w0(w0, b, lam)
-    else:
-        phi = phimod.parse_phi_spec(opt.raw("phi"))
-    opt.get_int("seed")  # checked even where unused, since the .meta record keeps it
-    return params, phi
+    params = _params(opt)
+    w0 = opt.raw("phi_from_w0")
+    if w0:
+        return params, phimod.phi_from_w0(phimod.parse_phi_spec(w0), params.b, params.lam)
+    return params, phimod.parse_phi_spec(opt.raw("phi"))
 
 
-def _parse_code(params, spec: str, seed: int) -> kn.Code:
+def _parse_code(params, opt: _Options) -> kn.Code:
+    spec = opt.raw("code")
     s = spec.strip()
     if s.startswith("seed:"):
         try:
             key = int(s[5:])
         except ValueError:
             raise ValueError(f"bad code spec {spec!r}: seed:K needs an integer")
-        return kn.seeded_code(params.b, seed, key)
+        return kn.seeded_code(params.b, opt.get_int("seed"), key)
     pre, sep, cyc = s.partition("|")
     if not sep:
         pre, cyc = "", s
@@ -188,18 +220,17 @@ def _parse_code(params, spec: str, seed: int) -> kn.Code:
     return kn.periodic_code(params.b, preperiod=pre_t, cycle=cyc_t)
 
 
-def _write_meta(outdir: str, command: str, opt: _Options, summary: dict[str, object]) -> None:
+def _meta_text(command: str, opt: _Options, summary: dict[str, object]) -> str:
     lines = [f"# command = {command}", f"# version = {__version__}",
              f"# timestamp = {time.strftime('%Y-%m-%dT%H:%M:%S')}"]
-    for key in sorted(opt.table):
+    for key in sorted(opt.read):
         lines.append(f"{key} = {opt.table[key]}")
     for key, val in summary.items():
         lines.append(f"# {key} = {val!r}" if isinstance(val, float) else f"# {key} = {val}")
-    atomic_write_text(os.path.join(outdir, f"{command}.meta"),
-                      "\n".join(lines) + "\n")
+    return _text(lines)
 
 
-def _write_pgm(path: str, counts: np.ndarray) -> None:
+def _pgm_text(counts: np.ndarray) -> str:
     """Plain portable graymap of a count matrix, dark where mass is.
 
     Sample lines stay under the 70-character limit of the plain format.
@@ -208,58 +239,52 @@ def _write_pgm(path: str, counts: np.ndarray) -> None:
     img = 255 - np.minimum(counts * 255 // max(int(peak), 1), 255).astype(int)
     h, w = img.shape
     flat = img[::-1].ravel()
-    lines = [
-        " ".join(str(v) for v in flat[i : i + 16]) for i in range(0, len(flat), 16)
-    ]
-    atomic_write_text(path, f"P2\n{w} {h}\n255\n" + "\n".join(lines) + "\n")
+    rows = [" ".join(str(v) for v in flat[i : i + 16]) for i in range(0, len(flat), 16)]
+    return _text(["P2", f"{w} {h}", "255", *rows])
+
+
+def _text(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the resolved options and the output directory's
+# name, which only the stdout lines mention, and returns a _Run
 
 
-def cmd_params(args) -> int:
-    opt = _resolve("params", args)
-    params, _ = _make_system(opt)
-    print(f"b          = {params.b}")
-    print(f"lambda     = {params.lam!r}")
-    print(f"gamma      = {params.gamma!r}")
-    print(f"dim        = {params.dim!r}")
-    print(f"holder_exp = {params.holder_exp!r}")
-    return 0
+def cmd_params(opt: _Options, outdir: str) -> _Run:
+    params = _params(opt)
+    return _Run({}, {}, [
+        f"b          = {params.b}",
+        f"lambda     = {params.lam!r}",
+        f"gamma      = {params.gamma!r}",
+        f"dim        = {params.dim!r}",
+        f"holder_exp = {params.holder_exp!r}",
+    ])
 
 
-def cmd_sample(args) -> int:
-    opt = _resolve("sample", args)
+def cmd_sample(opt: _Options, outdir: str) -> _Run:
     params, phi = _make_system(opt)
-    points = opt.get_int("points")
-    if points < 1:
-        raise ValueError("points must be positive")
+    points = opt.get_count("points")
     xs = (np.arange(points) + 0.5) / points
     ws = wr.eval_w_vec(params, phi, xs, opt.get_float("tol"))
-    lines = ["x,w"] + [f"{float(x)!r},{float(w)!r}" for x, w in zip(xs, ws)]
-    outdir = _outdir(args)
-    atomic_write_text(os.path.join(outdir, "sample.csv"), "\n".join(lines) + "\n")
+    files = {"sample.csv": _text(["x,w"] + [f"{float(x)!r},{float(w)!r}" for x, w in zip(xs, ws)])}
     summary: dict[str, object] = {"w_min": float(ws.min()), "w_max": float(ws.max())}
     if opt.raw("plot_level"):
-        level = opt.get_int("plot_level")
-        scale = params.b**level
+        scale = params.b**opt.get_depth("plot_level")
         lo = math.floor(float(ws.min()) * scale)
         ix = np.floor(xs * scale).astype(int)
         iy = np.floor(ws * scale).astype(int) - lo
         counts = np.zeros((int(iy.max()) + 1, scale), dtype=np.int64)
         np.add.at(counts, (iy, ix), 1)
-        _write_pgm(os.path.join(outdir, "sample.pgm"), counts)
+        files["sample.pgm"] = _pgm_text(counts)
         summary["plot"] = "sample.pgm"
-    _write_meta(outdir, "sample", opt, summary)
-    print(f"wrote sample.csv ({points} points) to {outdir}")
-    return 0
+    return _Run(files, summary, [f"wrote sample.csv ({points} points) to {outdir}"])
 
 
-def cmd_dim_box(args) -> int:
-    opt = _resolve("dim-box", args)
+def cmd_dim_box(opt: _Options, outdir: str) -> _Run:
     params, phi = _make_system(opt)
-    requested = opt.get_int("samples")
+    requested = opt.get_count("samples")
     rep = ms.graph_box_dimension(
         params, phi,
         levels=opt.get_range("levels"),
@@ -271,29 +296,26 @@ def cmd_dim_box(args) -> int:
     lines = ["level,count,log_count,slope"]
     for lv, ct, lc in zip(rep.levels, rep.counts, rep.log_counts):
         lines.append(f"{int(lv)},{int(ct)},{float(lc)!r},{float(rep.slope)!r}")
-    outdir = _outdir(args)
-    atomic_write_text(os.path.join(outdir, "dim_box.csv"), "\n".join(lines) + "\n")
-    _write_meta(outdir, "dim-box", opt, {
+    stdout = []
+    if rep.n_samples > requested:
+        stdout.append(f"evaluated {rep.n_samples} points for {requested} requested "
+                      f"(one per column of level {rep.column_level})")
+    stdout.append(f"box-count slope {rep.slope:.4f} (reference {rep.d_reference:.4f})")
+    return _Run({"dim_box.csv": _text(lines)}, {
         "slope": rep.slope, "slope_stderr": rep.slope_stderr,
         "d_reference": rep.d_reference, "n_samples": rep.n_samples,
         "column_level": rep.column_level,
-    })
-    if rep.n_samples > requested:
-        print(f"evaluated {rep.n_samples} points for {requested} requested "
-              f"(one per column of level {rep.column_level})")
-    print(f"box-count slope {rep.slope:.4f} (reference {rep.d_reference:.4f})")
-    return 0
+    }, stdout)
 
 
-def cmd_dim_entropy(args) -> int:
-    opt = _resolve("dim-entropy", args)
+def cmd_dim_entropy(opt: _Options, outdir: str) -> _Run:
     params, phi = _make_system(opt)
     seed = opt.get_int("seed")
     codes = [kn.seeded_code(params.b, seed, i) for i in range(opt.get_int("codes"))]
     rep = ms.alpha_estimate(
         params, phi, codes,
         levels=opt.get_range("levels"),
-        n_samples=opt.get_int("samples"),
+        n_samples=opt.get_count("samples"),
         seed=seed,
         tol=opt.get_float("tol"),
     )
@@ -301,22 +323,16 @@ def cmd_dim_entropy(args) -> int:
     for ci, curve in enumerate(rep.curves):
         for lv, val in zip(curve.levels, curve.values):
             lines.append(f"{ci},{lv},{val!r},{int(lv in curve.window)}")
-    outdir = _outdir(args)
-    atomic_write_text(os.path.join(outdir, "dim_entropy.csv"), "\n".join(lines) + "\n")
-    _write_meta(outdir, "dim-entropy", opt, {
+    return _Run({"dim_entropy.csv": _text(lines)}, {
         "alpha_median": rep.median, "alpha_iqr": rep.iqr,
         "n_codes": len(codes),
-    })
-    print(f"alpha median {rep.median:.4f} over {len(codes)} codes (iqr {rep.iqr:.4f})")
-    return 0
+    }, [f"alpha median {rep.median:.4f} over {len(codes)} codes (iqr {rep.iqr:.4f})"])
 
 
-def cmd_kernel(args) -> int:
-    opt = _resolve("kernel", args)
+def cmd_kernel(opt: _Options, outdir: str) -> _Run:
     params, phi = _make_system(opt)
-    seed = opt.get_int("seed")
-    code = _parse_code(params, opt.raw("code"), seed)
-    points = opt.get_int("points")
+    code = _parse_code(params, opt)
+    points = opt.get_count("points")
     tol = opt.get_float("tol")
     xs = (np.arange(points) + 0.5) / points
     gs = kn.eval_gamma_vec(params, phi, xs, code, tol)
@@ -324,40 +340,29 @@ def cmd_kernel(args) -> int:
     lines = ["x,y_stable,gamma"]
     for x, y, g in zip(xs, ys, gs):
         lines.append(f"{float(x)!r},{float(y)!r},{float(g)!r}")
-    outdir = _outdir(args)
-    atomic_write_text(os.path.join(outdir, "kernel.csv"), "\n".join(lines) + "\n")
-    _write_meta(outdir, "kernel", opt, {
+    return _Run({"kernel.csv": _text(lines)}, {
         "y_sup": float(np.max(np.abs(ys))), "gamma_sup": float(np.max(np.abs(gs))),
-    })
-    print(f"wrote kernel.csv ({points} points) to {outdir}")
-    return 0
+    }, [f"wrote kernel.csv ({points} points) to {outdir}"])
 
 
-def cmd_check_h(args) -> int:
-    opt = _resolve("check-h", args)
+def cmd_check_h(opt: _Options, outdir: str) -> _Run:
     params, phi = _make_system(opt)
-    seed = opt.get_int("seed")
     rep = kn.condition_h_scan(
         params, phi,
         depth=opt.get_int("depth"),
         samples_per_pair=opt.get_int("pairs"),
-        seed=seed,
+        seed=opt.get_int("seed"),
         grid_size=opt.get_count("grid"),
         tol=opt.get_float("tol"),
     )
-    outdir = _outdir(args)
-    atomic_write_text(os.path.join(outdir, "check_h.csv"), kn.h_scan_to_csv(rep))
-    _write_meta(outdir, "check-h", opt, {
+    return _Run({"check_h.csv": kn.h_scan_to_csv(rep)}, {
         "classification": rep.classification,
         "min_sep": rep.min_sep, "max_sep": rep.max_sep,
-    })
-    print(f"classification: {rep.classification} "
-          f"(min_sep {rep.min_sep:.3e}, max_sep {rep.max_sep:.3e})")
-    return 0
+    }, [f"classification: {rep.classification} "
+        f"(min_sep {rep.min_sep:.3e}, max_sep {rep.max_sep:.3e})"])
 
 
-def cmd_transversality(args) -> int:
-    opt = _resolve("transversality", args)
+def cmd_transversality(opt: _Options, outdir: str) -> _Run:
     params, phi = _make_system(opt)
     seed = opt.get_int("seed")
     tol = opt.get_float("tol")
@@ -371,22 +376,17 @@ def cmd_transversality(args) -> int:
             params, phi, pairs, l0_max=opt.get_int("l0_max"), tol=tol
         )
         rep = history[l0]
-    outdir = _outdir(args)
-    atomic_write_text(os.path.join(outdir, "transversality.csv"),
-                      kn.certificate_to_csv(rep))
     summary: dict[str, object] = {
         "l0": l0, "rho0_hat": rep.rho0_hat, "median_ratio": rep.median_ratio,
         "n_pairs": len(pairs),
     }
     for lv, r in sorted(history.items()):
         summary[f"ratio_level_{lv}"] = r.rho0_hat
-    _write_meta(outdir, "transversality", opt, summary)
-    print(f"l0 {l0}: rho0_hat {rep.rho0_hat:.4f}, median ratio {rep.median_ratio:.4f}")
-    return 0
+    return _Run({"transversality.csv": kn.certificate_to_csv(rep)}, summary,
+                [f"l0 {l0}: rho0_hat {rep.rho0_hat:.4f}, median ratio {rep.median_ratio:.4f}"])
 
 
-def cmd_renorm(args) -> int:
-    opt = _resolve("renorm", args)
+def cmd_renorm(opt: _Options, outdir: str) -> _Run:
     params, phi = _make_system(opt)
     op = opt.raw("op")
     p = opt.get_int("p")
@@ -399,18 +399,12 @@ def cmd_renorm(args) -> int:
     if op not in ops:
         raise ValueError(f"unknown renorm op {op!r}; use one of {', '.join(ops)}")
     result = ops[op](phi, p)
-    outdir = _outdir(args)
-    atomic_write_text(os.path.join(outdir, "renorm_phi.txt"),
-                      phimod.phi_to_text(result))
-    _write_meta(outdir, "renorm", opt, {
+    return _Run({"renorm_phi.txt": phimod.phi_to_text(result)}, {
         "op": op, "p": p, "n_coeffs": len(result.coeffs),
-    })
-    print(f"{op} at p={p}: {len(result.coeffs)} coefficients -> renorm_phi.txt")
-    return 0
+    }, [f"{op} at p={p}: {len(result.coeffs)} coefficients -> renorm_phi.txt"])
 
 
-def cmd_period_scan(args) -> int:
-    opt = _resolve("period-scan", args)
+def cmd_period_scan(opt: _Options, outdir: str) -> _Run:
     params, phi = _make_system(opt)
     try:
         dens = [int(d) for d in opt.raw("denominators").split(",") if d.strip()]
@@ -423,21 +417,15 @@ def cmd_period_scan(args) -> int:
         m_max=opt.get_int("m_max"),
         threshold=opt.get_float("threshold"),
     )
-    outdir = _outdir(args)
-    atomic_write_text(os.path.join(outdir, "period_scan.csv"),
-                      wr.period_rows_to_csv(rows))
     klasses = sorted({r.klass for r in rows})
-    _write_meta(outdir, "period-scan", opt, {
+    return _Run({"period_scan.csv": wr.period_rows_to_csv(rows)}, {
         "n_rows": len(rows),
         "classes": ";".join(klasses),
         "n_candidate": sum(r.klass == "candidate-regulating" for r in rows),
-    })
-    print(f"scanned {len(rows)} candidate periods -> period_scan.csv")
-    return 0
+    }, [f"scanned {len(rows)} candidate periods -> period_scan.csv"])
 
 
-def cmd_theta(args) -> int:
-    opt = _resolve("theta", args)
+def cmd_theta(opt: _Options, outdir: str) -> _Run:
     params, phi = _make_system(opt)
     seed = opt.get_int("seed")
     tol = opt.get_float("tol")
@@ -447,8 +435,7 @@ def cmd_theta(args) -> int:
     m_grid = opt.get_int("m") if opt.raw("m") else params.b
     cap = opt.get_int("cap")
     subsample = opt.get_count("subsample") if opt.raw("subsample") else None
-    outdir = _outdir(args)
-    if args.experiment:
+    if opt.get_switch("experiment"):
         rep = fs.entropy_increase_experiment(
             params, phi, code, n, i_level, opt.get_count("k"), m_grid,
             seed=seed, cap=cap, subsample=subsample,
@@ -456,45 +443,37 @@ def cmd_theta(args) -> int:
             max_components=opt.get_count("max_components"),
             tol=tol,
         )
-        atomic_write_text(os.path.join(outdir, "theta_experiment.csv"),
-                          fs.experiment_to_csv(rep))
-        _write_meta(outdir, "theta", opt, {
+        return _Run({"theta_experiment.csv": fs.experiment_to_csv(rep)}, {
             "mode": "experiment", "n_components": rep.n_components,
             "n_processed": rep.n_processed, "n_selected": rep.n_selected,
             "n_skipped_small": rep.n_skipped_small,
             "positive_fraction": rep.positive_fraction,
             "message": rep.message or "ok",
-        })
-        print(f"experiment: {rep.n_selected} components, "
-              f"positive-gain fraction {rep.positive_fraction:.3f}"
-              + (f" ({rep.message})" if rep.message else ""))
-        return 0
+        }, [f"experiment: {rep.n_selected} components, "
+            f"positive-gain fraction {rep.positive_fraction:.3f}"
+            + (f" ({rep.message})" if rep.message else "")])
+    dump_cells = opt.get_switch("dump_cells")
     theta = fs.build_theta(params, phi, code, n, cap, subsample, seed, tol)
-    if args.dump_cells and len(theta) > 65536:
+    if dump_cells and len(theta) > 65536:
         raise ValueError(f"cell dump limited to 65536 atoms, theta has {len(theta)}")
     labels, n_cells = fs.theta_cell_labels(theta, i_level, m_grid, tol)  # once, for both outputs
     rep = fs._entropy_report(theta, labels, n_cells, i_level, m_grid)
     header = "n,n_hat,i_level,M,entropy,n_atoms,n_cells,subsampled"
     row = (f"{rep.n},{rep.n_hat},{rep.i_level},{rep.m_grid},{rep.entropy!r},"
            f"{rep.n_atoms},{rep.n_cells},{int(rep.subsampled)}")
-    atomic_write_text(os.path.join(outdir, "theta_entropy.csv"),
-                      header + "\n" + row + "\n")
+    files = {"theta_entropy.csv": _text([header, row])}
     summary: dict[str, object] = {
         "entropy": rep.entropy, "rate": rep.entropy / max(n, 1),
         "n_atoms": rep.n_atoms, "n_cells": rep.n_cells,
     }
-    if args.dump_cells:
-        atomic_write_text(os.path.join(outdir, "theta_cells.csv"),
-                          fs.theta_cells_csv(theta, labels))
+    if dump_cells:
+        files["theta_cells.csv"] = fs.theta_cells_csv(theta, labels)
         summary["cells_dump"] = "theta_cells.csv"
-    _write_meta(outdir, "theta", opt, summary)
-    print(f"theta n={n}: entropy {rep.entropy:.4f} over {rep.n_atoms} atoms "
-          f"({rep.n_cells} cells)")
-    return 0
+    return _Run(files, summary, [f"theta n={n}: entropy {rep.entropy:.4f} over "
+                                 f"{rep.n_atoms} atoms ({rep.n_cells} cells)"])
 
 
-def cmd_porosity(args) -> int:
-    opt = _resolve("porosity", args)
+def cmd_porosity(opt: _Options, outdir: str) -> _Run:
     params, phi = _make_system(opt)
     seed = opt.get_int("seed")
     tol = opt.get_float("tol")
@@ -508,77 +487,61 @@ def cmd_porosity(args) -> int:
         h = alpha.median
         summary["h_from_alpha"] = h
     scales = opt.get_range("scales")
-    rep = ms.porosity_probe(
-        params, phi, code, h,
-        delta=opt.get_float("delta"),
-        m=opt.get_int("m"),
-        n1=scales[0], n2=scales[-1],
-        level_cap=opt.get_int("level_cap"),
-        n_samples=opt.get_int("samples"),
-        seed=seed, tol=tol,
-    )
+    m = opt.get_count("m")
+    samples = opt.get_count("samples")
+    hist = ms.sample_projected_measure(params, phi, code, samples, scales[-1] + m,
+                                       seed=seed, tol=tol)
+    rep = ms.porosity_probe(hist, h, opt.get_float("delta"), m, scales[0], scales[-1])
     lines = ["scale,low_entropy_share"]
     for sc in sorted(rep.per_scale):
         lines.append(f"{sc},{rep.per_scale[sc]!r}")
-    outdir = _outdir(args)
-    atomic_write_text(os.path.join(outdir, "porosity.csv"), "\n".join(lines) + "\n")
     summary.update({"fraction": rep.fraction, "porous": rep.porous, "vacuous": rep.vacuous,
                     "h": h})
-    if opt.raw("ucas_delta") or args.ucas:
-        delta = (opt.get_float("ucas_delta") if opt.raw("ucas_delta")
-                 else float(params.b) ** -4)
-        urep = ms.ucas_probe(params, phi, [code], delta,
-                             n_samples=opt.get_int("samples"), seed=seed, tol=tol)
+    stdout = []
+    if opt.get_switch("ucas"):
+        delta = float(params.b) ** -4
+        urep = ms.ucas_probe(params, phi, [code], delta, n_samples=samples, seed=seed, tol=tol)
         summary.update({"ucas_delta": delta, "ucas_sup_ratio": urep.sup_ratio,
                         "ucas_degenerate": urep.degenerate_atom})
-        print(f"ucas sup ratio {urep.sup_ratio:.4f} at delta {delta!r}")
-    _write_meta(outdir, "porosity", opt, summary)
+        stdout.append(f"ucas sup ratio {urep.sup_ratio:.4f} at delta {delta!r}")
     verdict = (f"vacuous (h + delta = {rep.threshold:.4f} >= 1)" if rep.vacuous
                else rep.porous)
-    print(f"porosity fraction {rep.fraction:.4f} (porous: {verdict})")
-    return 0
+    stdout.append(f"porosity fraction {rep.fraction:.4f} (porous: {verdict})")
+    return _Run({"porosity.csv": _text(lines)}, summary, stdout)
 
 
-def cmd_convolve(args) -> int:
-    opt = _resolve("convolve", args)
-    params, _ = _make_system(opt)
+def cmd_convolve(opt: _Options, outdir: str) -> _Run:
+    b = wr.check_base(opt.get_int("b"))
     tf, uf = opt.raw("theta_file"), opt.raw("tau_file")
     if not tf or not uf:
         raise ValueError("convolve needs theta_file and tau_file histogram paths")
     try:
         with open(tf) as fh:
-            theta_h = ms.hist_from_text(fh.read(), params.b)
+            theta_h = ms.hist_from_text(fh.read(), b)
         with open(uf) as fh:
-            tau_h = ms.hist_from_text(fh.read(), params.b)
+            tau_h = ms.hist_from_text(fh.read(), b)
     except OSError as exc:
         raise ValueError(f"cannot read histogram file: {exc}")
     n = opt.get_int("n")
     k = opt.get_int("k")
     gain = fs.convolution_entropy_gain(theta_h, tau_h, n, k)
-    outdir = _outdir(args)
-    atomic_write_text(
-        os.path.join(outdir, "convolve.csv"),
-        "n,k,level,H_conv,H_tau,gain\n"
-        f"{n},{k},{gain.level},{gain.h_conv!r},{gain.h_tau!r},{gain.gain!r}\n",
-    )
-    _write_meta(outdir, "convolve", opt, {
+    return _Run({
+        "convolve.csv": "n,k,level,H_conv,H_tau,gain\n"
+                        f"{n},{k},{gain.level},{gain.h_conv!r},{gain.h_tau!r},{gain.gain!r}\n",
+    }, {
         "gain": gain.gain, "h_conv": gain.h_conv, "h_tau": gain.h_tau,
-    })
-    print(f"gain {gain.gain:.4f} (H_conv {gain.h_conv:.4f}, H_tau {gain.h_tau:.4f})")
-    return 0
+    }, [f"gain {gain.gain:.4f} (H_conv {gain.h_conv:.4f}, H_tau {gain.h_tau:.4f})"])
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
 
 
-_SWITCHES = {"theta": ("--experiment", "--dump-cells"), "porosity": ("--ucas",)}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     """One subcommand per ``_DEFAULTS`` entry, with a string flag for each of
     its keys and the common ones: ``--`` + key with ``_`` as ``-``, and
-    ``lam`` as ``--lambda``.  Unset flags stay None so config values hold."""
+    ``lam`` as ``--lambda``.  A switch key's flag alone sets it to 1.
+    Unset flags stay None so config values hold."""
     ap = argparse.ArgumentParser(
         prog="weierlab",
         description="Numerical laboratory for b-adic self-affine wave sums",
@@ -589,9 +552,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         for key in [*_COMMON_DEFAULTS, *keys, "config", "out"]:
             flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
-            sp.add_argument(flag, dest=key)
-        for switch in _SWITCHES.get(name, ()):
-            sp.add_argument(switch, action="store_true")
+            if key in _SWITCHES:
+                sp.add_argument(flag, dest=key, nargs="?", const="1")
+            else:
+                sp.add_argument(flag, dest=key)
         sp.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")])
     return ap
 
@@ -602,14 +566,29 @@ def main(argv: list[str] | None = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    outdir = args.out or os.environ.get("WEIERLAB_OUT") or "."
     try:
-        return args.fn(args)
+        opt = _resolve(args.command, args)
+        run = args.fn(opt, outdir)
+        unread = sorted(opt.given - opt.read)
+        if unread:
+            raise ValueError(f"{args.command} does not read option {', '.join(unread)} "
+                             "in this run; leave it out")
     except (ValueError, TypeError) as exc:  # TypeError: a generator the operation cannot take
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 1
+    if run.files:
+        os.makedirs(outdir, exist_ok=True)
+        for name, text in run.files.items():
+            atomic_write_text(os.path.join(outdir, name), text)
+        atomic_write_text(os.path.join(outdir, f"{args.command}.meta"),
+                          _meta_text(args.command, opt, run.summary))
+    for line in run.stdout:
+        print(line)
+    return 0
 
 
 if __name__ == "__main__":

@@ -58,6 +58,7 @@ __all__ = [
 _THETA_CHUNK = 1 << 22  # atoms per pass over the heights of the origin constants
 _C_CAP = 8  # the largest separation constant tried: a pair apart only past level 8 n fails
 _PAIR_CAP = 200_000  # word pairs per length beyond which a seeded subsample is drawn
+_DENSE_CAP = 1 << 24  # cells of the two dense supports a lattice convolution may span
 _GAIN_THRESHOLD = 0.02  # a convolution gain above this counts as positive
 _MIN_ATOMS = 16  # smallest component the entropy-increase experiment takes
 _TAU_SAMPLES = 1 << 15  # least size b^L of the experiment's shared lattice sample of the graph
@@ -458,7 +459,6 @@ def theta_entropy(
     i_level: int,
     m_grid: int,
     cap: int = 1 << 20,
-    seed: int = 0,
     tol: float = 1e-9,
     theta: ThetaMeasure | None = None,
 ) -> ThetaEntropyReport:
@@ -468,7 +468,7 @@ def theta_entropy(
     partition levels, or to use a subsampled one.
     """
     if theta is None:
-        theta = build_theta(params, phi, code, n, cap, seed=seed, tol=tol)
+        theta = build_theta(params, phi, code, n, cap, tol=tol)
     labels, n_cells = theta_cell_labels(theta, i_level, m_grid, tol)
     return _entropy_report(theta, labels, n_cells, i_level, m_grid)
 
@@ -616,7 +616,6 @@ def convolution_entropy_gain(
     tau_hist: BadicHistogram,
     n: int,
     k: int,
-    dense_cap: int = 1 << 24,
 ) -> ConvolutionGain:
     """Entropy gained by convolving theta into tau, per level, at L_{n+k}.
 
@@ -646,7 +645,7 @@ def convolution_entropy_gain(
         return out
 
     dt, dta = dense(theta_hist), dense(tau_hist)
-    if len(dt) + len(dta) > dense_cap:
+    if len(dt) + len(dta) > _DENSE_CAP:
         raise ValueError("convolution support too wide for the dense path")
     conv = np.convolve(dt, dta)
     conv = conv[conv > 1e-300]

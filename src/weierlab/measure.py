@@ -167,15 +167,15 @@ def _shannon(masses: np.ndarray, total: float, base: int) -> float:
     return float(-(p * np.log(p)).sum() / math.log(base))
 
 
-def entropy(hist: BadicHistogram, base_b: int | None = None) -> float:
-    """Shannon entropy in log base ``base_b`` (the histogram's b when omitted).
+def entropy(hist: BadicHistogram) -> float:
+    """Shannon entropy in log base the histogram's b.
 
     The 0 log 0 = 0 convention is automatic because zero-mass cells never
     survive packing.
     """
     if hist.total <= 0.0:
         raise ValueError("entropy of a zero-mass histogram is undefined")
-    return _shannon(hist.masses, hist.total, hist.b if base_b is None else base_b)
+    return _shannon(hist.masses, hist.total, hist.b)
 
 
 def coarsen(hist: BadicHistogram, new_level: int) -> BadicHistogram:
@@ -310,6 +310,9 @@ def stratified_x(n_strata: int, lo_stratum: int, hi_stratum: int, seed: int) -> 
 
 
 def _strata_level(b: int, n_samples: int) -> int:
+    """Least level L with b^L >= n_samples; every sampler takes its lattice here."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
     level = 0
     cells = 1
     while cells < n_samples:
@@ -342,8 +345,6 @@ def sample_projected_measure(
     all cells sharing one seeded shift, so the histogram is deterministic
     given the seed and independent of sharding.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
     s_level = _strata_level(params.b, n_samples)
     xs, vals = _lattice_sample(params, phi, s_level, seed, tol)
     vals -= eval_gamma_vec(params, phi, xs, code, tol)
@@ -454,15 +455,16 @@ def graph_box_dimension(
     sampled graph meets, N_n = sum over columns of floor(b^n max) -
     floor(b^n min) + 1, for every n at once.  The slope of log_b N_n
     over the declared window estimates the dimension (a constant wave
-    gives exactly 1).  The margin keeps several samples in every counted
-    column so that sampled column ranges track the true oscillation.  W
-    is evaluated, and boxes counted, in blocks of ``_BLOCK_COLUMNS`` columns,
-    so no temporary grows with the column count.
+    gives exactly 1).  The margin, a nonnegative depth, keeps several
+    samples in every counted column so that sampled column ranges track
+    the true oscillation.  W is evaluated, and boxes counted, in blocks of
+    ``_BLOCK_COLUMNS`` columns, so no temporary grows with the column count.
     """
     levels = sorted(int(lv) for lv in levels)
     if len(levels) < 2:
         raise ValueError("graph_box_dimension needs at least two levels")
     n_max = levels[-1]
+    column_margin = depth_index(column_margin, "column_margin")
     col_level = max(_strata_level(params.b, n_samples), n_max + column_margin)
     n_cols_fine = params.b**n_max
     per_col = params.b ** (col_level - n_max)
@@ -696,21 +698,14 @@ class PorosityReport:
 
 
 def porosity_probe(
-    params,
-    phi: phimod.Phi,
-    code: Code,
+    hist: BadicHistogram,
     h: float,
     delta: float,
     m: int,
     n1: int,
     n2: int,
-    level_cap: int = 26,
-    n_samples: int = 1 << 20,
-    seed: int = 0,
-    tol: float = 1e-9,
-    hist: BadicHistogram | None = None,
 ) -> PorosityReport:
-    """Mass-weighted frequency of low-entropy components across scales.
+    """Mass-weighted frequency of low-entropy components of ``hist`` across scales.
 
     For each scale i in [n1, n2] and each level-i cell, the component
     measure's entropy over the next m levels is compared to m (h +
@@ -719,25 +714,21 @@ def porosity_probe(
     reports the measure as entropy-porous at these parameters.  A rate
     over m levels is at most 1, so once h + delta >= 1 only components of
     rate exactly 1 can miss the threshold: the report marks that verdict
-    ``vacuous``.
+    ``vacuous``.  The histogram must reach level n2 + m; a projected
+    measure comes from ``sample_projected_measure`` at that level.
     """
     if m < 1:
         raise ValueError("m must be positive")
     if n1 > n2 or n1 < 0:
         raise ValueError("need 0 <= n1 <= n2")
-    if n2 + m > level_cap:
-        raise ValueError("n2 + m exceeds level_cap")
-    if hist is None:
-        hist = sample_projected_measure(
-            params, phi, code, n_samples, n2 + m, seed=seed, tol=tol
-        )
-    elif hist.level < n2 + m:
-        raise ValueError("supplied histogram is too coarse for n2 + m")
-    logb = math.log(params.b)
+    if hist.level < n2 + m:
+        raise ValueError("histogram is too coarse for n2 + m")
+    b = hist.b
+    logb = math.log(b)
     per_scale: dict[int, float] = {}
     for i in range(n1, n2 + 1):
         fine = coarsen(hist, i + m)
-        starts = _run_starts(fine.keys // params.b**m)
+        starts = _run_starts(fine.keys // b**m)
         cell_mass = np.add.reduceat(fine.masses, starts)
         plogp = fine.masses * np.log(fine.masses)
         sums = np.add.reduceat(plogp, starts)

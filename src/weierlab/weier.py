@@ -27,6 +27,7 @@ from ._util import badic_offsets_exact, grid_sup, substream
 
 __all__ = [
     "SystemParams",
+    "check_base",
     "make_params",
     "term_count",
     "eval_w",
@@ -66,14 +67,20 @@ class SystemParams:
             raise AssertionError("gamma * b * lam deviates from 1 beyond rounding")
 
 
+def check_base(b: int) -> int:
+    """The base b as an int, refused unless it is an integer >= 2."""
+    if not isinstance(b, (int, np.integer)) or b < 2:
+        raise ValueError(f"b must be an integer >= 2, got {b!r}")
+    return int(b)
+
+
 def make_params(b: int, lam: float) -> SystemParams:
     """Build SystemParams, rejecting out-of-range input with a named constraint.
 
     >>> make_params(2, 0.7).dim
     1.4854268271702415
     """
-    if not isinstance(b, (int, np.integer)) or b < 2:
-        raise ValueError(f"b must be an integer >= 2, got {b!r}")
+    b = check_base(b)
     lam = float(lam)
     if not lam < 1.0:
         raise ValueError(f"lam must satisfy lam < 1, got {lam!r}")
@@ -81,7 +88,7 @@ def make_params(b: int, lam: float) -> SystemParams:
         raise ValueError(f"lam must satisfy lam > 1/b = {1.0 / b!r}, got {lam!r}")
     gamma = 1.0 / (b * lam)
     dim = 2.0 + math.log(lam) / math.log(b)
-    return SystemParams(b=int(b), lam=lam, gamma=gamma, dim=dim, holder_exp=2.0 - dim)
+    return SystemParams(b=b, lam=lam, gamma=gamma, dim=dim, holder_exp=2.0 - dim)
 
 
 def term_count(lam: float, sup: float, tol: float) -> int:

@@ -353,11 +353,9 @@ def test_criterion_8_porosity_and_concentration():
 
     uniform = ms.histogram_from_values((np.arange(1 << 10) + 0.5) / (1 << 10),
                                        2, 10)
-    rep_u = ms.porosity_probe(params, phi, code, 1.0, delta=0.1, m=3,
-                              n1=2, n2=4, hist=uniform)
+    rep_u = ms.porosity_probe(uniform, 1.0, delta=0.1, m=3, n1=2, n2=4)
     atom = ms.histogram_from_values(np.full(16, 0.3), 2, 10)
-    rep_a = ms.porosity_probe(params, phi, code, 0.5, delta=0.1, m=3,
-                              n1=2, n2=4, hist=atom)
+    rep_a = ms.porosity_probe(atom, 0.5, delta=0.1, m=3, n1=2, n2=4)
     exact_ok = (rep_u.fraction == 1.0 and rep_u.porous
                 and rep_a.fraction == 1.0 and rep_a.porous)
 

@@ -97,6 +97,112 @@ def test_tol_only_where_a_series_is_evaluated(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# every option a run accepts is one it reads
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["theta", "--n", "4", "--k", "0", "--max-components", "-3", "--h-threshold", "nan"],
+     "h_threshold, k, max_components"),
+    (["theta", "--experiment", "--dump-cells", "--n", "4"], "dump_cells"),
+    (["transversality", "--l0", "1", "--l0-max", "-7"], "l0_max"),
+    (["sample", "--seed", "123"], "seed"),
+    (["kernel", "--code", "01", "--seed", "77"], "seed"),
+    (["check-h", "--phi", "triangle", "--phi-from-w0", "cos"], "phi"),
+    (["params", "--phi", "triangle", "--seed", "3"], "phi, seed"),
+    (["convolve", "--lambda", "0.8"], "lam"),
+], ids=["theta-plain", "theta-experiment", "transversality", "sample", "kernel",
+        "check-h", "params", "convolve"])
+def test_unread_option_is_exit_2(tmp_path, capsys, argv, unread):
+    """Each of these runs used to exit 0 and ignore the option (convolve
+    and params silently took the generator, lam and seed they never use)."""
+    out = tmp_path / "out"
+    if argv[0] == "convolve":
+        _ap_hist_file(tmp_path / "h.hist", [0, 1, 2, 3], 2, 8)
+        argv = [*argv, "--theta-file", str(tmp_path / "h.hist"),
+                "--tau-file", str(tmp_path / "h.hist"), "--n", "4"]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{argv[0]} does not read option {unread} in this run" in captured.err
+    assert not out.exists()
+
+
+def test_unread_config_key_is_exit_2(tmp_path, capsys):
+    """A config file's keys count as given: a key the run does not read is
+    refused like a flag, and a key no command has any more is unknown."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("points = 16\nseed = 3\n")
+    assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
+    assert "sample does not read option seed" in capsys.readouterr().err
+    cfg.write_text("h = 0.5\nlevel_cap = 26\n")
+    assert main(["porosity", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 2
+    assert "unknown config keys for porosity: level_cap" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--points", "16", "--plot-level", "-1"], "option plot_level must be nonnegative"),
+    (["porosity", "--h", "0.5", "--samples", "4096", "--scales", "2:3", "--m", "2",
+      "--ucas-delta", "2"], "unrecognized arguments: --ucas-delta 2"),
+    (["kernel", "--points", "0"], "option points must be at least 1"),
+    (["dim-box", "--samples", "0", "--levels", "3:6", "--column-margin", "0"],
+     "option samples must be at least 1"),
+    (["dim-entropy", "--levels", "4:7", "--samples", "0", "--codes", "2"],
+     "option samples must be at least 1"),
+    (["porosity", "--h", "0.5", "--samples", "0"], "option samples must be at least 1"),
+    (["dim-box", "--column-margin", "-3", "--levels", "3:6", "--samples", "10"],
+     "column_margin must be nonnegative"),
+    (["dim-box", "--column-margin", "-20", "--samples", "100"],
+     "column_margin must be nonnegative"),
+    (["theta", "--n", "4", "--experiment", "2"], "option experiment expects 0 or 1, got '2'"),
+], ids=["plot-level", "ucas-delta", "kernel-points", "dim-box-samples",
+        "dim-entropy-samples", "porosity-samples", "margin-3", "margin-20", "switch"])
+def test_bad_value_is_exit_2_and_writes_nothing(tmp_path, capsys, argv, message):
+    """sample and porosity used to leave their CSV behind with no .meta;
+    kernel failed inside numpy; dim-box and dim-entropy exited 0 on no
+    samples (slope -0.1620, alpha 0.0000), and dim-box on a margin of -20."""
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _meta_keys(path) -> set[str]:
+    return {ln.split(" = ")[0] for ln in _read(path).splitlines() if not ln.startswith("#")}
+
+
+def test_meta_holds_exactly_the_keys_read(tmp_path, capsys):
+    common = {"b", "lam", "phi", "phi_from_w0"}
+    assert main(["sample", "--points", "8", "--out", str(tmp_path)]) == 0
+    assert _meta_keys(tmp_path / "sample.meta") == common | {"points", "plot_level", "tol"}
+    assert main(["theta", "--n", "4", "--out", str(tmp_path)]) == 0
+    meta = _read(tmp_path / "theta.meta")
+    assert "experiment = 0" in meta.splitlines() and "dump_cells = 0" in meta.splitlines()
+    assert _meta_keys(tmp_path / "theta.meta") == common | {
+        "seed", "tol", "n", "i_level", "m", "cap", "subsample", "experiment", "dump_cells"}
+    assert main(["check-h", "--phi-from-w0", "cos", "--grid", "64", "--pairs", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert "phi" not in _meta_keys(tmp_path / "check-h.meta")
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "--experiment", "--n", "6", "--k", "2", "--max-components", "10"],
+    ["theta", "--n", "4", "--i-level", "2", "--dump-cells"],
+    ["porosity", "--ucas"],
+], ids=["theta-experiment", "theta-dump-cells", "porosity-ucas"])
+def test_meta_reproduces_a_switched_run(tmp_path, capsys, argv):
+    """Switches used to go unrecorded, so the .meta of theta --experiment
+    reran the plain entropy and wrote theta_entropy.csv instead."""
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    assert main([*argv, "--out", str(d1)]) == 0
+    assert main([argv[0], "--config", str(d1 / f"{argv[0]}.meta"), "--out", str(d2)]) == 0
+    data = sorted(p.name for p in d1.iterdir() if p.suffix != ".meta")
+    assert sorted(p.name for p in d2.iterdir() if p.suffix != ".meta") == data
+    for name in data:
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
 # sample
 
 
@@ -119,8 +225,7 @@ def test_sample_writes_csv_and_meta(tmp_path, capsys):
 def test_sample_runs_are_byte_identical(tmp_path, capsys):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):
-        assert main(["sample", "--points", "128", "--seed", "5",
-                     "--out", str(d)]) == 0
+        assert main(["sample", "--points", "128", "--out", str(d)]) == 0
     assert (d1 / "sample.csv").read_bytes() == (d2 / "sample.csv").read_bytes()
 
 
@@ -284,11 +389,12 @@ def test_kernel_code_digit_out_of_base_is_exit_2(tmp_path, capsys):
 
 def test_kernel_non_real_phi_is_exit_2(tmp_path, capsys):
     """A coefficient file without conjugate symmetry is refused where the
-    generator is built, with one line, by every command: before, params,
-    renorm and period-scan exited 0 and the others failed inside numpy."""
+    generator is built, with one line, by every command that builds one:
+    before, renorm and period-scan exited 0 and the others failed inside
+    numpy.  ``params`` reads no generator, so it refuses ``--phi`` unread."""
     spec = tmp_path / "phi.txt"
     spec.write_text("1 0.5 0\n")
-    for command in ("params", "renorm", "period-scan", "sample", "dim-box", "kernel"):
+    for command in ("renorm", "period-scan", "sample", "dim-box", "kernel"):
         out = tmp_path / command
         out.mkdir()
         assert main([command, "--phi", str(spec), "--out", str(out)]) == 2
@@ -565,7 +671,7 @@ def test_theta_experiment(tmp_path, capsys):
 
 def test_porosity_quick_run(tmp_path, capsys):
     assert main(["porosity", "--h", "0.9", "--samples", "65536",
-                 "--scales", "3:6", "--m", "3", "--ucas-delta", "0.0625",
+                 "--scales", "3:6", "--m", "3", "--ucas",
                  "--out", str(tmp_path)]) == 0
     rows = _csv_rows(tmp_path / "porosity.csv")
     assert rows[0] == ["scale", "low_entropy_share"]

@@ -532,7 +532,7 @@ def test_convolution_matches_bruteforce():
         assert g.gain >= -1e-12
 
 
-def test_convolution_input_guards():
+def test_convolution_input_guards(monkeypatch):
     tau = _hist([0, 1], [1, 1], 2, 8)
     wide = _hist([0, 20], [1, 1], 2, 8)
     with pytest.raises(ValueError, match="exceeding"):
@@ -543,8 +543,9 @@ def test_convolution_input_guards():
     with pytest.raises(ValueError, match="k must be positive"):
         F.convolution_entropy_gain(tau, tau, 8, 0)
     a = _hist(list(range(10)), [1] * 10, 2, 8)
+    monkeypatch.setattr(F, "_DENSE_CAP", 8)
     with pytest.raises(ValueError, match="too wide"):
-        F.convolution_entropy_gain(a, a, 4, 4, dense_cap=8)
+        F.convolution_entropy_gain(a, a, 4, 4)
 
 
 def test_entropy_increase_experiment_positive_gains():

@@ -93,7 +93,6 @@ def test_entropy_exact_values():
     """Uniform over b^k cells scores k in base b; an atom scores zero."""
     u = M.histogram_from_values(np.arange(8) / 8 + 1e-3, 2, 3)
     assert M.entropy(u) == pytest.approx(3.0, abs=1e-13)
-    assert M.entropy(u, base_b=8) == pytest.approx(1.0, abs=1e-13)
     atom = M.histogram_from_values(np.full(5, 0.3), 2, 4)
     assert M.entropy(atom) == 0.0
     skew = M.histogram_from_values(np.array([0.1, 0.3, 0.3, 0.9]), 2, 2)
@@ -239,6 +238,32 @@ def test_box_dimension_rough_wave_small_run():
     assert 1.2 < rep.slope < 1.7
     assert all(c2 > c1 for c1, c2 in zip(rep.counts, rep.counts[1:]))
     assert rep.column_level >= 8 + 3
+
+
+def test_estimators_refuse_sample_counts_below_one():
+    """No samples used to give a slope of -0.1620 from one lattice column
+    (``graph_box_dimension``) and an alpha of 0 (``alpha_estimate``)."""
+    p, cos = _p2(), P.cos_phi()
+    for n_samples in (0, -4):
+        with pytest.raises(ValueError, match="n_samples must be positive"):
+            M.graph_box_dimension(p, cos, levels=range(3, 7), n_samples=n_samples,
+                                  column_margin=0)
+        with pytest.raises(ValueError, match="n_samples must be positive"):
+            M.alpha_estimate(p, cos, [seeded_code(2, 0)], range(4, 8), n_samples)
+        with pytest.raises(ValueError, match="n_samples must be positive"):
+            M.dim_mu_check(p, cos, 2, range(4, 8), n_samples)
+
+
+def test_box_dimension_refuses_a_negative_column_margin():
+    """A negative margin used to fail on a float column count (-3), or to
+    count columns with nothing but the requested samples (-20)."""
+    p, cos = _p2(), P.cos_phi()
+    for margin in (-3, -20):
+        with pytest.raises(ValueError, match="column_margin must be nonnegative"):
+            M.graph_box_dimension(p, cos, levels=range(3, 7), n_samples=100,
+                                  column_margin=margin)
+    with pytest.raises(TypeError):
+        M.graph_box_dimension(p, cos, levels=range(3, 7), n_samples=100, column_margin=1.5)
 
 
 def test_dim_mu_check_consistency():
@@ -411,35 +436,34 @@ def test_ucas_probe_degenerate_atom():
 
 def test_porosity_uniform_and_atom_are_exact():
     """Uniform and point-mass inputs hit the low-entropy event everywhere."""
-    p = _p2()
-    cos = P.cos_phi()
-    code = seeded_code(2, 0)
     n1, n2, m = 2, 4, 3
     uniform = M.histogram_from_values(
         (np.arange(2 ** (n2 + m)) + 0.5) / 2 ** (n2 + m), 2, n2 + m
     )
-    rep_u = M.porosity_probe(p, cos, code, h=1.0, delta=0.1, m=m, n1=n1, n2=n2,
-                             hist=uniform)
+    rep_u = M.porosity_probe(uniform, h=1.0, delta=0.1, m=m, n1=n1, n2=n2)
     assert rep_u.fraction == 1.0
     assert rep_u.porous
     assert rep_u.vacuous  # h + delta = 1.1: every measure would pass
     atom = M.histogram_from_values(np.full(4, 0.37), 2, n2 + m)
-    rep_a = M.porosity_probe(p, cos, code, h=0.5, delta=0.1, m=m, n1=n1, n2=n2,
-                             hist=atom)
+    rep_a = M.porosity_probe(atom, h=0.5, delta=0.1, m=m, n1=n1, n2=n2)
     assert rep_a.fraction == 1.0
     assert rep_a.porous
     assert not rep_a.vacuous
 
 
 def test_porosity_guards():
-    p = _p2()
-    cos = P.cos_phi()
-    code = seeded_code(2, 0)
-    with pytest.raises(ValueError, match="level_cap"):
-        M.porosity_probe(p, cos, code, 0.5, 0.1, m=5, n1=1, n2=25)
+    """A histogram too coarse for n2 + m, an m below 1 and scales out of
+    order are refused; a level too deep for int64 cell indices is refused
+    where the projected measure is sampled."""
     shallow = M.histogram_from_values(np.array([0.2, 0.8]), 2, 3)
     with pytest.raises(ValueError, match="too coarse"):
-        M.porosity_probe(p, cos, code, 0.5, 0.1, m=3, n1=1, n2=2, hist=shallow)
+        M.porosity_probe(shallow, 0.5, 0.1, m=3, n1=1, n2=2)
+    with pytest.raises(ValueError, match="m must be positive"):
+        M.porosity_probe(shallow, 0.5, 0.1, m=0, n1=1, n2=2)
+    with pytest.raises(ValueError, match="n1 <= n2"):
+        M.porosity_probe(shallow, 0.5, 0.1, m=1, n1=2, n2=1)
+    with pytest.raises(ValueError, match="overflow"):
+        M.sample_projected_measure(_p2(), P.cos_phi(), seeded_code(2, 0), 64, 64)
 
 
 @given(st.integers(2, 3), st.integers(0, 200))
