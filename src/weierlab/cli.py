@@ -131,6 +131,8 @@ class _Options:
             raise ValueError(f"option {key} expects integer bounds, got {v!r}")
         if b < a:
             raise ValueError(f"option {key} has an empty range {v!r}")
+        if a < 0:
+            raise ValueError(f"option {key} must have nonnegative bounds, got {v!r}")
         return list(range(a, b + 1))
 
 
@@ -478,32 +480,33 @@ def cmd_porosity(opt: _Options, outdir: str) -> _Run:
     seed = opt.get_int("seed")
     tol = opt.get_float("tol")
     code = kn.seeded_code(params.b, seed, 0)
+    h = opt.get_float("h") if opt.raw("h") else None
+    scales = opt.get_range("scales")
+    m = opt.get_count("m")
+    samples = opt.get_count("samples")
+    delta = opt.get_float("delta")
+    ucas = opt.get_switch("ucas")  # every option is read before the first sample
     summary: dict[str, object] = {}
-    if opt.raw("h"):
-        h = opt.get_float("h")
-    else:
+    if h is None:
         alpha = ms.alpha_estimate(params, phi, [code], levels=range(5, 11),
                                   n_samples=1 << 18, seed=seed, tol=tol)
         h = alpha.median
         summary["h_from_alpha"] = h
-    scales = opt.get_range("scales")
-    m = opt.get_count("m")
-    samples = opt.get_count("samples")
     hist = ms.sample_projected_measure(params, phi, code, samples, scales[-1] + m,
                                        seed=seed, tol=tol)
-    rep = ms.porosity_probe(hist, h, opt.get_float("delta"), m, scales[0], scales[-1])
+    rep = ms.porosity_probe(hist, h, delta, m, scales[0], scales[-1])
     lines = ["scale,low_entropy_share"]
     for sc in sorted(rep.per_scale):
         lines.append(f"{sc},{rep.per_scale[sc]!r}")
     summary.update({"fraction": rep.fraction, "porous": rep.porous, "vacuous": rep.vacuous,
                     "h": h})
     stdout = []
-    if opt.get_switch("ucas"):
-        delta = float(params.b) ** -4
-        urep = ms.ucas_probe(params, phi, [code], delta, n_samples=samples, seed=seed, tol=tol)
-        summary.update({"ucas_delta": delta, "ucas_sup_ratio": urep.sup_ratio,
+    if ucas:
+        u_delta = float(params.b) ** -4
+        urep = ms.ucas_probe(params, phi, [code], u_delta, n_samples=samples, seed=seed, tol=tol)
+        summary.update({"ucas_delta": u_delta, "ucas_sup_ratio": urep.sup_ratio,
                         "ucas_degenerate": urep.degenerate_atom})
-        stdout.append(f"ucas sup ratio {urep.sup_ratio:.4f} at delta {delta!r}")
+        stdout.append(f"ucas sup ratio {urep.sup_ratio:.4f} at delta {u_delta!r}")
     verdict = (f"vacuous (h + delta = {rep.threshold:.4f} >= 1)" if rep.vacuous
                else rep.porous)
     stdout.append(f"porosity fraction {rep.fraction:.4f} (porous: {verdict})")

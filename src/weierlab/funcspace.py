@@ -30,8 +30,8 @@ from ._util import depth_index, floor_scaled_log, substream
 from .kernel import (_LINEARIZE_BELOW, Code, _block_rows, _gamma_lattice, _piecewise_gamma,
                      _sin_vers, _y_term_count, apply_word, code_offsets, eval_gamma,
                      eval_gamma_vec)
-from .measure import (BadicHistogram, _lattice_sample, _strata_level, entropy,
-                      histogram_from_values, n_hat)
+from .measure import (BadicHistogram, _lattice_sample, _run_starts, _shannon, _strata_level,
+                      entropy, histogram_from_values, n_hat)
 from .weier import WLattice
 # no caller in this module: kept because perfbench/tracing.py patches it here by name
 from .weier import eval_w_vec  # noqa: F401
@@ -57,7 +57,6 @@ __all__ = [
 
 _THETA_CHUNK = 1 << 22  # atoms per pass over the heights of the origin constants
 _C_CAP = 8  # the largest separation constant tried: a pair apart only past level 8 n fails
-_PAIR_CAP = 200_000  # word pairs per length beyond which a seeded subsample is drawn
 _DENSE_CAP = 1 << 24  # cells of the two dense supports a lattice convolution may span
 _GAIN_THRESHOLD = 0.02  # a convolution gain above this counts as positive
 _MIN_ATOMS = 16  # smallest component the entropy-increase experiment takes
@@ -121,8 +120,8 @@ class ThetaMeasure:
     ContactMaps materialize on demand.  ``order`` is ``np.argsort(c)``,
     taken once at construction: every partition level buckets the atoms
     by floors of c, which are runs in this order.  ``subsampled`` marks a
-    seeded uniform subsample used when the exact atom count b^n_hat
-    exceeds the cap.
+    seeded uniform draw of distinct words, without replacement, used when
+    the exact atom count b^n_hat exceeds the cap.
     """
 
     params: object
@@ -159,20 +158,21 @@ class ThetaMeasure:
         )
 
 
-def _origin_constants(params, phi: phimod.Phi, code: Code, heights: WLattice,
+def _origin_constants(params, phi: phimod.Phi, code: Code, level: int,
                       idx: np.ndarray | None, tol: float) -> np.ndarray:
-    """c = pi_code(g_word(0, 0)) for the word indices ``idx``, or for every
-    index 0 .. b^width - 1 in order when ``idx`` is None.
+    """c = pi_code(g_word(0, 0)) for the length-``level`` word indices
+    ``idx``, or for every index 0 .. b^level - 1 in order when ``idx`` is
+    None.
 
-    The image of the origin under the word with index r is (r / b^width,
-    sum_{m < width} lam^m phi(b^m r / b^width mod 1)); that sum is
-    ``heights``, the unshifted level-width lattice started from 0.  The
+    The image of the origin under the word with index r is (r / b^level,
+    sum_{m < level} lam^m phi(b^m r / b^level mod 1)); that sum is
+    ``heights``, the unshifted lattice of that level started from 0.  The
     projection subtracts Gamma at the x image.  For the whole lattice,
     Gamma is ``kernel._gamma_lattice``'s product, and the heights are
     subtracted from it in place, _THETA_CHUNK atoms at a time.  Given
     indices take ``eval_gamma_vec`` on their points, chunk by chunk.
     """
-    level = heights.level
+    heights = WLattice(params, phi, level, start=0.0)
     if idx is None:
         c = _gamma_lattice(params, phi, code, level, tol)
         for a in range(0, len(c), _THETA_CHUNK):
@@ -200,12 +200,15 @@ def build_theta(
 ) -> ThetaMeasure:
     """Enumerate (or subsample) the theta measure at index n.
 
-    Raises when b^n_hat exceeds the cap and no subsample size is given,
-    and for a subsample size below 1.
-    The constants c of a full enumeration take Gamma on the whole lattice
-    of level n_hat from ``kernel._gamma_lattice``'s matrix product; a
-    subsample takes ``eval_gamma_vec`` at its drawn points.  The two agree
-    to rounding, within 1e-13 of max(1, |Gamma|).
+    Beyond the cap, the atoms are ``subsample`` distinct words drawn
+    uniformly without replacement from all b^n_hat, by one seeded
+    ``choice``, in increasing index order.  Raises when b^n_hat exceeds
+    the cap and no subsample size is given, and for a subsample size
+    below 1 or above b^n_hat.  The constants c of a full enumeration take
+    Gamma on the whole lattice of level n_hat from
+    ``kernel._gamma_lattice``'s matrix product; a subsample takes
+    ``eval_gamma_vec`` at its drawn points.  The two agree to rounding,
+    within 1e-13 of max(1, |Gamma|).
     """
     if subsample is not None and subsample < 1:
         raise ValueError(f"subsample must be at least 1, got {subsample}")
@@ -223,14 +226,14 @@ def build_theta(
             f"b^{nh} atoms: word indices past 2^63 - 1 do not fit int64, "
             f"so theta at n = {n} cannot be subsampled; lower n"
         )
+    elif subsample > total:
+        raise ValueError(f"subsample {subsample} exceeds the b^{nh} = {total} words of theta "
+                         f"at n = {n}")
     else:
-        rng = substream(seed, 0x7E7A)
-        draw = np.sort(rng.integers(0, total, size=int(subsample * 1.2) + 16))
-        distinct = np.concatenate(([True], draw[1:] != draw[:-1]))
-        indices = draw[distinct][:subsample].astype(np.int64)  # np.unique(draw), sooner
+        draw = substream(seed, 0x7E7A).choice(total, size=subsample, replace=False)
+        indices = np.sort(draw).astype(np.int64)
         sub = True
-    heights = WLattice(params, phi, nh, start=0.0)
-    c = _origin_constants(params, phi, code, heights, indices if sub else None, tol)
+    c = _origin_constants(params, phi, code, nh, indices if sub else None, tol)
     return ThetaMeasure(
         params=params, phi=phi, code=code, n=n, n_hat=nh,
         indices=indices, c=c, subsampled=sub,
@@ -473,20 +476,25 @@ def theta_entropy(
     return _entropy_report(theta, labels, n_cells, i_level, m_grid)
 
 
+def _label_entropy(labels: np.ndarray, b: int) -> float:
+    """Entropy in log base b of equal-weight atoms grouped by their
+    nonnegative labels: (log N - sum_cells count log count / N) / log b."""
+    counts = np.bincount(labels).astype(np.float64)
+    counts = counts[counts > 0]
+    n_atoms = float(len(labels))
+    return (math.log(n_atoms) - float((counts * np.log(counts)).sum()) / n_atoms) / math.log(b)
+
+
 def _entropy_report(theta: ThetaMeasure, labels: np.ndarray, n_cells: int, i_level: int,
                     m_grid: int) -> ThetaEntropyReport:
     """The report of ``theta_entropy`` from the cell labels of theta's atoms."""
-    counts = np.bincount(labels).astype(np.float64)
-    counts = counts[counts > 0]
-    n_atoms = float(len(theta))
-    h = math.log(n_atoms) - float((counts * np.log(counts)).sum()) / n_atoms
     return ThetaEntropyReport(
-        entropy=h / math.log(theta.params.b),
+        entropy=_label_entropy(labels, theta.params.b),
         n=theta.n,
         n_hat=theta.n_hat,
         i_level=i_level,
         m_grid=m_grid,
-        n_atoms=int(n_atoms),
+        n_atoms=len(theta),
         n_cells=n_cells,
         subsampled=theta.subsampled,
     )
@@ -533,70 +541,58 @@ def separation_constant_c(
     code: Code,
     n_max: int,
     m_grid: int,
-    seed: int = 0,
     tol: float = 1e-10,
 ) -> SeparationCReport:
     """Smallest C with all same-length word pairs split by level C n cells.
 
-    For each word length n <= n_max, every distinct pair (or a seeded
-    subsample of 200,000 when there are more) is pushed through the
-    partition at levels 1, 2, ... until the cells differ; the per-pair
-    requirement is ceil(level / n) and C is the worst over all pairs.
-    Pairs still unseparated at level 8 n are returned as failures
-    (the everywhere-degenerate generators have no finite C).
+    For each word length n <= n_max, the b^n words of length n are the
+    atoms of the height-n theta measure over ``code``, and
+    ``theta_cell_labels`` labels them exactly at the levels C n for C = 1,
+    2, ..., 8.  The partition at a level refines every coarser one, so
+    C_n is the first C whose labels are all distinct, and C is the worst
+    C_n.  Where no C up to 8 separates every pair, the first 32 pairs a <
+    b of word indices, in lexicographic order, that share a label at level
+    8 n are returned as failures (the everywhere-degenerate generators
+    have no finite C).
     """
     _check_m(params, m_grid)
     per_n: dict[int, int] = {}
     failures: list[tuple[int, int, int]] = []
-    c_val = 1
     for n in range(1, n_max + 1):
-        count = params.b**n
-        idx = np.arange(count, dtype=np.int64)
-        heights = WLattice(params, phi, n, start=0.0)
-        cvals = _origin_constants(params, phi, code, heights, None, tol)
-        psi = gamma_at_many_words(params, phi, np.arange(1, m_grid + 1) / m_grid,
-                                  idx, n, code, tol).T
-        q = q_height(params, n)
-        n_pairs = count * (count - 1) // 2
-        if n_pairs <= _PAIR_CAP:
-            ia, ib = np.triu_indices(count, k=1)
-        else:
-            rng = substream(seed, 0x5EF, n)
-            ia = rng.integers(0, count, size=_PAIR_CAP)
-            ib = rng.integers(0, count, size=_PAIR_CAP)
-            keep = ia != ib
-            ia, ib = ia[keep], ib[keep]
-        alive = np.ones(len(ia), dtype=bool)
-        level_found = np.zeros(len(ia), dtype=np.int64)
-        for ell in range(1, _C_CAP * n + 1):
-            if not alive.any():
+        c = _origin_constants(params, phi, code, n, None, tol)
+        theta = ThetaMeasure(params=params, phi=phi, code=code, n=n, n_hat=n,
+                             indices=np.arange(len(c), dtype=np.int64), c=c, subsampled=False)
+        for c_n in range(1, _C_CAP + 1):
+            labels, n_cells = theta_cell_labels(theta, c_n * n, m_grid, tol)
+            if n_cells == len(theta):
+                per_n[n] = c_n
                 break
-            cs = float(params.b) ** (ell + q)
-            ps = float(params.b) ** ell
-            fc = np.floor(cvals * cs).astype(np.int64)
-            sep = fc[ia] != fc[ib]
-            for g in psi:
-                fp = np.floor(g * ps).astype(np.int64)
-                sep |= fp[ia] != fp[ib]
-            newly = alive & sep
-            level_found[newly] = ell
-            alive &= ~sep
-        if alive.any():
-            for j in np.nonzero(alive)[0][:32]:
-                failures.append((n, int(ia[j]), int(ib[j])))
-            continue
-        c_n = int(np.max(-(-level_found // n))) if len(level_found) else 1
-        per_n[n] = c_n
-        c_val = max(c_val, c_n)
+        else:
+            failures += [(n, a, b) for a, b in _shared_label_pairs(labels, 32)]
     separable = not failures
     return SeparationCReport(
-        c_value=c_val if separable else None,
+        c_value=max(per_n.values(), default=1) if separable else None,
         separable=separable,
         per_n=per_n,
         failures=failures,
         n_max=n_max,
         m_grid=m_grid,
     )
+
+
+def _shared_label_pairs(labels: np.ndarray, limit: int) -> list[tuple[int, int]]:
+    """The first ``limit`` pairs a < b of atoms with equal labels, in
+    lexicographic order, from one stable sort of the labels."""
+    order = np.argsort(labels, kind="stable")  # each label's atoms in increasing index
+    ends = np.searchsorted(labels[order], labels, side="right")  # end of each atom's run
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(order))
+    pairs: list[tuple[int, int]] = []
+    for a in np.flatnonzero(ends - pos > 1):  # atoms with a later partner
+        pairs += [(int(a), int(b)) for b in order[pos[a] + 1 : ends[a]][:limit]]
+        if len(pairs) >= limit:
+            break
+    return pairs[:limit]
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +644,7 @@ def convolution_entropy_gain(
     if len(dt) + len(dta) > _DENSE_CAP:
         raise ValueError("convolution support too wide for the dense path")
     conv = np.convolve(dt, dta)
-    conv = conv[conv > 1e-300]
-    logb = math.log(b)
-    h_conv = float(-(conv * np.log(conv)).sum()) / logb
+    h_conv = _shannon(conv[conv > 1e-300], 1.0, b)
     h_tau = entropy(tau_hist)
     return ConvolutionGain(
         gain=(h_conv - h_tau) / k, h_conv=h_conv, h_tau=h_tau, level=n + k
@@ -720,11 +714,8 @@ def entropy_increase_experiment(
     rows: list[tuple[int, float, float]] = []
     below = 0
     order = np.argsort(labels_i, kind="stable")
-    sorted_labels = labels_i[order]
-    starts = np.flatnonzero(
-        np.concatenate([[True], sorted_labels[1:] != sorted_labels[:-1]])
-    )
-    bounds = np.append(starts, len(sorted_labels))
+    starts = _run_starts(labels_i[order])
+    bounds = np.append(starts, len(order))
     sizes = np.diff(bounds)
     eligible = np.flatnonzero(sizes >= _MIN_ATOMS)
     skipped_small = len(starts) - len(eligible)
@@ -738,12 +729,7 @@ def entropy_increase_experiment(
     for comp_id in eligible:
         members = order[bounds[comp_id] : bounds[comp_id + 1]]
         fine = labels_f[members]
-        counts = np.bincount(fine - fine.min()).astype(np.float64)
-        counts = counts[counts > 0]
-        total = float(len(members))
-        h_eta = (
-            math.log(total) - float((counts * np.log(counts)).sum()) / total
-        ) / math.log(params.b) / k
+        h_eta = _label_entropy(fine - fine.min(), params.b) / k
         if h_eta < h_threshold:
             below += 1
             continue

@@ -284,6 +284,16 @@ def _fit_curve(levels: Sequence[int], values: Sequence[float],
     )
 
 
+def _window(levels: Sequence[int], who: str) -> list[int]:
+    """A slope window as sorted ints: at least two levels, each at least 1."""
+    levels = sorted(int(lv) for lv in levels)
+    if len(levels) < 2:
+        raise ValueError(f"{who} needs at least two levels")
+    if levels[0] < 1:
+        raise ValueError(f"{who} levels must be at least 1, got {levels[0]}")
+    return levels
+
+
 def _entropy_curve(fine: BadicHistogram, window: Sequence[int]) -> EntropyCurve:
     """Entropies of every coarsening of ``fine`` from level 1 up, fitted over ``window``."""
     all_levels = list(range(1, fine.level + 1))
@@ -380,9 +390,7 @@ def alpha_estimate(
     levels up to the window top come from one finest histogram by exact
     coarsening; the summary is the median slope with interquartile range.
     """
-    levels = sorted(int(lv) for lv in levels)
-    if len(levels) < 2:
-        raise ValueError("alpha_estimate needs at least two levels")
+    levels = _window(levels, "alpha_estimate")
     codes = list(codes)
     if not codes:
         raise ValueError("alpha_estimate needs at least one code")
@@ -460,9 +468,7 @@ def graph_box_dimension(
     the true oscillation.  W is evaluated, and boxes counted, in blocks of
     ``_BLOCK_COLUMNS`` columns, so no temporary grows with the column count.
     """
-    levels = sorted(int(lv) for lv in levels)
-    if len(levels) < 2:
-        raise ValueError("graph_box_dimension needs at least two levels")
+    levels = _window(levels, "graph_box_dimension")
     n_max = levels[-1]
     column_margin = depth_index(column_margin, "column_margin")
     col_level = max(_strata_level(params.b, n_samples), n_max + column_margin)
@@ -556,9 +562,7 @@ def dim_mu_check(
     sampled points (x, W(x)) counted in level-n squares; alpha comes from
     ``alpha_estimate`` over ``code_count`` seeded codes at the same levels.
     """
-    levels = sorted(int(lv) for lv in levels)
-    if len(levels) < 2:
-        raise ValueError("dim_mu_check needs at least two levels")
+    levels = _window(levels, "dim_mu_check")
     xs, ys = _lattice_sample(params, phi, _strata_level(params.b, n_samples), seed, tol)
     all_levels = list(range(1, levels[-1] + 1))
     curve = _fit_curve(all_levels, _square_entropies(xs, ys, params.b, levels[-1]), levels)

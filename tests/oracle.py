@@ -12,8 +12,10 @@ theta, scalar partition cells of single contact maps instead of labels
 for a whole theta, a per-atom row loop for the cell dump, a contact map
 built from one word pushed through the graph maps instead of from a
 word index, a ``collections.Counter`` of (column, row) pairs instead
-of packed-key sorts for the graph measure's squares, and a scalar golden
-section search instead of equally spaced points in one call.
+of packed-key sorts for the graph measure's squares, a scalar golden
+section search instead of equally spaced points in one call, and a
+pair-by-pair floor search for the separation constant instead of the
+cell labels of whole theta measures.
 """
 
 from __future__ import annotations
@@ -261,6 +263,43 @@ def theta_labels_unique_lexsort(theta, i_level: int, m_grid: int, tol: float = 1
     used[labels] = True
     rank = np.cumsum(used) - 1
     return rank[labels], int(rank[-1]) + 1
+
+
+def separation_pairwise(params, phi, code, n_max: int, m_grid: int, tol: float = 1e-10):
+    """``funcspace.separation_constant_c`` pair by pair: every pair of
+    same-length words is compared at levels 1, 2, ..., 8 n, by the floors
+    of c at level + q(n) and of psi(k / M) at the level, until they differ.
+    The pair needs C = ceil(level / n), C_n is the worst pair's, and pairs
+    alike at every level are failures, the first 32 in (a, b) order.
+    Returns (C or None, separable, per_n, failures)."""
+    from weierlab.funcspace import _origin_constants, gamma_at_many_words, q_height
+
+    per_n, failures = {}, []
+    for n in range(1, n_max + 1):
+        count = params.b**n
+        cvals = _origin_constants(params, phi, code, n, None, tol)
+        psi = gamma_at_many_words(params, phi, np.arange(1, m_grid + 1) / m_grid,
+                                  np.arange(count, dtype=np.int64), n, code, tol).T
+        q = q_height(params, n)
+        ia, ib = np.triu_indices(count, k=1)
+        alive = np.ones(len(ia), dtype=bool)
+        level_found = np.zeros(len(ia), dtype=np.int64)
+        for ell in range(1, 8 * n + 1):
+            if not alive.any():
+                break
+            fc = np.floor(cvals * float(params.b) ** (ell + q)).astype(np.int64)
+            sep = fc[ia] != fc[ib]
+            for g in psi:
+                fp = np.floor(g * float(params.b) ** ell).astype(np.int64)
+                sep |= fp[ia] != fp[ib]
+            level_found[alive & sep] = ell
+            alive &= ~sep
+        if alive.any():
+            failures += [(n, int(ia[j]), int(ib[j])) for j in np.flatnonzero(alive)[:32]]
+        else:
+            per_n[n] = int(np.max(-(-level_found // n)))
+    separable = not failures
+    return (max(per_n.values(), default=1) if separable else None), separable, per_n, failures
 
 
 def theta_cells_rows(theta, labels) -> str:

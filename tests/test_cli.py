@@ -155,12 +155,16 @@ def test_unread_config_key_is_exit_2(tmp_path, capsys):
     (["dim-box", "--column-margin", "-20", "--samples", "100"],
      "column_margin must be nonnegative"),
     (["theta", "--n", "4", "--experiment", "2"], "option experiment expects 0 or 1, got '2'"),
+    (["theta", "--n", "6", "--cap", "16", "--subsample", "5000"],
+     "subsample 5000 exceeds the b^12 = 4096 words"),
 ], ids=["plot-level", "ucas-delta", "kernel-points", "dim-box-samples",
-        "dim-entropy-samples", "porosity-samples", "margin-3", "margin-20", "switch"])
+        "dim-entropy-samples", "porosity-samples", "margin-3", "margin-20", "switch",
+        "theta-subsample"])
 def test_bad_value_is_exit_2_and_writes_nothing(tmp_path, capsys, argv, message):
     """sample and porosity used to leave their CSV behind with no .meta;
     kernel failed inside numpy; dim-box and dim-entropy exited 0 on no
-    samples (slope -0.1620, alpha 0.0000), and dim-box on a margin of -20."""
+    samples (slope -0.1620, alpha 0.0000), and dim-box on a margin of -20;
+    theta at n = 6, 4,096 words, ran --subsample 5000 on 3,147 of them."""
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
@@ -667,6 +671,41 @@ def test_theta_experiment(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # porosity
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dim-box", "--levels=-2:4", "--samples", "4096"],
+     "option levels must have nonnegative bounds, got '-2:4'"),
+    (["dim-entropy", "--levels=-1:4", "--samples", "4096", "--codes", "2"],
+     "option levels must have nonnegative bounds, got '-1:4'"),
+    (["dim-box", "--levels", "0:4", "--samples", "4096"],
+     "graph_box_dimension levels must be at least 1, got 0"),
+    (["dim-entropy", "--levels", "0:4", "--samples", "4096", "--codes", "2"],
+     "alpha_estimate levels must be at least 1, got 0"),
+    (["porosity", "--h", "0.5", "--scales=-3:2"],
+     "option scales must have nonnegative bounds, got '-3:2'"),
+    (["porosity", "--scales=-3:2"], "option scales must have nonnegative bounds"),
+    (["porosity", "--h", "0.5", "--delta", "x"], "option delta expects a number"),
+    (["porosity", "--delta", "x"], "option delta expects a number"),
+    (["porosity", "--h", "0.5", "--ucas", "2"], "option ucas expects 0 or 1"),
+], ids=["dim-box", "dim-entropy", "dim-box-0", "dim-entropy-0", "porosity", "porosity-alpha",
+        "delta", "delta-alpha", "ucas"])
+def test_bad_window_is_exit_2_before_sampling(tmp_path, capsys, monkeypatch, argv, message):
+    """dim-box --levels=-2:4 and dim-entropy --levels=-1:4 used to exit 0
+    with a slope over levels 1..4; porosity sampled its 2^20 points (and,
+    without --h, the alpha estimate's) before it refused a negative scale
+    or read --delta and --ucas."""
+    sampled = []
+    lattice = ms.WLattice
+
+    def spy(*args, **kwargs):
+        sampled.append(args[2])
+        return lattice(*args, **kwargs)
+
+    monkeypatch.setattr(ms, "WLattice", spy)
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert sampled == []
 
 
 def test_porosity_quick_run(tmp_path, capsys):

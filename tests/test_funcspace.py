@@ -126,9 +126,9 @@ def test_build_theta_enumerates_words():
 
 
 def test_build_theta_subsample_is_the_sorted_distinct_draw():
-    """The subsample keeps the first ``subsample`` distinct values of the
-    seeded draw in increasing order, as ``np.unique`` would, byte for byte
-    the same for a seed."""
+    """The subsample is one seeded draw of ``subsample`` distinct word
+    indices without replacement, in increasing order, byte for byte the
+    same for a seed."""
     from weierlab._util import substream
 
     p = _p2()
@@ -136,13 +136,33 @@ def test_build_theta_subsample_is_the_sorted_distinct_draw():
     total = 2 ** M.n_hat(p, 8)
     for seed in (0, 5):
         th = F.build_theta(p, P.cos_phi(), code, 8, cap=64, subsample=3000, seed=seed)
-        draw = substream(seed, 0x7E7A).integers(0, total, size=int(3000 * 1.2) + 16)
+        draw = substream(seed, 0x7E7A).choice(total, size=3000, replace=False)
         assert th.indices.dtype == np.int64 and len(th) == 3000
         assert np.all(np.diff(th.indices) > 0)
-        assert np.array_equal(th.indices, np.unique(draw)[:3000])
+        assert np.array_equal(th.indices, np.sort(draw))
         again = F.build_theta(p, P.cos_phi(), code, 8, cap=64, subsample=3000, seed=seed)
         assert again.indices.tobytes() == th.indices.tobytes()
         assert again.c.tobytes() == th.c.tobytes()
+
+
+def test_build_theta_subsample_is_uniform():
+    """The subsample used to keep the smallest of 1.2 s + 16 sorted draws:
+    it never reached words above about 0.83 b^n_hat, put 40% of its atoms
+    in the top half, and returned fewer atoms than asked once duplicates
+    ate the margin.  Now every word is equally likely, any size up to
+    b^n_hat is met exactly, and a larger one is refused."""
+    p = _p2()
+    code = seeded_code(2, 0)
+    total = 2 ** M.n_hat(p, 8)
+    for seed in (0, 1, 2):
+        th = F.build_theta(p, P.cos_phi(), code, 8, cap=64, subsample=3000, seed=seed)
+        assert th.indices.max() >= 0.95 * total
+        assert 0.45 <= np.mean(th.indices >= total // 2) <= 0.55
+    most = int(0.9 * total)
+    th = F.build_theta(p, P.cos_phi(), code, 8, cap=64, subsample=most)
+    assert len(th) == most and len(np.unique(th.indices)) == most
+    with pytest.raises(ValueError, match="subsample 65537 exceeds"):
+        F.build_theta(p, P.cos_phi(), code, 8, cap=64, subsample=total + 1)
 
 
 def test_build_theta_subsample_reproducible():
@@ -492,6 +512,51 @@ def test_separation_constant_degenerate_generator():
     assert not rep.separable
     assert rep.c_value is None
     assert rep.failures
+
+
+def _workload_code(seed: int, i: int):
+    """Code i of the theta benchmark workload at benchmark seed ``seed``."""
+    return seeded_code(2, int(np.random.SeedSequence(seed).generate_state(1)[0]), i)
+
+
+_SEPARATION_SYSTEMS = {
+    "cos-6": (2, 0.7, P.cos_phi(), 0, 6),
+    "cos-8": (2, 0.7, P.cos_phi(), 0, 8),
+    "triangle-6": (2, 0.7, P.triangle_phi(), 0, 6),
+    "twin-4": (2, 0.7, P.phi_from_w0(P.cos_phi(), 2, 0.7), 0, 4),
+    "twin-7": (2, 0.7, P.phi_from_w0(P.cos_phi(), 2, 0.7), 0, 7),
+    "zero-4": (2, 0.7, P.zero_phi(), 0, 4),
+    "cos-b3-4": (3, 0.5, P.cos_phi(), 0, 4),
+    "triangle-b3-4": (3, 0.5, P.triangle_phi(), 0, 4),
+    **{f"workload-{seed}-{i}": (2, 0.7, P.cos_phi(), (seed, i), 6)
+       for seed in (1, 2, 3) for i in (0, 1)},
+}
+
+
+@pytest.mark.parametrize("name", _SEPARATION_SYSTEMS)
+def test_separation_constant_matches_pairwise_reference(name):
+    """The cell labels at levels C n give the C, per-n constants and
+    failures of the pair-by-pair floor search, exactly: separable systems,
+    degenerate ones with failures, and the twin, separable only from n = 5
+    with C_n of 7 and 8."""
+    b, lam, phi, key, n_max = _SEPARATION_SYSTEMS[name]
+    p = make_params(b, lam)
+    code = _workload_code(*key) if isinstance(key, tuple) else seeded_code(b, key)
+    rep = F.separation_constant_c(p, phi, code, n_max, b)
+    ref = oracle.separation_pairwise(p, phi, code, n_max, b)
+    assert (rep.c_value, rep.separable, rep.per_n, rep.failures) == ref
+    assert rep.n_max == n_max and rep.m_grid == b
+
+
+def test_separation_constant_refuses_partitions_too_deep_for_int64():
+    """A constant and a zero generator leave every pair together up to
+    level 8 n; at n = 8 the cell keys c b^(8 n + q) no longer fit int64.
+    The pair search used to cast them anyway ("invalid value encountered
+    in cast") and report failures from the wrapped keys."""
+    p = _p2()
+    for phi in (P.parse_phi_spec("const:1"), P.zero_phi()):
+        with pytest.raises(ValueError, match="partition level too deep"):
+            F.separation_constant_c(p, phi, seeded_code(2, 0), 8, 2)
 
 
 def test_convolution_point_mass_is_neutral():

@@ -72,6 +72,7 @@ RUNS = {
     "theta-b3": "theta --b 3 --lambda 0.5 --n 3 --phi triangle",
     "theta-dump": "theta --n 4 --i-level 2 --dump-cells",
     "theta-subsample": "theta --n 6 --cap 16 --subsample 32 --seed 1",
+    "theta-subsample-dump": "theta --n 6 --cap 16 --subsample 32 --seed 1 --dump-cells",
     "theta-experiment": "theta --experiment --n 6 --k 2 --max-components 10",
     "porosity": "porosity --h 0.5 --samples 4096 --scales 2:3 --m 2",
     "porosity-alpha": "porosity --samples 4096 --scales 2:3 --m 2",

@@ -254,6 +254,27 @@ def test_estimators_refuse_sample_counts_below_one():
             M.dim_mu_check(p, cos, 2, range(4, 8), n_samples)
 
 
+def test_estimators_refuse_levels_below_one_before_sampling(monkeypatch):
+    """A window reaching below level 1 used to be fitted over levels 1 ..
+    top only, silently.  All three estimators refuse it, and a window of
+    one level, before any point is sampled."""
+    sampled = []
+    monkeypatch.setattr(M, "WLattice", lambda *a, **k: sampled.append(a))
+    p, cos = _p2(), P.cos_phi()
+    for levels in (range(-2, 5), range(0, 5)):
+        with pytest.raises(ValueError, match="graph_box_dimension levels must be at least 1"):
+            M.graph_box_dimension(p, cos, levels, n_samples=100)
+        with pytest.raises(ValueError, match="alpha_estimate levels must be at least 1"):
+            M.alpha_estimate(p, cos, [seeded_code(2, 0)], levels, 100)
+        with pytest.raises(ValueError, match="dim_mu_check levels must be at least 1"):
+            M.dim_mu_check(p, cos, 2, levels, 100)
+    for fn, args in ((M.graph_box_dimension, ()), (M.alpha_estimate, ([seeded_code(2, 0)],)),
+                     (M.dim_mu_check, (2,))):
+        with pytest.raises(ValueError, match="needs at least two levels"):
+            fn(p, cos, *args, [4], 100)
+    assert sampled == []
+
+
 def test_box_dimension_refuses_a_negative_column_margin():
     """A negative margin used to fail on a float column count (-3), or to
     count columns with nothing but the requested samples (-20)."""
