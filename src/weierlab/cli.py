@@ -17,6 +17,7 @@ check fails during a run, 2 for invalid input.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -249,6 +250,33 @@ def _text(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv(header: str, rows) -> str:
+    """The one format of every data file: the header line, then one line
+    per row, a float cell (numpy float64 included) as ``repr(float(v))``,
+    so that rereading gives the exact binary value, any other cell as
+    ``str(v)``."""
+    return _text([header, *(",".join([repr(float(v)) if isinstance(v, float) else str(v)
+                                      for v in row]) for row in rows)])
+
+
+def _words(theta: fs.ThetaMeasure) -> list[str]:
+    """Each atom's word: its n_hat base-b digits, most significant first,
+    each printed in decimal.  The digits are numpy string arrays, one per
+    position, joined in pairs."""
+    b = theta.params.b
+    symbols = np.array([str(k) for k in range(b)])
+    rest = theta.indices.copy()
+    parts = []
+    for _ in range(theta.n_hat):
+        parts.insert(0, symbols[rest % b])
+        rest //= b
+    parts = parts or [np.zeros(len(theta), "U1")]
+    while len(parts) > 1:  # in pairs, so most joins act on short strings
+        pairs = [np.strings.add(u, v) for u, v in zip(parts[::2], parts[1::2])]
+        parts = pairs + parts[2 * len(pairs):]
+    return parts[0].tolist()
+
+
 # ---------------------------------------------------------------------------
 # subcommands: each takes the resolved options and the output directory's
 # name, which only the stdout lines mention, and returns a _Run
@@ -270,7 +298,7 @@ def cmd_sample(opt: _Options, outdir: str) -> _Run:
     points = opt.get_count("points")
     xs = (np.arange(points) + 0.5) / points
     ws = wr.eval_w_vec(params, phi, xs, opt.get_float("tol"))
-    files = {"sample.csv": _text(["x,w"] + [f"{float(x)!r},{float(w)!r}" for x, w in zip(xs, ws)])}
+    files = {"sample.csv": _csv("x,w", zip(xs.tolist(), ws.tolist()))}
     summary: dict[str, object] = {"w_min": float(ws.min()), "w_max": float(ws.max())}
     if opt.raw("plot_level"):
         scale = params.b**opt.get_depth("plot_level")
@@ -295,15 +323,13 @@ def cmd_dim_box(opt: _Options, outdir: str) -> _Run:
         column_margin=opt.get_int("column_margin"),
         tol=opt.get_float("tol"),
     )
-    lines = ["level,count,log_count,slope"]
-    for lv, ct, lc in zip(rep.levels, rep.counts, rep.log_counts):
-        lines.append(f"{int(lv)},{int(ct)},{float(lc)!r},{float(rep.slope)!r}")
     stdout = []
     if rep.n_samples > requested:
         stdout.append(f"evaluated {rep.n_samples} points for {requested} requested "
                       f"(one per column of level {rep.column_level})")
     stdout.append(f"box-count slope {rep.slope:.4f} (reference {rep.d_reference:.4f})")
-    return _Run({"dim_box.csv": _text(lines)}, {
+    rows = ((lv, ct, lc, rep.slope) for lv, ct, lc in zip(rep.levels, rep.counts, rep.log_counts))
+    return _Run({"dim_box.csv": _csv("level,count,log_count,slope", rows)}, {
         "slope": rep.slope, "slope_stderr": rep.slope_stderr,
         "d_reference": rep.d_reference, "n_samples": rep.n_samples,
         "column_level": rep.column_level,
@@ -321,11 +347,9 @@ def cmd_dim_entropy(opt: _Options, outdir: str) -> _Run:
         seed=seed,
         tol=opt.get_float("tol"),
     )
-    lines = ["code_index,level,H,in_window"]
-    for ci, curve in enumerate(rep.curves):
-        for lv, val in zip(curve.levels, curve.values):
-            lines.append(f"{ci},{lv},{val!r},{int(lv in curve.window)}")
-    return _Run({"dim_entropy.csv": _text(lines)}, {
+    rows = ((ci, lv, val, int(lv in curve.window)) for ci, curve in enumerate(rep.curves)
+            for lv, val in zip(curve.levels, curve.values))
+    return _Run({"dim_entropy.csv": _csv("code_index,level,H,in_window", rows)}, {
         "alpha_median": rep.median, "alpha_iqr": rep.iqr,
         "n_codes": len(codes),
     }, [f"alpha median {rep.median:.4f} over {len(codes)} codes (iqr {rep.iqr:.4f})"])
@@ -339,10 +363,8 @@ def cmd_kernel(opt: _Options, outdir: str) -> _Run:
     xs = (np.arange(points) + 0.5) / points
     gs = kn.eval_gamma_vec(params, phi, xs, code, tol)
     ys = kn.eval_y_vec(params, phi, xs, code, tol)
-    lines = ["x,y_stable,gamma"]
-    for x, y, g in zip(xs, ys, gs):
-        lines.append(f"{float(x)!r},{float(y)!r},{float(g)!r}")
-    return _Run({"kernel.csv": _text(lines)}, {
+    rows = zip(xs.tolist(), ys.tolist(), gs.tolist())
+    return _Run({"kernel.csv": _csv("x,y_stable,gamma", rows)}, {
         "y_sup": float(np.max(np.abs(ys))), "gamma_sup": float(np.max(np.abs(gs))),
     }, [f"wrote kernel.csv ({points} points) to {outdir}"])
 
@@ -357,7 +379,7 @@ def cmd_check_h(opt: _Options, outdir: str) -> _Run:
         grid_size=opt.get_count("grid"),
         tol=opt.get_float("tol"),
     )
-    return _Run({"check_h.csv": kn.h_scan_to_csv(rep)}, {
+    return _Run({"check_h.csv": _csv("u_prefix,v_prefix,seed,sep", rep.rows)}, {
         "classification": rep.classification,
         "min_sep": rep.min_sep, "max_sep": rep.max_sep,
     }, [f"classification: {rep.classification} "
@@ -384,7 +406,9 @@ def cmd_transversality(opt: _Options, outdir: str) -> _Run:
     }
     for lv, r in sorted(history.items()):
         summary[f"ratio_level_{lv}"] = r.rho0_hat
-    return _Run({"transversality.csv": kn.certificate_to_csv(rep)}, summary,
+    first = rep.per_pair[0]  # the file holds the first pair's intervals
+    rows = zip(itertools.count(), first["interval_inf"], first["interval_sup"])
+    return _Run({"transversality.csv": _csv("interval_index,inf,sup", rows)}, summary,
                 [f"l0 {l0}: rho0_hat {rep.rho0_hat:.4f}, median ratio {rep.median_ratio:.4f}"])
 
 
@@ -420,7 +444,8 @@ def cmd_period_scan(opt: _Options, outdir: str) -> _Run:
         threshold=opt.get_float("threshold"),
     )
     klasses = sorted({r.klass for r in rows})
-    return _Run({"period_scan.csv": wr.period_rows_to_csv(rows)}, {
+    table = ((r.t.numerator, r.t.denominator, r.k, r.lo, r.hi, r.klass) for r in rows)
+    return _Run({"period_scan.csv": _csv("t_num,t_den,k,E_lo,E_hi,class", table)}, {
         "n_rows": len(rows),
         "classes": ";".join(klasses),
         "n_candidate": sum(r.klass == "candidate-regulating" for r in rows),
@@ -445,7 +470,8 @@ def cmd_theta(opt: _Options, outdir: str) -> _Run:
             max_components=opt.get_count("max_components"),
             tol=tol,
         )
-        return _Run({"theta_experiment.csv": fs.experiment_to_csv(rep)}, {
+        rows = ((rep.n, rep.i_level, rep.k, *row) for row in rep.rows)
+        return _Run({"theta_experiment.csv": _csv("n,i_level,k,component_id,H_eta,gain", rows)}, {
             "mode": "experiment", "n_components": rep.n_components,
             "n_processed": rep.n_processed, "n_selected": rep.n_selected,
             "n_skipped_small": rep.n_skipped_small,
@@ -460,16 +486,17 @@ def cmd_theta(opt: _Options, outdir: str) -> _Run:
         raise ValueError(f"cell dump limited to 65536 atoms, theta has {len(theta)}")
     labels, n_cells = fs.theta_cell_labels(theta, i_level, m_grid, tol)  # once, for both outputs
     rep = fs._entropy_report(theta, labels, n_cells, i_level, m_grid)
-    header = "n,n_hat,i_level,M,entropy,n_atoms,n_cells,subsampled"
-    row = (f"{rep.n},{rep.n_hat},{rep.i_level},{rep.m_grid},{rep.entropy!r},"
-           f"{rep.n_atoms},{rep.n_cells},{int(rep.subsampled)}")
-    files = {"theta_entropy.csv": _text([header, row])}
+    row = (rep.n, rep.n_hat, rep.i_level, rep.m_grid, rep.entropy, rep.n_atoms, rep.n_cells,
+           int(rep.subsampled))
+    files = {"theta_entropy.csv": _csv("n,n_hat,i_level,M,entropy,n_atoms,n_cells,subsampled",
+                                       [row])}
     summary: dict[str, object] = {
         "entropy": rep.entropy, "rate": rep.entropy / max(n, 1),
         "n_atoms": rep.n_atoms, "n_cells": rep.n_cells,
     }
     if dump_cells:
-        files["theta_cells.csv"] = fs.theta_cells_csv(theta, labels)
+        files["theta_cells.csv"] = _csv("word,t,cell_id", zip(
+            _words(theta), itertools.repeat(theta.n_hat), labels.tolist()))
         summary["cells_dump"] = "theta_cells.csv"
     return _Run(files, summary, [f"theta n={n}: entropy {rep.entropy:.4f} over "
                                  f"{rep.n_atoms} atoms ({rep.n_cells} cells)"])
@@ -495,9 +522,6 @@ def cmd_porosity(opt: _Options, outdir: str) -> _Run:
     hist = ms.sample_projected_measure(params, phi, code, samples, scales[-1] + m,
                                        seed=seed, tol=tol)
     rep = ms.porosity_probe(hist, h, delta, m, scales[0], scales[-1])
-    lines = ["scale,low_entropy_share"]
-    for sc in sorted(rep.per_scale):
-        lines.append(f"{sc},{rep.per_scale[sc]!r}")
     summary.update({"fraction": rep.fraction, "porous": rep.porous, "vacuous": rep.vacuous,
                     "h": h})
     stdout = []
@@ -510,7 +534,8 @@ def cmd_porosity(opt: _Options, outdir: str) -> _Run:
     verdict = (f"vacuous (h + delta = {rep.threshold:.4f} >= 1)" if rep.vacuous
                else rep.porous)
     stdout.append(f"porosity fraction {rep.fraction:.4f} (porous: {verdict})")
-    return _Run({"porosity.csv": _text(lines)}, summary, stdout)
+    return _Run({"porosity.csv": _csv("scale,low_entropy_share", sorted(rep.per_scale.items()))},
+                summary, stdout)
 
 
 def cmd_convolve(opt: _Options, outdir: str) -> _Run:
@@ -529,8 +554,8 @@ def cmd_convolve(opt: _Options, outdir: str) -> _Run:
     k = opt.get_int("k")
     gain = fs.convolution_entropy_gain(theta_h, tau_h, n, k)
     return _Run({
-        "convolve.csv": "n,k,level,H_conv,H_tau,gain\n"
-                        f"{n},{k},{gain.level},{gain.h_conv!r},{gain.h_tau!r},{gain.gain!r}\n",
+        "convolve.csv": _csv("n,k,level,H_conv,H_tau,gain",
+                             [(n, k, gain.level, gain.h_conv, gain.h_tau, gain.gain)]),
     }, {
         "gain": gain.gain, "h_conv": gain.h_conv, "h_tau": gain.h_tau,
     }, [f"gain {gain.gain:.4f} (H_conv {gain.h_conv:.4f}, H_tau {gain.h_tau:.4f})"])

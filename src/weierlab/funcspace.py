@@ -45,14 +45,12 @@ __all__ = [
     "theta_cell_labels",
     "ThetaEntropyReport",
     "theta_entropy",
-    "theta_cells_csv",
     "SeparationCReport",
     "separation_constant_c",
     "ConvolutionGain",
     "convolution_entropy_gain",
     "EntropyIncreaseReport",
     "entropy_increase_experiment",
-    "experiment_to_csv",
 ]
 
 _THETA_CHUNK = 1 << 22  # atoms per pass over the heights of the origin constants
@@ -468,10 +466,17 @@ def theta_entropy(
     """Entropy (log base b) of theta_n under the map-space partition.
 
     A prebuilt theta can be passed to amortize enumeration across
-    partition levels, or to use a subsampled one.
+    partition levels, or to use a subsampled one; it must have been built
+    from the params, phi, code and n given, else ValueError names those
+    that differ.
     """
     if theta is None:
         theta = build_theta(params, phi, code, n, cap, tol=tol)
+    else:
+        given = {"params": params, "phi": phi, "code": code, "n": n}
+        differ = [key for key, value in given.items() if getattr(theta, key) != value]
+        if differ:
+            raise ValueError(f"theta was built from other {', '.join(differ)} than given")
     labels, n_cells = theta_cell_labels(theta, i_level, m_grid, tol)
     return _entropy_report(theta, labels, n_cells, i_level, m_grid)
 
@@ -498,27 +503,6 @@ def _entropy_report(theta: ThetaMeasure, labels: np.ndarray, n_cells: int, i_lev
         n_cells=n_cells,
         subsampled=theta.subsampled,
     )
-
-
-def theta_cells_csv(theta: ThetaMeasure, labels: np.ndarray) -> str:
-    """Dump ``word,t,cell_id`` rows, one per atom; cell_id is the atom's
-    label from ``theta_cell_labels``, 0 .. n_cells - 1.  The word is its
-    n_hat base-b digits, most significant first, each printed in decimal.
-    The digits are numpy string arrays, one per position, joined in pairs."""
-    b = theta.params.b
-    symbols = np.array([str(k) for k in range(b)])
-    rest = theta.indices.copy()
-    parts = []
-    for _ in range(theta.n_hat):
-        parts.insert(0, symbols[rest % b])
-        rest //= b
-    parts = parts or [np.zeros(len(theta), "U1")]
-    while len(parts) > 1:  # in pairs, so most joins act on short strings
-        pairs = [np.strings.add(u, v) for u, v in zip(parts[::2], parts[1::2])]
-        parts = pairs + parts[2 * len(pairs):]
-    t = theta.n_hat
-    rows = (f"{w},{t},{label}" for w, label in zip(parts[0].tolist(), labels.tolist()))
-    return "\n".join(["word,t,cell_id", *rows]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -774,12 +758,3 @@ def entropy_increase_experiment(
         gain_threshold=_GAIN_THRESHOLD,
         message=message,
     )
-
-
-def experiment_to_csv(report: EntropyIncreaseReport) -> str:
-    lines = ["n,i_level,k,component_id,H_eta,gain"]
-    for comp_id, h_eta, gain in report.rows:
-        lines.append(
-            f"{report.n},{report.i_level},{report.k},{comp_id},{h_eta!r},{gain!r}"
-        )
-    return "\n".join(lines) + "\n"

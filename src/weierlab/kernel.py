@@ -99,14 +99,12 @@ __all__ = [
     "separation_sup",
     "HScanReport",
     "condition_h_scan",
-    "h_scan_to_csv",
     "KRegularityReport",
     "k_regularity",
     "TransversalityReport",
     "transversality_certificate",
     "transversality_pairs",
     "transversality_stability",
-    "certificate_to_csv",
 ]
 
 
@@ -779,13 +777,6 @@ def condition_h_scan(
                        classification=klass, eps_h=eps_h, eps_star=eps_star)
 
 
-def h_scan_to_csv(report: HScanReport) -> str:
-    lines = ["u_prefix,v_prefix,seed,sep"]
-    for ua, vb, s, sep in report.rows:
-        lines.append(f"{ua},{vb},{s},{sep!r}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # interval regularity
 
@@ -976,12 +967,3 @@ def transversality_stability(
         if abs(a - b_) <= 0.05 * max(abs(a), 1e-300):
             return l0, history
     return l0_max, history
-
-
-def certificate_to_csv(report: TransversalityReport) -> str:
-    """The first pair's interval infima and suprema, one row per interval."""
-    entry = report.per_pair[0]
-    lines = ["interval_index,inf,sup"]
-    for idx, (lo_v, hi_v) in enumerate(zip(entry["interval_inf"], entry["interval_sup"])):
-        lines.append(f"{idx},{float(lo_v)!r},{float(hi_v)!r}")
-    return "\n".join(lines) + "\n"

@@ -719,8 +719,13 @@ def porosity_probe(
     over m levels is at most 1, so once h + delta >= 1 only components of
     rate exactly 1 can miss the threshold: the report marks that verdict
     ``vacuous``.  The histogram must reach level n2 + m; a projected
-    measure comes from ``sample_projected_measure`` at that level.
+    measure comes from ``sample_projected_measure`` at that level.  h
+    must be finite and delta lie in the open interval (0, 1).
     """
+    if not math.isfinite(h):
+        raise ValueError(f"h must be finite, got {h!r}")
+    if not 0.0 < delta < 1.0:  # false for nan
+        raise ValueError(f"delta must lie in the open interval (0, 1), got {delta!r}")
     if m < 1:
         raise ValueError("m must be positive")
     if n1 > n2 or n1 < 0:

@@ -418,24 +418,33 @@ def phi_to_text(phi: Phi) -> str:
 
 
 def phi_from_text(text: str) -> Phi:
+    """Read the format of :func:`phi_to_text`, ``#`` starting a comment.
+
+    A named wave (``triangle``, ``rademacher``, or ``cos`` with an optional
+    ``theta=VALUE``) stands alone in its file; any other file holds only
+    ``k re im`` coefficient lines.  A file that mixes the two, or a
+    ``cos`` line with a token other than ``theta=``, raises ValueError.
+    """
+    lines = [s for s in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if s]
+    named = [s for s in lines if s in ("triangle", "rademacher") or s.split()[0] == "cos"]
+    if named and len(lines) > 1:
+        raise ValueError(f"the named wave {named[0]!r} must be the only line of its file")
+    if named == ["triangle"]:
+        return triangle_phi()
+    if named == ["rademacher"]:
+        return rademacher_phi()
+    if named:
+        theta = 0.0
+        for tok in named[0].split()[1:]:
+            if not tok.startswith("theta="):
+                raise ValueError(f"a cos line takes only theta=VALUE, got {tok!r}")
+            theta = float(tok[6:])
+        return cos_phi(theta)
     entries: dict[int, complex] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "triangle":
-            return triangle_phi()
-        if line == "rademacher":
-            return rademacher_phi()
-        if line.startswith("cos"):
-            theta = 0.0
-            for tok in line.split()[1:]:
-                if tok.startswith("theta="):
-                    theta = float(tok[6:])
-            return cos_phi(theta)
+    for line in lines:
         parts = line.split()
         if len(parts) != 3:
-            raise ValueError(f"bad coefficient line: {raw!r}")
+            raise ValueError(f"bad coefficient line: {line!r}")
         k, re_, im_ = int(parts[0]), float(parts[1]), float(parts[2])
         entries[k] = complex(re_, im_)
     return FourierPhi(entries)

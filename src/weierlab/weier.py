@@ -41,7 +41,6 @@ __all__ = [
     "regulating_energy",
     "PeriodRow",
     "period_scan",
-    "period_rows_to_csv",
 ]
 
 
@@ -528,13 +527,3 @@ def period_scan(
                 klass = "candidate-regulating"
             rows.append(PeriodRow(t=t, k=k, lo=e1.lo, hi=e1.hi, lo_doubled=e2.lo, klass=klass))
     return rows
-
-
-def period_rows_to_csv(rows: list[PeriodRow]) -> str:
-    lines = ["t_num,t_den,k,E_lo,E_hi,class"]
-    for r in rows:
-        hi = "inf" if math.isinf(r.hi) else repr(float(r.hi))
-        lines.append(
-            f"{r.t.numerator},{r.t.denominator},{r.k},{float(r.lo)!r},{hi},{r.klass}"
-        )
-    return "\n".join(lines) + "\n"

@@ -303,7 +303,9 @@ def separation_pairwise(params, phi, code, n_max: int, m_grid: int, tol: float =
 
 
 def theta_cells_rows(theta, labels) -> str:
-    """``funcspace.theta_cells_csv`` built row by row from ``ThetaMeasure.word``."""
+    """The ``theta_cells.csv`` that ``weierlab theta --dump-cells`` writes
+    through the CLI's one CSV writer, built row by row from
+    ``ThetaMeasure.word``."""
     lines = ["word,t,cell_id"]
     for i, label in enumerate(np.asarray(labels).tolist()):
         lines.append(f"{''.join(map(str, theta.word(i)))},{theta.n_hat},{label}")

@@ -10,6 +10,8 @@ subprocess runs the same ``weierlab`` package the suite imported (from
 from __future__ import annotations
 
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -17,11 +19,16 @@ import warnings
 import numpy as np
 import pytest
 
+from weierlab import funcspace as fs
 from weierlab import kernel as kn
 from weierlab import measure as ms
 from weierlab import phi as phimod
 from weierlab import weier as wr
 from weierlab.cli import _COMMON_DEFAULTS, _DEFAULTS, _build_parser, main
+
+import oracle
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _read(path) -> str:
@@ -140,6 +147,9 @@ def test_unread_config_key_is_exit_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+_POROSITY_SMALL = ["--samples", "4096", "--scales", "2:3", "--m", "2"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["sample", "--points", "16", "--plot-level", "-1"], "option plot_level must be nonnegative"),
     (["porosity", "--h", "0.5", "--samples", "4096", "--scales", "2:3", "--m", "2",
@@ -157,14 +167,24 @@ def test_unread_config_key_is_exit_2(tmp_path, capsys):
     (["theta", "--n", "4", "--experiment", "2"], "option experiment expects 0 or 1, got '2'"),
     (["theta", "--n", "6", "--cap", "16", "--subsample", "5000"],
      "subsample 5000 exceeds the b^12 = 4096 words"),
+    (["porosity", "--h", "0.5", *_POROSITY_SMALL, "--delta=nan"],
+     "delta must lie in the open interval (0, 1), got nan"),
+    (["porosity", "--h", "0.5", *_POROSITY_SMALL, "--delta=-0.5"],
+     "delta must lie in the open interval (0, 1), got -0.5"),
+    (["porosity", "--h", "0.5", *_POROSITY_SMALL, "--delta=2"],
+     "delta must lie in the open interval (0, 1), got 2.0"),
+    (["porosity", "--h=nan", *_POROSITY_SMALL], "h must be finite, got nan"),
 ], ids=["plot-level", "ucas-delta", "kernel-points", "dim-box-samples",
         "dim-entropy-samples", "porosity-samples", "margin-3", "margin-20", "switch",
-        "theta-subsample"])
+        "theta-subsample", "porosity-delta-nan", "porosity-delta-negative",
+        "porosity-delta-2", "porosity-h-nan"])
 def test_bad_value_is_exit_2_and_writes_nothing(tmp_path, capsys, argv, message):
     """sample and porosity used to leave their CSV behind with no .meta;
     kernel failed inside numpy; dim-box and dim-entropy exited 0 on no
     samples (slope -0.1620, alpha 0.0000), and dim-box on a margin of -20;
-    theta at n = 6, 4,096 words, ran --subsample 5000 on 3,147 of them."""
+    theta at n = 6, 4,096 words, ran --subsample 5000 on 3,147 of them;
+    porosity read a delta of nan or -0.5, and an h of nan, as "porous:
+    False", and a delta of 2 as a vacuous verdict."""
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
@@ -308,6 +328,59 @@ def test_out_flag_beats_env(tmp_path, capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# CSV artifacts
+
+# one small run for each CSV file a command writes
+_CSV_RUNS = {
+    "sample.csv": ["sample", "--points", "16"],
+    "dim_box.csv": ["dim-box", "--levels", "3:5", "--samples", "4096"],
+    "dim_entropy.csv": ["dim-entropy", "--codes", "2", "--levels", "3:6", "--samples", "4096"],
+    "kernel.csv": ["kernel", "--code", "01", "--points", "16"],
+    "check_h.csv": ["check-h", "--grid", "256", "--pairs", "2"],
+    "transversality.csv": ["transversality", "--pairs-count", "2", "--l0", "2"],
+    "period_scan.csv": ["period-scan", "--denominators", "2,3,4"],
+    "theta_entropy.csv": ["theta", "--n", "4"],
+    "theta_cells.csv": ["theta", "--n", "4", "--i-level", "2", "--dump-cells"],
+    "theta_experiment.csv": ["theta", "--experiment", "--n", "6", "--k", "2",
+                             "--max-components", "10"],
+    "porosity.csv": ["porosity", "--h", "0.5", *_POROSITY_SMALL],
+    "convolve.csv": ["convolve", "--theta-file", "{hist}", "--tau-file", "{hist}", "--n", "4"],
+}
+
+
+def _readme_headers() -> dict[str, str]:
+    """File name to header line, from README's table of CSV artifacts."""
+    return dict(re.findall(r"^\| `(\w+\.csv)` \| `([^`]+)`", README.read_text(), re.M))
+
+
+@pytest.mark.parametrize("name", _CSV_RUNS)
+def test_csv_file_contract(tmp_path, capsys, name):
+    """Every CSV file has README's header, the header's column count on
+    every row, and each float cell printed by repr, so that rereading gives
+    the exact binary value; README lists exactly these files."""
+    headers = _readme_headers()
+    assert set(headers) == set(_CSV_RUNS)
+    _ap_hist_file(tmp_path / "h.hist", [0, 1, 2, 3], 2, 8)
+    argv = [a.replace("{hist}", str(tmp_path / "h.hist")) for a in _CSV_RUNS[name]]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    header, *rows = _read(tmp_path / "out" / name).splitlines()
+    assert header == headers[name]
+    assert rows
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == len(header.split(",")), row
+        for cell in cells:
+            try:
+                int(cell)
+            except ValueError:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue  # a word such as a class name
+                assert repr(value) == cell, row
+
+
+# ---------------------------------------------------------------------------
 # renormalization operators
 
 
@@ -315,6 +388,24 @@ def test_renorm_removes_pure_cosine(tmp_path, capsys):
     assert main(["renorm", "--op", "renorm", "--p", "2",
                  "--out", str(tmp_path)]) == 0
     assert "# n_coeffs = 0" in _read(tmp_path / "renorm.meta")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 0.5 0\n-1 0.5 0\ncos\n", "the named wave 'cos' must be the only line of its file"),
+    ("cos theta=0.3 amp=5\n", "a cos line takes only theta=VALUE, got 'amp=5'"),
+    ("triangle\n1 0.5 0\n-1 0.5 0\n",
+     "the named wave 'triangle' must be the only line of its file"),
+], ids=["table-then-cos", "cos-amp", "triangle-then-table"])
+def test_phi_file_that_mixes_forms_is_exit_2(tmp_path, capsys, text, message):
+    """Each file used to be read as its one named wave: rescale wrote
+    ``cos theta=0.0`` for the table, dropped amp, and took the triangle."""
+    path = tmp_path / "mixed.phi"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["renorm", "--op", "rescale", "--p", "1", "--phi", str(path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_renorm_unknown_op_is_exit_2(tmp_path, capsys):
@@ -545,6 +636,7 @@ def test_period_scan_classes(tmp_path, capsys):
     classes = {(r[0], r[1]): r[5] for r in rows[1:]}
     assert classes[("1", "2")] == "trivial"
     assert classes[("1", "3")] == "non-regulating"
+    assert {r[4] for r in rows[1:] if r[5] == "non-regulating"} == {"inf"}  # divergent tail
     assert "# n_rows = " in _read(tmp_path / "period-scan.meta")
 
 
@@ -583,6 +675,22 @@ def test_theta_dump_cells(tmp_path, capsys):
     assert rows[0] == ["word", "t", "cell_id"]
     assert len(rows) == 1 + 2**8
     assert all(len(r[0]) == 8 for r in rows[1:])
+
+
+def test_theta_cells_csv_matches_per_atom_rows(tmp_path, capsys):
+    """The dump's column-joined words equal the per-atom rows of
+    ``oracle`` byte for byte, including bases of two-character digits and
+    a word of length zero."""
+    for b, lam, n, sub in [(2, 0.7, 6, None), (3, 0.5, 3, None), (11, 0.5, 1, None),
+                           (13, 0.6, 1, 500), (2, 0.7, 30, 500), (2, 0.7, 0, None)]:
+        out = tmp_path / f"{b}-{n}"
+        argv = ["theta", "--b", str(b), "--lambda", str(lam), "--n", str(n), "--cap", "65536",
+                "--i-level", "1", "--dump-cells", "--out", str(out)]
+        assert main(argv + (["--subsample", str(sub)] if sub else [])) == 0
+        th = fs.build_theta(wr.make_params(b, lam), phimod.cos_phi(), kn.seeded_code(b, 0, 0), n,
+                            cap=1 << 16, subsample=sub)
+        labels, _ = fs.theta_cell_labels(th, 1, b)
+        assert _read(out / "theta_cells.csv") == oracle.theta_cells_rows(th, labels), (b, n)
 
 
 def test_theta_dump_cells_over_cap_is_exit_2(tmp_path, capsys):
@@ -627,7 +735,6 @@ def test_theta_nan_h_threshold_is_exit_2(tmp_path, capsys):
 
 
 def test_theta_passes_tol_to_labels(tmp_path, capsys, monkeypatch):
-    from weierlab import funcspace as fs
 
     seen = []
     labels = fs.theta_cell_labels
@@ -643,7 +750,6 @@ def test_theta_passes_tol_to_labels(tmp_path, capsys, monkeypatch):
 
 def test_theta_dump_cells_labels_once(tmp_path, capsys, monkeypatch):
     """The entropy and the cell dump share one labelling of the atoms."""
-    from weierlab import funcspace as fs
 
     calls = []
     labels = fs.theta_cell_labels
@@ -667,6 +773,17 @@ def test_theta_experiment(tmp_path, capsys):
     meta = _read(tmp_path / "theta.meta")
     assert "# mode = experiment" in meta
     assert "# positive_fraction = " in meta
+
+
+def test_seeded_experiment_csv_is_byte_identical(tmp_path, capsys):
+    argv = ["theta", "--experiment", "--n", "6", "--k", "2", "--max-components", "10",
+            "--seed", "7"]
+    texts = []
+    for name in ("a", "b"):
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        texts.append(_read(tmp_path / name / "theta_experiment.csv"))
+    assert texts[0] == texts[1]
+    assert len(texts[0].splitlines()) > 1
 
 
 # ---------------------------------------------------------------------------

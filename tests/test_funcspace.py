@@ -369,6 +369,19 @@ def test_theta_entropy_matches_direct_count():
     assert rep.entropy > 0.0
 
 
+def test_theta_entropy_refuses_a_theta_built_from_other_arguments():
+    """A prebuilt theta used to win silently: these arguments returned the
+    report of the cos theta at (2, 0.7), n = 4."""
+    th = F.build_theta(_p2(), P.cos_phi(), seeded_code(2, 0), 4)
+    with pytest.raises(ValueError, match="theta was built from other params, phi, code, n"):
+        F.theta_entropy(make_params(3, 0.5), P.triangle_phi(), seeded_code(3, 9), 7, 0, 2,
+                        theta=th)
+    with pytest.raises(ValueError, match="other n than given"):
+        F.theta_entropy(_p2(), P.cos_phi(), seeded_code(2, 0), 5, 0, 2, theta=th)
+    rep = F.theta_entropy(make_params(2, 0.7), P.cos_phi(), seeded_code(2, 0), 4, 0, 2, theta=th)
+    assert rep.n == 4  # equal arguments, built anew, are accepted
+
+
 def test_theta_entropy_analytic_collapses():
     """In the analytic case all contact maps share one constant."""
     p = _p2()
@@ -465,32 +478,6 @@ def test_negative_partition_level_is_refused():
         F.theta_entropy(p, P.cos_phi(), code, 4, -1, 2, theta=th)
     with pytest.raises(ValueError, match="i_level must be nonnegative"):
         F.entropy_increase_experiment(p, P.cos_phi(), code, 4, -1, 2, 2)
-
-
-def test_theta_cells_csv_schema():
-    p = _p2()
-    th = F.build_theta(p, P.cos_phi(), seeded_code(2, 0), 2)
-    labels, _ = F.theta_cell_labels(th, 1, 2)
-    lines = F.theta_cells_csv(th, labels).strip().splitlines()
-    assert lines[0] == "word,t,cell_id"
-    assert len(lines) == 1 + len(th)
-    for row in lines[1:]:
-        word, t, cell = row.split(",")
-        assert len(word) == th.n_hat
-        assert int(t) == th.n_hat
-        assert all(part.lstrip("-").isdigit() for part in cell.split(":"))
-
-
-def test_theta_cells_csv_matches_per_atom_rows():
-    """The column-joined dump equals the per-atom rows of ``oracle``
-    byte for byte, including bases of two-character digits and a word of
-    length zero."""
-    for b, lam, n, sub in [(2, 0.7, 6, None), (3, 0.5, 3, None), (11, 0.5, 1, None),
-                           (13, 0.6, 1, 500), (2, 0.7, 30, 500), (2, 0.7, 0, None)]:
-        p = make_params(b, lam)
-        th = F.build_theta(p, P.cos_phi(), seeded_code(b, 0), n, cap=1 << 16, subsample=sub)
-        labels, _ = F.theta_cell_labels(th, 1, b)
-        assert F.theta_cells_csv(th, labels) == oracle.theta_cells_rows(th, labels), (b, n)
 
 
 def test_separation_constant_and_stability():
@@ -678,15 +665,6 @@ def test_experiment_pushes_the_shared_lattice_onto_the_graph(monkeypatch, b, lam
             assert abs(gy[s] - oracle.mp_w_cos_rational(b, lam, exact)) <= 1e-12
 
 
-def test_seeded_experiment_csv_is_byte_identical():
-    p = _p2()
-    texts = [F.experiment_to_csv(F.entropy_increase_experiment(
-        p, P.cos_phi(), seeded_code(2, 0), 6, 0, 2, 2, seed=7, max_components=10))
-        for _ in range(2)]
-    assert texts[0] == texts[1]
-    assert len(texts[0].splitlines()) > 1
-
-
 def test_experiment_refuses_bad_options():
     """k 0 ended in a ZeroDivisionError, k -1 blamed i_level, a negative
     component cap reached numpy's "negative dimensions", and a nan
@@ -709,18 +687,3 @@ def test_build_theta_refuses_subsample_below_one():
     for sub in (0, -5):
         with pytest.raises(ValueError, match="subsample must be at least 1"):
             F.build_theta(p, P.cos_phi(), seeded_code(2, 0), 8, cap=16, subsample=sub)
-
-
-def test_experiment_csv_schema():
-    p = _p2()
-    rep = F.entropy_increase_experiment(
-        p, P.cos_phi(), seeded_code(2, 0), 6, 0, 2, 2, max_components=10,
-    )
-    lines = F.experiment_to_csv(rep).strip().splitlines()
-    assert lines[0] == "n,i_level,k,component_id,H_eta,gain"
-    assert len(lines) == 1 + len(rep.rows)
-    for row in lines[1:]:
-        n, i_level, k, cid, h_eta, gain = row.split(",")
-        assert int(n) == 6 and int(i_level) == 0 and int(k) == 2
-        int(cid)
-        float(h_eta), float(gain)

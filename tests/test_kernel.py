@@ -608,19 +608,6 @@ def test_condition_h_scan_thresholds_rise_to_the_floor():
         assert rep.classification == "H*-evidence", tol
 
 
-def test_h_scan_csv():
-    p = _p2()
-    rep = K.condition_h_scan(p, P.cos_phi(), depth=1, samples_per_pair=1,
-                             grid_size=1 << 8)
-    lines = K.h_scan_to_csv(rep).strip().splitlines()
-    assert lines[0] == "u_prefix,v_prefix,seed,sep"
-    assert len(lines) == 1 + len(rep.rows)
-    for row in lines[1:]:
-        ua, vb, s, sep = row.split(",")
-        int(s)
-        float(sep)
-
-
 def test_k_regularity_reports():
     p = _p2()
     cos = P.cos_phi()
@@ -699,20 +686,19 @@ def test_transversality_identical_pair_scores_zero():
     assert rep.rho0_hat == 0.0
 
 
-def test_transversality_stability_and_csv():
+def test_transversality_stability():
+    """Each level of the scan is the certificate at that level; the first
+    pair's interval bounds, which transversality.csv holds, are ordered."""
     p = _p2()
     pairs = K.transversality_pairs(p, count=2)
     level, history = K.transversality_stability(p, P.cos_phi(), pairs, l0_max=3)
     assert 1 <= level <= 3
     assert set(history) == {1, 2, 3}
     assert all(history[l0].l0 == l0 for l0 in history)
-    rep = history[2]
-    csv = K.certificate_to_csv(rep)
-    assert csv == K.certificate_to_csv(K.transversality_certificate(p, P.cos_phi(), pairs, l0=2))
-    lines = csv.strip().splitlines()
-    assert lines[0] == "interval_index,inf,sup"
-    assert len(lines) == 1 + 4
-    for row in lines[1:]:
-        idx, lo, hi = row.split(",")
-        int(idx)
-        assert 0.0 <= float(lo) <= float(hi)
+    first = history[2].per_pair[0]
+    again = K.transversality_certificate(p, P.cos_phi(), pairs, l0=2).per_pair[0]
+    for key in ("interval_inf", "interval_sup"):
+        assert np.array_equal(first[key], again[key])
+    infs, sups = first["interval_inf"], first["interval_sup"]
+    assert len(infs) == 4
+    assert np.all((0.0 <= infs) & (infs <= sups))

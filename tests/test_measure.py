@@ -473,9 +473,10 @@ def test_porosity_uniform_and_atom_are_exact():
 
 
 def test_porosity_guards():
-    """A histogram too coarse for n2 + m, an m below 1 and scales out of
-    order are refused; a level too deep for int64 cell indices is refused
-    where the projected measure is sampled."""
+    """A histogram too coarse for n2 + m, an m below 1, scales out of
+    order, a delta outside (0, 1) and an h that is not finite are refused;
+    a level too deep for int64 cell indices is refused where the projected
+    measure is sampled."""
     shallow = M.histogram_from_values(np.array([0.2, 0.8]), 2, 3)
     with pytest.raises(ValueError, match="too coarse"):
         M.porosity_probe(shallow, 0.5, 0.1, m=3, n1=1, n2=2)
@@ -483,6 +484,12 @@ def test_porosity_guards():
         M.porosity_probe(shallow, 0.5, 0.1, m=0, n1=1, n2=2)
     with pytest.raises(ValueError, match="n1 <= n2"):
         M.porosity_probe(shallow, 0.5, 0.1, m=1, n1=2, n2=1)
+    for delta in (math.nan, -0.5, 0.0, 1.0, 2.0):
+        with pytest.raises(ValueError, match="delta must lie in the open interval"):
+            M.porosity_probe(shallow, 0.5, delta, m=1, n1=1, n2=2)
+    for h in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="h must be finite"):
+            M.porosity_probe(shallow, h, 0.1, m=1, n1=1, n2=2)
     with pytest.raises(ValueError, match="overflow"):
         M.sample_projected_measure(_p2(), P.cos_phi(), seeded_code(2, 0), 64, 64)
 

@@ -289,6 +289,19 @@ def test_text_roundtrip():
         assert np.max(np.abs(P.eval_phi(back, xs) - P.eval_phi(phi, xs))) < 1e-15
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1 0.5 0\n-1 0.5 0\ncos\n", "the named wave 'cos' must be the only line"),
+    ("triangle\n1 0.5 0\n-1 0.5 0\n", "the named wave 'triangle' must be the only line"),
+    ("rademacher\ntriangle\n", "the named wave 'rademacher' must be the only line"),
+    ("cos theta=0.3 amp=5\n", "a cos line takes only theta=VALUE, got 'amp=5'"),
+], ids=["table-then-cos", "triangle-then-table", "two-waves", "cos-amp"])
+def test_text_says_one_thing(text, message):
+    """Each of these used to read as one wave and drop the rest: the
+    table, the amplitude, the coefficient lines after a triangle."""
+    with pytest.raises(ValueError, match=message):
+        P.phi_from_text(text)
+
+
 def test_parse_phi_spec_forms():
     assert P.parse_phi_spec("cos").coeffs
     assert P.eval_phi(P.parse_phi_spec("const:2"), 0.1) == 2.0

@@ -325,21 +325,6 @@ def test_period_scan_skips_reducible_fractions():
     assert sorted(r.t for r in rows) == [Fraction(1, 6), Fraction(5, 6)]
 
 
-def test_period_rows_csv():
-    p = make_params(2, 0.7)
-    rows = W.period_scan(p, P.cos_phi(), 2, [2, 3])
-    text = W.period_rows_to_csv(rows)
-    lines = text.strip().splitlines()
-    assert lines[0] == "t_num,t_den,k,E_lo,E_hi,class"
-    assert any(",inf," in row for row in lines[1:])
-    for row in lines[1:]:
-        num, den, k, lo, hi, klass = row.split(",")
-        int(num), int(den), int(k)
-        float(lo)
-        assert hi == "inf" or float(hi) == float(hi)
-        assert klass in ("trivial", "non-regulating", "candidate-regulating")
-
-
 @given(st.floats(0, 1, exclude_max=True, allow_nan=False))
 @settings(max_examples=30, deadline=None)
 def test_self_affinity_pointwise_property(x):
