@@ -1,9 +1,14 @@
 """Fourier data of W and the search for regulating periodic points.
 
 The coefficients of W obey a divisibility recursion driven by the
-generator's spectrum; along the chain m, mb, mb^2, ... the coefficients
-decay like lambda^k, which rules out analyticity whenever the generator
-has any nonzero frequency.  Rational points t = q/p with p coprime to b
+generator's spectrum: A_(m b^k) = c_(m b^k) + lambda A_(m b^(k-1)).  Past
+the generator's highest frequency a chain m, mb, mb^2, ... that is still
+nonzero decays only like lambda^k, a power of the frequency, which rules
+out analyticity.  The generator can instead cancel every chain: the twin
+phi_from_w0(cos, 2, lambda) has the frequencies 1 and 2 (and their
+negatives), yet its W is cos, analytic.  The cosine itself cancels
+nothing, so its chain over 1, 2, 4, ... below decays geometrically.
+Rational points t = q/p with p coprime to b
 are then scanned for the finite regulating energy that controls smooth
 conjugacy questions.
 

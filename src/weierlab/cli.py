@@ -512,7 +512,8 @@ def cmd_porosity(opt: _Options, outdir: str) -> _Run:
     m = opt.get_count("m")
     samples = opt.get_count("samples")
     delta = opt.get_float("delta")
-    ucas = opt.get_switch("ucas")  # every option is read before the first sample
+    ucas = opt.get_switch("ucas")  # every option is read and checked before the first sample
+    ms._check_porosity(h, delta, m, scales[0], scales[-1])
     summary: dict[str, object] = {}
     if h is None:
         alpha = ms.alpha_estimate(params, phi, [code], levels=range(5, 11),

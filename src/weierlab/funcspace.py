@@ -166,16 +166,19 @@ def _origin_constants(params, phi: phimod.Phi, code: Code, level: int,
     sum_{m < level} lam^m phi(b^m r / b^level mod 1)); that sum is
     ``heights``, the unshifted lattice of that level started from 0.  The
     projection subtracts Gamma at the x image.  For the whole lattice,
-    Gamma is ``kernel._gamma_lattice``'s product, and the heights are
-    subtracted from it in place, _THETA_CHUNK atoms at a time.  Given
-    indices take ``eval_gamma_vec`` on their points, chunk by chunk.
+    Gamma is ``kernel._gamma_lattice``'s product, and the heights, read
+    by ``WLattice.block``, are subtracted from it in place, about
+    _THETA_CHUNK atoms at a time.  Given indices take ``eval_gamma_vec``
+    on their points, chunk by chunk.
     """
     heights = WLattice(params, phi, level, start=0.0)
     if idx is None:
         c = _gamma_lattice(params, phi, code, level, tol)
-        for a in range(0, len(c), _THETA_CHUNK):
-            part = c[a : a + _THETA_CHUNK]
-            part -= heights(np.arange(a, a + len(part)))
+        grid = c.reshape(-1, heights.table.size)  # rows and columns of heights.block
+        step = max(1, _THETA_CHUNK // len(grid))
+        for lo in range(0, grid.shape[1], step):
+            part = grid[:, lo : lo + step]
+            part -= heights.block(lo, lo + part.shape[1])
             np.negative(part, out=part)
         return c
     c = np.empty(len(idx))

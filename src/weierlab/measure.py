@@ -13,7 +13,7 @@ Sampling is stratified by default: the points are the shifted b-adic
 lattice x_s = (s + u) / b^L, one per fine cell of [0, 1), with one seeded
 shift u (a Cranley-Patterson rotation).  Any shard of the index range
 reproduces the same points, and ``weier.WLattice`` evaluates W on the
-lattice with one phi evaluation per point.
+whole lattice as one angle-addition product over a resident table.
 """
 
 from __future__ import annotations
@@ -336,8 +336,8 @@ def _lattice_sample(params, phi: phimod.Phi, level: int, seed: int,
     """The points of ``stratified_x`` at n = b^level and W there, from the lattice."""
     n = params.b**level
     xs = stratified_x(n, 0, n, seed)
-    w = WLattice(params, phi, level, _lattice_shift(seed), tol)(np.arange(n))
-    return xs, w
+    lattice = WLattice(params, phi, level, _lattice_shift(seed), tol)
+    return xs, lattice.block(0, lattice.table.size).reshape(-1)
 
 
 def sample_projected_measure(
@@ -465,42 +465,46 @@ def graph_box_dimension(
     over the declared window estimates the dimension (a constant wave
     gives exactly 1).  The margin, a nonnegative depth, keeps several
     samples in every counted column so that sampled column ranges track
-    the true oscillation.  W is evaluated, and boxes counted, in blocks of
-    ``_BLOCK_COLUMNS`` columns, so no temporary grows with the column count.
+    the true oscillation.  W comes from ``WLattice.block``, all rows of a
+    range of c at a time, the range a whole number of columns and the block
+    about as many points as ``_BLOCK_COLUMNS`` level-max(levels) columns
+    hold; boxes are counted in blocks of ``_BLOCK_COLUMNS`` columns, so no
+    temporary grows with the column count.
     """
     levels = _window(levels, "graph_box_dimension")
     n_max = levels[-1]
     column_margin = depth_index(column_margin, "column_margin")
-    col_level = max(_strata_level(params.b, n_samples), n_max + column_margin)
-    n_cols_fine = params.b**n_max
-    per_col = params.b ** (col_level - n_max)
-    total = params.b**col_level
-    col_min = np.full(n_cols_fine, np.inf)
-    col_max = np.full(n_cols_fine, -np.inf)
-    step = _BLOCK_COLUMNS * per_col
+    b = params.b
+    col_level = max(_strata_level(b, n_samples), n_max + column_margin)
     lattice = WLattice(params, phi, col_level, _lattice_shift(seed), tol)
-    for start in range(0, total, step):
-        stop = min(start + step, total)
-        ys = lattice(np.arange(start, stop))
-        cols = (stop - start) // per_col
-        blk = ys.reshape(cols, per_col)
-        c0 = start // per_col
-        col_min[c0 : c0 + cols] = blk.min(axis=1)
-        col_max[c0 : c0 + cols] = blk.max(axis=1)
+    # extremes at the level whose columns lie within one row of the lattice's blocks
+    top = max(n_max, col_level - lattice.table_level)
+    per_col = b ** (col_level - top)  # divides b^R, the width of a block row
+    rows = b ** (col_level - lattice.table_level)
+    col_min = np.empty((rows, lattice.table.size // per_col))
+    col_max = np.empty_like(col_min)
+    step = per_col * max(1, _BLOCK_COLUMNS * b ** (col_level - n_max) // (per_col * rows))
+    for lo in range(0, lattice.table.size, step):
+        hi = min(lo + step, lattice.table.size)
+        blk = lattice.block(lo, hi).reshape(rows, -1, per_col)
+        blk.min(axis=2, out=col_min[:, lo // per_col : hi // per_col])
+        blk.max(axis=2, out=col_max[:, lo // per_col : hi // per_col])
     all_levels = list(range(1, n_max + 1))
     counts = []
-    mn, mx = col_min, col_max
-    for n in reversed(all_levels):  # each coarser level folds b columns of the last
-        if n < n_max:
-            mn = mn.reshape(-1, params.b).min(axis=1)
-            mx = mx.reshape(-1, params.b).max(axis=1)
-        scale = float(params.b) ** n
+    mn, mx = col_min.reshape(-1), col_max.reshape(-1)
+    for n in range(top, 0, -1):  # each coarser level folds b columns of the last
+        if n < top:
+            mn = mn.reshape(-1, b).min(axis=1)
+            mx = mx.reshape(-1, b).max(axis=1)
+        if n > n_max:
+            continue
+        scale = float(b) ** n
         count = 0
         for a in range(0, len(mn), _BLOCK_COLUMNS):
             sl = slice(a, a + _BLOCK_COLUMNS)
             count += int((np.floor(mx[sl] * scale) - np.floor(mn[sl] * scale) + 1.0).sum())
         counts.insert(0, count)
-    logs = [math.log(c) / math.log(params.b) for c in counts]
+    logs = [math.log(c) / math.log(b) for c in counts]
     curve = _fit_curve(all_levels, logs, levels)
     return BoxDimReport(
         levels=tuple(all_levels),
@@ -510,7 +514,7 @@ def graph_box_dimension(
         slope=curve.slope,
         slope_stderr=curve.slope_stderr,
         column_level=col_level,
-        n_samples=int(total),
+        n_samples=b**col_level,
         d_reference=params.dim,
     )
 
@@ -701,6 +705,20 @@ class PorosityReport:
     vacuous: bool  # h + delta >= 1: no rate exceeds 1, so the verdict tells no measures apart
 
 
+def _check_porosity(h: float | None, delta: float, m: int, n1: int, n2: int) -> None:
+    """Refuse porosity arguments ``porosity_probe`` cannot read: an h that
+    is not finite (None skips it), a delta outside the open interval (0,
+    1), m < 1, or scales other than 0 <= n1 <= n2."""
+    if h is not None and not math.isfinite(h):
+        raise ValueError(f"h must be finite, got {h!r}")
+    if not 0.0 < delta < 1.0:  # false for nan
+        raise ValueError(f"delta must lie in the open interval (0, 1), got {delta!r}")
+    if m < 1:
+        raise ValueError("m must be positive")
+    if n1 > n2 or n1 < 0:
+        raise ValueError("need 0 <= n1 <= n2")
+
+
 def porosity_probe(
     hist: BadicHistogram,
     h: float,
@@ -719,17 +737,10 @@ def porosity_probe(
     over m levels is at most 1, so once h + delta >= 1 only components of
     rate exactly 1 can miss the threshold: the report marks that verdict
     ``vacuous``.  The histogram must reach level n2 + m; a projected
-    measure comes from ``sample_projected_measure`` at that level.  h
-    must be finite and delta lie in the open interval (0, 1).
+    measure comes from ``sample_projected_measure`` at that level.  The
+    other arguments pass ``_check_porosity``.
     """
-    if not math.isfinite(h):
-        raise ValueError(f"h must be finite, got {h!r}")
-    if not 0.0 < delta < 1.0:  # false for nan
-        raise ValueError(f"delta must lie in the open interval (0, 1), got {delta!r}")
-    if m < 1:
-        raise ValueError("m must be positive")
-    if n1 > n2 or n1 < 0:
-        raise ValueError("need 0 <= n1 <= n2")
+    _check_porosity(h, delta, m, n1, n2)
     if hist.level < n2 + m:
         raise ValueError("histogram is too coarse for n2 + m")
     b = hist.b

@@ -191,6 +191,24 @@ def test_bad_value_is_exit_2_and_writes_nothing(tmp_path, capsys, argv, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--h", "0.5", "--delta=nan"], "delta must lie in the open interval (0, 1), got nan"),
+    (["--delta=-0.5"], "delta must lie in the open interval (0, 1), got -0.5"),
+    (["--h=nan"], "h must be finite, got nan"),
+], ids=["delta-nan", "delta-negative-alpha", "h-nan"])
+def test_porosity_refuses_before_sampling(tmp_path, capsys, monkeypatch, argv, message):
+    """porosity --h 0.5 --delta=nan used to sample 2^20 points, and without
+    --h the alpha estimate's 2^18, before porosity_probe refused the delta."""
+    def sampled(*args, **kwargs):
+        raise AssertionError("sampled before the porosity arguments were checked")
+
+    monkeypatch.setattr(ms, "sample_projected_measure", sampled)
+    monkeypatch.setattr(ms, "alpha_estimate", sampled)
+    assert main(["porosity", *argv, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _meta_keys(path) -> set[str]:
     return {ln.split(" = ")[0] for ln in _read(path).splitlines() if not ln.startswith("#")}
 

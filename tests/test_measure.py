@@ -240,6 +240,29 @@ def test_box_dimension_rough_wave_small_run():
     assert rep.column_level >= 8 + 3
 
 
+@pytest.mark.parametrize("table", [1 << 4, 1 << 8, 1 << 22], ids=["wide", "past", "resident"])
+@pytest.mark.parametrize("phi", [P.cos_phi(), P.triangle_phi()], ids=["cos", "triangle"])
+def test_box_counts_from_lattice_blocks(table, phi, monkeypatch):
+    """The column extremes read from ``WLattice.block`` give the counts of a
+    direct reduction over the recursion's values, whether the lattice is all
+    table, reaches 2 levels past it, or has columns of 2^7 points wider than
+    the table's 2^4 (extremes at level 6, folded to the window's 3)."""
+    import weierlab.weier as W
+
+    p, seed = _p2(), 3
+    monkeypatch.setattr(W, "_LATTICE_TABLE", table)
+    rep = M.graph_box_dimension(p, phi, levels=(1, 3), n_samples=1 << 10, seed=seed)
+    monkeypatch.setattr(W, "_LATTICE_TABLE", 1)
+    w = W.WLattice(p, phi, 10, M._lattice_shift(seed), 1e-9)(np.arange(1 << 10))
+    ref = []
+    for n in (1, 2, 3):
+        cols = w.reshape(1 << n, -1)
+        ref.append(int((np.floor(cols.max(axis=1) * 2**n)
+                        - np.floor(cols.min(axis=1) * 2**n) + 1).sum()))
+    assert rep.column_level == 10 and rep.n_samples == 1 << 10
+    assert rep.counts == tuple(ref)
+
+
 def test_estimators_refuse_sample_counts_below_one():
     """No samples used to give a slope of -0.1620 from one lattice column
     (``graph_box_dimension``) and an alpha of 0 (``alpha_estimate``)."""

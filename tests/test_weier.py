@@ -170,6 +170,106 @@ def test_lattice_origin_constants_are_finite_sums(b, lam, monkeypatch):
         assert abs(v - _finite_sum(b, lam, r, theta.n_hat)) < 1e-12
 
 
+_PRODUCT_PHIS = {
+    "cos": P.cos_phi(),
+    "cos-0.3": P.cos_phi(0.3),
+    "three-freq": P.FourierPhi({0: 0.4, 1: 0.5, -1: 0.5, 2: 0.2j, -2: -0.2j,
+                                3: 0.1 + 0.05j, -3: 0.1 - 0.05j}),
+    "twin": P.phi_from_w0(P.cos_phi(), 2, 0.7),
+    "zero": P.zero_phi(),
+    "const": P.const_phi(1.5),
+}
+
+
+def _whole(lattice):
+    """Every value of the lattice in index order, from ``block`` in a few c-ranges."""
+    size = lattice.table.size
+    cuts = [0, size // 3, size // 3 + 1, size]
+    return np.concatenate([lattice.block(lo, hi) for lo, hi in zip(cuts, cuts[1:])],
+                          axis=1).reshape(-1)
+
+
+@pytest.mark.parametrize("start", [None, 0.0], ids=["start-none", "start-0"])
+@pytest.mark.parametrize("name", list(_PRODUCT_PHIS))
+@pytest.mark.parametrize("b, lam", _LATTICE_CASES)
+def test_lattice_product_matches_recursion(b, lam, name, start, monkeypatch):
+    """The table built by the angle-addition product, and the blocks past it
+    at levels R+1 .. R+4, equal the recursion on every lattice point to
+    1e-14 max(1, |W|); a table of one entry leaves all levels to it."""
+    p, phi, u = make_params(b, lam), _PRODUCT_PHIS[name], 0.3125
+
+    def check(level, table):
+        monkeypatch.setattr(W, "_LATTICE_TABLE", table)
+        lattice = W.WLattice(p, phi, level, u, 1e-12, start)
+        monkeypatch.setattr(W, "_LATTICE_TABLE", 1)
+        ref = W.WLattice(p, phi, level, u, 1e-12, start)(np.arange(b**level))
+        got = _whole(lattice)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+        return lattice
+
+    deep = round(math.log(4096, b))  # b^R about 4096: several levels on each side of R // 2
+    assert check(deep, b**deep).table_level == deep
+    low = max(r for r in range(1, 14) if b ** (r + 4) <= 1 << 17)
+    for level in range(low + 1, low + 5):
+        assert check(level, b**low).table_level == low
+
+
+@pytest.mark.parametrize("b, lam", [(2, 0.7), (3, 0.9), (10, 0.95)])
+def test_lattice_block_equals_call(b, lam, monkeypatch):
+    """A block is __call__ on its grid of indices a b^R + c: the table itself
+    at level R (a view of it), to rounding past the table for Fourier data,
+    and bit for bit for piecewise data, which keep the recursion."""
+    p, u = make_params(b, lam), 0.6180339887498949
+    monkeypatch.setattr(W, "_LATTICE_TABLE", b**3)
+    lo, hi = 2, b**3 - 1
+    at_table = W.WLattice(p, P.cos_phi(0.3), 3, u)
+    blk = at_table.block(lo, hi)
+    np.testing.assert_array_equal(blk, at_table(np.arange(lo, hi))[None, :])
+    assert np.shares_memory(blk, at_table.table)
+    grid = np.arange(b**2)[:, None] * b**3 + np.arange(lo, hi)
+    for phi in (P.cos_phi(0.3), _PRODUCT_PHIS["three-freq"]):
+        past = W.WLattice(p, phi, 5, u)
+        np.testing.assert_allclose(past.block(lo, hi), past(grid), rtol=0, atol=1e-14)
+    tri = W.WLattice(p, P.triangle_phi(), 5, u)
+    np.testing.assert_array_equal(tri.block(lo, hi), tri(grid))
+    for bad in ((-1, 4), (5, 4), (0, b**3 + 1)):
+        with pytest.raises(ValueError, match="lo <= hi"):
+            past.block(*bad)
+
+
+@pytest.mark.parametrize("b, lam", [(2, 0.7), (3, 0.9), (7, 0.95)])
+def test_lattice_blocks_past_the_table_match_rational_oracle(b, lam, monkeypatch):
+    """Values from the product two and four levels past the table equal a
+    50-digit sum at the exact rational point (a b^R + c + u) / b^L."""
+    p, u = make_params(b, lam), 0.3125
+    monkeypatch.setattr(W, "_LATTICE_TABLE", b**2)
+    rng = np.random.default_rng(b)
+    for theta in (0.0, 0.3):
+        for level in (4, 6):
+            blk = W.WLattice(p, P.cos_phi(theta), level, u, 1e-12).block(0, b**2)
+            for a, c in zip(rng.integers(0, b ** (level - 2), 4), rng.integers(0, b**2, 4)):
+                x = (int(a) * b**2 + int(c) + Fraction(u)) / b**level
+                ref = oracle.mp_w_cos_rational(b, lam, x, theta)
+                assert abs(blk[a, c] - ref) < 1e-12
+
+
+@pytest.mark.parametrize("start", [None, 0.0], ids=["start-none", "start-0"])
+@pytest.mark.parametrize("b, lam", [(2, 0.7), (3, 0.5), (5, 0.6)])
+def test_triangle_lattice_is_the_recursion_bit_for_bit(b, lam, start, monkeypatch):
+    """Piecewise generators keep the recursion W_l[s] = lam W_(l-1)[s mod
+    b^(l-1)] + phi((s + u) / b^l) with exactly its operations, in the table
+    and past it."""
+    p, tri, u = make_params(b, lam), P.triangle_phi(), 0.3125
+    level = round(math.log(4096, b))
+    ref = np.array([W.eval_w(p, tri, u, 1e-12) if start is None else start])
+    for lv in range(1, level + 1):
+        s = np.arange(b**lv)
+        ref = ref[s % b ** (lv - 1)] * lam + P.eval_phi(tri, (s + u) / b**lv)
+    np.testing.assert_array_equal(_whole(W.WLattice(p, tri, level, u, 1e-12, start)), ref)
+    monkeypatch.setattr(W, "_LATTICE_TABLE", b ** (level - 2))
+    np.testing.assert_array_equal(_whole(W.WLattice(p, tri, level, u, 1e-12, start)), ref)
+
+
 def test_lattice_rejects_bad_input():
     p = make_params(2, 0.7)
     with pytest.raises(ValueError, match="shift"):
