@@ -32,8 +32,8 @@ from .weier import (
     WLattice,
     self_affinity_residual,
     fourier_of_w,
-    regulating_energy,
-    period_scan,
+    dichotomy,
+    analytic_lambdas,
 )
 from .kernel import (
     Code,

@@ -2,15 +2,17 @@
 
 Every subcommand resolves its options from built-in defaults, then an
 optional ``key = value`` config file, then explicit flags (flags win).
-A command reads its options through ``_Options``, which records each key
-read, and returns its data files, its ``.meta`` summary and its stdout
-lines; it writes nothing itself.  ``main`` then refuses any option given
-by flag or config file that the run never read, and only after that
-writes the files atomically into the output directory (flag ``--out``,
-else the WEIERLAB_OUT environment variable, else the working directory)
-with a ``<command>.meta`` record of exactly the keys the run read, then
-prints the stdout lines.  The record doubles as a config file that
-reproduces the run.  Exit codes: 0 success, 1 when an internal invariant
+A command is a generator: it reads every option it uses through
+``_Options``, which records each key read, and yields.  ``main`` then
+refuses any option given by flag or config file that the run did not
+read, before any work is done, and only then resumes the command, which
+computes and returns its data files, its ``.meta`` summary and its stdout
+lines; a read after the yield is an invariant failure.  A command writes
+nothing itself: ``main`` writes the files atomically into the output
+directory (flag ``--out``, else the WEIERLAB_OUT environment variable,
+else the working directory) with a ``<command>.meta`` record of exactly
+the keys the run read, then prints the stdout lines.  The record doubles
+as a config file that reproduces the run.  Exit codes: 0 success, 1 when an internal invariant
 check fails during a run, 2 for invalid input.
 """
 
@@ -22,7 +24,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,8 +46,6 @@ _DEFAULTS: dict[str, dict[str, str]] = {
     "check-h": {"depth": "1", "pairs": "4", "grid": "4096", "tol": "1e-9"},
     "transversality": {"pairs_count": "12", "l0": "", "l0_max": "5", "tol": "1e-9"},
     "renorm": {"op": "renorm", "p": "2"},
-    "period-scan": {"k": "2", "denominators": "2,3,4,5,6,7,8,9,10,11,12",
-                    "m_max": "64", "threshold": "100"},
     "theta": {"n": "8", "i_level": "0", "m": "", "cap": "1048576",
               "subsample": "", "k": "4", "h_threshold": "0.1",
               "max_components": "200", "experiment": "0", "dump_cells": "0",
@@ -70,15 +70,19 @@ class _Options:
     """Resolved string options with typed accessors that fail as exit 2.
 
     ``given`` holds the keys set by flag or config file; every accessor
-    adds its key to ``read``.
+    adds its key to ``read``, and raises AssertionError once ``checked``
+    is set, since ``read`` was then already compared with ``given``.
     """
 
     def __init__(self, table: dict[str, str], given: set[str]):
         self.table = table
         self.given = given
         self.read: set[str] = set()
+        self.checked = False
 
     def raw(self, key: str) -> str:
+        if self.checked:
+            raise AssertionError(f"option {key} is read after the unread options were refused")
         self.read.add(key)
         return self.table[key]
 
@@ -279,11 +283,13 @@ def _words(theta: fs.ThetaMeasure) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # subcommands: each takes the resolved options and the output directory's
-# name, which only the stdout lines mention, and returns a _Run
+# name, which only the stdout lines mention, reads every option it uses,
+# yields, and then computes and returns a _Run
 
 
-def cmd_params(opt: _Options, outdir: str) -> _Run:
+def cmd_params(opt: _Options, outdir: str):
     params = _params(opt)
+    yield
     return _Run({}, {}, [
         f"b          = {params.b}",
         f"lambda     = {params.lam!r}",
@@ -293,15 +299,18 @@ def cmd_params(opt: _Options, outdir: str) -> _Run:
     ])
 
 
-def cmd_sample(opt: _Options, outdir: str) -> _Run:
+def cmd_sample(opt: _Options, outdir: str):
     params, phi = _make_system(opt)
     points = opt.get_count("points")
+    tol = opt.get_float("tol")
+    plot_level = opt.get_depth("plot_level") if opt.raw("plot_level") else None
+    yield
     xs = (np.arange(points) + 0.5) / points
-    ws = wr.eval_w_vec(params, phi, xs, opt.get_float("tol"))
+    ws = wr.eval_w_vec(params, phi, xs, tol)
     files = {"sample.csv": _csv("x,w", zip(xs.tolist(), ws.tolist()))}
     summary: dict[str, object] = {"w_min": float(ws.min()), "w_max": float(ws.max())}
-    if opt.raw("plot_level"):
-        scale = params.b**opt.get_depth("plot_level")
+    if plot_level is not None:
+        scale = params.b**plot_level
         lo = math.floor(float(ws.min()) * scale)
         ix = np.floor(xs * scale).astype(int)
         iy = np.floor(ws * scale).astype(int) - lo
@@ -312,41 +321,42 @@ def cmd_sample(opt: _Options, outdir: str) -> _Run:
     return _Run(files, summary, [f"wrote sample.csv ({points} points) to {outdir}"])
 
 
-def cmd_dim_box(opt: _Options, outdir: str) -> _Run:
+def cmd_dim_box(opt: _Options, outdir: str):
     params, phi = _make_system(opt)
     requested = opt.get_count("samples")
-    rep = ms.graph_box_dimension(
-        params, phi,
-        levels=opt.get_range("levels"),
-        n_samples=requested,
-        seed=opt.get_int("seed"),
-        column_margin=opt.get_int("column_margin"),
-        tol=opt.get_float("tol"),
-    )
+    kw = dict(levels=opt.get_range("levels"), n_samples=requested, seed=opt.get_int("seed"),
+              column_margin=opt.get_int("column_margin"), tol=opt.get_float("tol"))
+    yield
+    rep = ms.graph_box_dimension(params, phi, **kw)
     stdout = []
     if rep.n_samples > requested:
         stdout.append(f"evaluated {rep.n_samples} points for {requested} requested "
                       f"(one per column of level {rep.column_level})")
     stdout.append(f"box-count slope {rep.slope:.4f} (reference {rep.d_reference:.4f})")
-    rows = ((lv, ct, lc, rep.slope) for lv, ct, lc in zip(rep.levels, rep.counts, rep.log_counts))
-    return _Run({"dim_box.csv": _csv("level,count,log_count,slope", rows)}, {
+    summary: dict[str, object] = {
         "slope": rep.slope, "slope_stderr": rep.slope_stderr,
         "d_reference": rep.d_reference, "n_samples": rep.n_samples,
         "column_level": rep.column_level,
-    }, stdout)
+    }
+    if isinstance(phi, phimod.FourierPhi):
+        dich = wr.dichotomy(params, phi)
+        summary.update(asdict(dich))  # analytic, residual, onset_level
+        stdout.append("dichotomy: analytic" if dich.analytic else
+                      f"dichotomy: rough, residual {dich.residual:.3e}, "
+                      f"onset level {dich.onset_level:.1f}")
+    rows = ((lv, ct, lc, rep.slope) for lv, ct, lc in zip(rep.levels, rep.counts, rep.log_counts))
+    return _Run({"dim_box.csv": _csv("level,count,log_count,slope", rows)}, summary, stdout)
 
 
-def cmd_dim_entropy(opt: _Options, outdir: str) -> _Run:
+def cmd_dim_entropy(opt: _Options, outdir: str):
     params, phi = _make_system(opt)
     seed = opt.get_int("seed")
-    codes = [kn.seeded_code(params.b, seed, i) for i in range(opt.get_int("codes"))]
-    rep = ms.alpha_estimate(
-        params, phi, codes,
-        levels=opt.get_range("levels"),
-        n_samples=opt.get_count("samples"),
-        seed=seed,
-        tol=opt.get_float("tol"),
-    )
+    n_codes = opt.get_int("codes")
+    kw = dict(levels=opt.get_range("levels"), n_samples=opt.get_count("samples"), seed=seed,
+              tol=opt.get_float("tol"))
+    yield
+    codes = [kn.seeded_code(params.b, seed, i) for i in range(n_codes)]
+    rep = ms.alpha_estimate(params, phi, codes, **kw)
     rows = ((ci, lv, val, int(lv in curve.window)) for ci, curve in enumerate(rep.curves)
             for lv, val in zip(curve.levels, curve.values))
     return _Run({"dim_entropy.csv": _csv("code_index,level,H,in_window", rows)}, {
@@ -355,11 +365,12 @@ def cmd_dim_entropy(opt: _Options, outdir: str) -> _Run:
     }, [f"alpha median {rep.median:.4f} over {len(codes)} codes (iqr {rep.iqr:.4f})"])
 
 
-def cmd_kernel(opt: _Options, outdir: str) -> _Run:
+def cmd_kernel(opt: _Options, outdir: str):
     params, phi = _make_system(opt)
     code = _parse_code(params, opt)
     points = opt.get_count("points")
     tol = opt.get_float("tol")
+    yield
     xs = (np.arange(points) + 0.5) / points
     gs = kn.eval_gamma_vec(params, phi, xs, code, tol)
     ys = kn.eval_y_vec(params, phi, xs, code, tol)
@@ -369,16 +380,12 @@ def cmd_kernel(opt: _Options, outdir: str) -> _Run:
     }, [f"wrote kernel.csv ({points} points) to {outdir}"])
 
 
-def cmd_check_h(opt: _Options, outdir: str) -> _Run:
+def cmd_check_h(opt: _Options, outdir: str):
     params, phi = _make_system(opt)
-    rep = kn.condition_h_scan(
-        params, phi,
-        depth=opt.get_int("depth"),
-        samples_per_pair=opt.get_int("pairs"),
-        seed=opt.get_int("seed"),
-        grid_size=opt.get_count("grid"),
-        tol=opt.get_float("tol"),
-    )
+    kw = dict(depth=opt.get_int("depth"), samples_per_pair=opt.get_int("pairs"),
+              seed=opt.get_int("seed"), grid_size=opt.get_count("grid"), tol=opt.get_float("tol"))
+    yield
+    rep = kn.condition_h_scan(params, phi, **kw)
     return _Run({"check_h.csv": _csv("u_prefix,v_prefix,seed,sep", rep.rows)}, {
         "classification": rep.classification,
         "min_sep": rep.min_sep, "max_sep": rep.max_sep,
@@ -386,19 +393,20 @@ def cmd_check_h(opt: _Options, outdir: str) -> _Run:
         f"(min_sep {rep.min_sep:.3e}, max_sep {rep.max_sep:.3e})"])
 
 
-def cmd_transversality(opt: _Options, outdir: str) -> _Run:
+def cmd_transversality(opt: _Options, outdir: str):
     params, phi = _make_system(opt)
     seed = opt.get_int("seed")
     tol = opt.get_float("tol")
-    pairs = kn.transversality_pairs(params, seed, count=opt.get_count("pairs_count"))
+    count = opt.get_count("pairs_count")
+    l0 = opt.get_int("l0") if opt.raw("l0") else None
+    l0_max = opt.get_int("l0_max") if l0 is None else None
+    yield
+    pairs = kn.transversality_pairs(params, seed, count=count)
     history: dict[int, kn.TransversalityReport] = {}
-    if opt.raw("l0"):
-        l0 = opt.get_int("l0")
+    if l0 is not None:
         rep = kn.transversality_certificate(params, phi, pairs, l0, tol)
     else:
-        l0, history = kn.transversality_stability(
-            params, phi, pairs, l0_max=opt.get_int("l0_max"), tol=tol
-        )
+        l0, history = kn.transversality_stability(params, phi, pairs, l0_max=l0_max, tol=tol)
         rep = history[l0]
     summary: dict[str, object] = {
         "l0": l0, "rho0_hat": rep.rho0_hat, "median_ratio": rep.median_ratio,
@@ -412,7 +420,7 @@ def cmd_transversality(opt: _Options, outdir: str) -> _Run:
                 [f"l0 {l0}: rho0_hat {rep.rho0_hat:.4f}, median ratio {rep.median_ratio:.4f}"])
 
 
-def cmd_renorm(opt: _Options, outdir: str) -> _Run:
+def cmd_renorm(opt: _Options, outdir: str):
     params, phi = _make_system(opt)
     op = opt.raw("op")
     p = opt.get_int("p")
@@ -424,35 +432,14 @@ def cmd_renorm(opt: _Options, outdir: str) -> _Run:
     }
     if op not in ops:
         raise ValueError(f"unknown renorm op {op!r}; use one of {', '.join(ops)}")
+    yield
     result = ops[op](phi, p)
     return _Run({"renorm_phi.txt": phimod.phi_to_text(result)}, {
         "op": op, "p": p, "n_coeffs": len(result.coeffs),
     }, [f"{op} at p={p}: {len(result.coeffs)} coefficients -> renorm_phi.txt"])
 
 
-def cmd_period_scan(opt: _Options, outdir: str) -> _Run:
-    params, phi = _make_system(opt)
-    try:
-        dens = [int(d) for d in opt.raw("denominators").split(",") if d.strip()]
-    except ValueError:
-        raise ValueError("denominators expects a comma-separated integer list")
-    rows = wr.period_scan(
-        params, phi,
-        k=opt.get_int("k"),
-        denominators=dens,
-        m_max=opt.get_int("m_max"),
-        threshold=opt.get_float("threshold"),
-    )
-    klasses = sorted({r.klass for r in rows})
-    table = ((r.t.numerator, r.t.denominator, r.k, r.lo, r.hi, r.klass) for r in rows)
-    return _Run({"period_scan.csv": _csv("t_num,t_den,k,E_lo,E_hi,class", table)}, {
-        "n_rows": len(rows),
-        "classes": ";".join(klasses),
-        "n_candidate": sum(r.klass == "candidate-regulating" for r in rows),
-    }, [f"scanned {len(rows)} candidate periods -> period_scan.csv"])
-
-
-def cmd_theta(opt: _Options, outdir: str) -> _Run:
+def cmd_theta(opt: _Options, outdir: str):
     params, phi = _make_system(opt)
     seed = opt.get_int("seed")
     tol = opt.get_float("tol")
@@ -463,13 +450,11 @@ def cmd_theta(opt: _Options, outdir: str) -> _Run:
     cap = opt.get_int("cap")
     subsample = opt.get_count("subsample") if opt.raw("subsample") else None
     if opt.get_switch("experiment"):
-        rep = fs.entropy_increase_experiment(
-            params, phi, code, n, i_level, opt.get_count("k"), m_grid,
-            seed=seed, cap=cap, subsample=subsample,
-            h_threshold=opt.get_float("h_threshold"),
-            max_components=opt.get_count("max_components"),
-            tol=tol,
-        )
+        k = opt.get_count("k")
+        kw = dict(seed=seed, cap=cap, subsample=subsample, h_threshold=opt.get_float("h_threshold"),
+                  max_components=opt.get_count("max_components"), tol=tol)
+        yield
+        rep = fs.entropy_increase_experiment(params, phi, code, n, i_level, k, m_grid, **kw)
         rows = ((rep.n, rep.i_level, rep.k, *row) for row in rep.rows)
         return _Run({"theta_experiment.csv": _csv("n,i_level,k,component_id,H_eta,gain", rows)}, {
             "mode": "experiment", "n_components": rep.n_components,
@@ -481,6 +466,7 @@ def cmd_theta(opt: _Options, outdir: str) -> _Run:
             f"positive-gain fraction {rep.positive_fraction:.3f}"
             + (f" ({rep.message})" if rep.message else "")])
     dump_cells = opt.get_switch("dump_cells")
+    yield
     theta = fs.build_theta(params, phi, code, n, cap, subsample, seed, tol)
     if dump_cells and len(theta) > 65536:
         raise ValueError(f"cell dump limited to 65536 atoms, theta has {len(theta)}")
@@ -502,7 +488,7 @@ def cmd_theta(opt: _Options, outdir: str) -> _Run:
                                  f"{rep.n_atoms} atoms ({rep.n_cells} cells)"])
 
 
-def cmd_porosity(opt: _Options, outdir: str) -> _Run:
+def cmd_porosity(opt: _Options, outdir: str):
     params, phi = _make_system(opt)
     seed = opt.get_int("seed")
     tol = opt.get_float("tol")
@@ -512,8 +498,9 @@ def cmd_porosity(opt: _Options, outdir: str) -> _Run:
     m = opt.get_count("m")
     samples = opt.get_count("samples")
     delta = opt.get_float("delta")
-    ucas = opt.get_switch("ucas")  # every option is read and checked before the first sample
+    ucas = opt.get_switch("ucas")
     ms._check_porosity(h, delta, m, scales[0], scales[-1])
+    yield
     summary: dict[str, object] = {}
     if h is None:
         alpha = ms.alpha_estimate(params, phi, [code], levels=range(5, 11),
@@ -539,11 +526,14 @@ def cmd_porosity(opt: _Options, outdir: str) -> _Run:
                 summary, stdout)
 
 
-def cmd_convolve(opt: _Options, outdir: str) -> _Run:
+def cmd_convolve(opt: _Options, outdir: str):
     b = wr.check_base(opt.get_int("b"))
     tf, uf = opt.raw("theta_file"), opt.raw("tau_file")
     if not tf or not uf:
         raise ValueError("convolve needs theta_file and tau_file histogram paths")
+    n = opt.get_int("n")
+    k = opt.get_int("k")
+    yield
     try:
         with open(tf) as fh:
             theta_h = ms.hist_from_text(fh.read(), b)
@@ -551,8 +541,6 @@ def cmd_convolve(opt: _Options, outdir: str) -> _Run:
             tau_h = ms.hist_from_text(fh.read(), b)
     except OSError as exc:
         raise ValueError(f"cannot read histogram file: {exc}")
-    n = opt.get_int("n")
-    k = opt.get_int("k")
     gain = fs.convolution_entropy_gain(theta_h, tau_h, n, k)
     return _Run({
         "convolve.csv": _csv("n,k,level,H_conv,H_tau,gain",
@@ -598,11 +586,17 @@ def main(argv: list[str] | None = None) -> int:
     outdir = args.out or os.environ.get("WEIERLAB_OUT") or "."
     try:
         opt = _resolve(args.command, args)
-        run = args.fn(opt, outdir)
+        command = args.fn(opt, outdir)
+        next(command)  # every option is read
         unread = sorted(opt.given - opt.read)
         if unread:
             raise ValueError(f"{args.command} does not read option {', '.join(unread)} "
                              "in this run; leave it out")
+        opt.checked = True
+        try:
+            next(command)  # a command yields once, so this runs it to its return value
+        except StopIteration as stop:
+            run = stop.value
     except (ValueError, TypeError) as exc:  # TypeError: a generator the operation cannot take
         print(f"error: {exc}", file=sys.stderr)
         return 2

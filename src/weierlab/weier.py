@@ -11,20 +11,21 @@ and so keeps frac(b^n x) exact for every base.  On a shifted b-adic lattice
 ``WLattice`` needs no orbit at all: the self-affinity W(x) = phi(x) +
 lam W(b x mod 1) maps each lattice point to one of the next coarser lattice,
 and for a Fourier generator angle addition turns the levels from a coarser
-lattice to a finer one into one matrix product.
+lattice to a finer one into one matrix product.  For a Fourier generator
+``dichotomy`` decides exactly whether W is analytic or rough.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
 from . import phi as phimod
-from ._util import badic_offsets_exact, grid_sup, substream
+from ._util import badic_offsets_exact, substream
 
 __all__ = [
     "SystemParams",
@@ -35,13 +36,10 @@ __all__ = [
     "eval_w_vec",
     "WLattice",
     "self_affinity_residual",
-    "WFourier",
     "fourier_of_w",
-    "wfourier_partial_sum",
-    "EnergyBounds",
-    "regulating_energy",
-    "PeriodRow",
-    "period_scan",
+    "Dichotomy",
+    "dichotomy",
+    "analytic_lambdas",
 ]
 
 
@@ -312,20 +310,9 @@ def self_affinity_residual(
 # Fourier side
 
 
-@dataclass
-class WFourier:
-    """Fourier data of W up to |m| <= m_max.
-
-    Coefficients follow A_m = c_m + lam A_{m/b} when b divides m and
-    A_m = c_m otherwise, with A_0 = c_0 / (1 - lam).
-    """
-
-    params: SystemParams
-    m_max: int
-    coeffs: dict[int, complex]
-
-
-def fourier_of_w(params: SystemParams, phi: phimod.Phi, m_max: int) -> WFourier:
+def fourier_of_w(params: SystemParams, phi: phimod.Phi, m_max: int) -> dict[int, complex]:
+    """The nonzero Fourier coefficients A_m of W for |m| <= m_max: A_m = c_m
+    + lam A_(m/b) when b divides m, A_m = c_m otherwise, A_0 = c_0 / (1 - lam)."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     if not isinstance(phi, phimod.FourierPhi):
@@ -347,251 +334,120 @@ def fourier_of_w(params: SystemParams, phi: phimod.Phi, m_max: int) -> WFourier:
                 lam_pow *= lam
         if a != 0:
             coeffs[m] = a
-    return WFourier(params=params, m_max=m_max, coeffs=coeffs)
-
-
-def wfourier_partial_sum(wf: WFourier, xs: np.ndarray, deriv: int = 0,
-                         twist: Fraction | None = None) -> np.ndarray:
-    """Partial sum over the stored coefficients, optionally twisted by a period.
-
-    With twist = t, each term carries the factor (e^{2 pi i m t} - 1), which
-    is the frequency picture of the difference W(x + t) - W(x).  The phase
-    m t is reduced exactly for rational t before the complex exponential.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    acc = np.zeros(xs.shape, dtype=np.complex128)
-    for m, a in wf.coeffs.items():
-        term = a * (2j * math.pi * m) ** deriv
-        if twist is not None:
-            w = _twist(m, twist)
-            if w == 0.0:
-                continue
-            term = term * w
-        acc += term * np.exp((2j * math.pi * m) * xs)
-    return acc.real.copy()
-
-
-def _twist(m: int, t: Fraction) -> complex:
-    """e^{2 pi i m t} - 1, with m t reduced mod 1 exactly."""
-    phase = Fraction(m) * t
-    return np.exp(2j * math.pi * float(phase - math.floor(phase))) - 1.0
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
-# twisted-difference energies
+# the dichotomy, exactly: a polynomial is its list of Fraction coefficients,
+# lowest power first, without trailing zeros
 
 
-@dataclass
-class EnergyBounds:
-    """Enclosure for the order-k energy of the period-t difference field.
+@dataclass(frozen=True)
+class Dichotomy:
+    """W at one (b, lam): residual = max_k |P_k(1/lam)|, 0 exactly when W
+    is analytic, and onset_level = max(0, log(1/residual) / log(b lam)),
+    inf then, from which the rough part lam^n residual is one box b^-n tall."""
 
-    lo comes from the sup of the degree-m_max partial sum on a refined
-    grid, corrected down by the tail bound when the tail converges; hi adds
-    the analytic tail.  A divergent tail reports hi = inf and marks
-    finite = False.
-    """
-
-    t: Fraction
-    k: int
-    m_max: int
-    lo: float
-    hi: float
-    finite: bool
-    trivial: bool
+    analytic: bool
+    residual: float
+    onset_level: float
 
 
-def _as_fraction(t) -> Fraction:
-    if isinstance(t, Fraction):
-        return t
-    if isinstance(t, tuple):
-        return Fraction(int(t[0]), int(t[1]))
-    if isinstance(t, (int, np.integer)):
-        return Fraction(int(t))
-    return Fraction(float(t))
+def _trim(p: list[Fraction]) -> list[Fraction]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
 
 
-def _is_b_adic(den: int, b: int) -> bool:
-    d = den
-    while True:
-        g = math.gcd(d, b)
-        if g == 1:
-            break
-        while d % g == 0:
-            d //= g
-    return d == 1
-
-
-def regulating_energy(
-    params: SystemParams,
-    phi: phimod.Phi,
-    t,
-    k: int,
-    m_max: int = 64,
-) -> EnergyBounds:
-    """Bounds for E_k(t) = sup_x |d^k/dx^k (W(x + t) - W(x))|.
-
-    The period t is taken as an exact rational (floats convert exactly).
-    Integer t gives the zero field.  Rational t with a fully b-adic
-    denominator kills every sufficiently deep frequency chain, so the tail
-    is a finite sum and hi is finite regardless of lam b^k.
-    """
+def _chain_parts(b: int, phi: phimod.Phi) -> list[list[Fraction]]:
+    """The real and then the imaginary part of each chain polynomial P_k(z)
+    = sum_i c_(k b^i) z^i, b not dividing k, with c = w / 2 from the real
+    form that is evaluated, exact since floats are dyadic rationals.  Past
+    the top frequency K, ``fourier_of_w`` gives A_(k b^n) = lam^n P_k(1/lam),
+    so W is a trigonometric polynomial, analytic, exactly when every P_k
+    vanishes at 1/lam; otherwise |A_m| decays like |m|^(log_b lam): rough."""
     if not isinstance(phi, phimod.FourierPhi):
-        raise TypeError("regulating_energy needs a Fourier generator")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    tq = _as_fraction(t)
-    tq -= math.floor(tq)
-    if tq == 0:
-        return EnergyBounds(t=tq, k=k, m_max=m_max, lo=0.0, hi=0.0, finite=True, trivial=True)
-
-    wf = fourier_of_w(params, phi, m_max)
-    grid_n = 4 * params.b ** (int(math.ceil(math.log(max(m_max, 2)) / math.log(params.b))) + 2)
-
-    def field(xs: np.ndarray) -> np.ndarray:
-        return np.abs(wfourier_partial_sum(wf, xs, deriv=k, twist=tq))
-
-    lo_raw = grid_sup(field, grid_n)
-
-    tail, finite = _energy_tail(params, phi, tq, k, m_max)
-    if finite:
-        lo = max(0.0, lo_raw - tail)
-        hi = _coeff_abs_sum(wf, tq, k) + tail
-    else:
-        lo = lo_raw
-        hi = math.inf
-    return EnergyBounds(
-        t=tq, k=k, m_max=m_max, lo=lo, hi=hi, finite=finite,
-        trivial=_is_b_adic(tq.denominator, params.b),
-    )
+        raise TypeError("the dichotomy needs a Fourier generator")
+    chains: dict[int, dict[int, complex]] = {}
+    for k, w in zip(phi.freqs, phi.w):
+        i = 0
+        while k % b == 0:
+            k, i = k // b, i + 1
+        chains.setdefault(k, {})[i] = w / 2
+    return [_trim([Fraction(getattr(c.get(i, 0j), part)) for i in range(max(c) + 1)])
+            for c in chains.values() for part in ("real", "imag")]
 
 
-def _coeff_abs_sum(wf: WFourier, tq: Fraction, k: int) -> float:
-    total = 0.0
-    for m, a in wf.coeffs.items():
-        total += abs(a) * (2.0 * math.pi * abs(m)) ** k * abs(_twist(m, tq))
-    return total
+def _at(p: list[Fraction], z: Fraction) -> Fraction:
+    return functools.reduce(lambda v, c: v * z + c, reversed(p), Fraction(0))
 
 
-def _energy_tail(
-    params: SystemParams, f: phimod.FourierPhi, tq: Fraction, k: int, m_max: int
-) -> tuple[float, bool]:
-    """Bound on the full-series energy beyond |m| = m_max; (bound, finite)."""
-    b, lam = params.b, params.lam
-    ratio = lam * float(b) ** k
-    roots: dict[int, list[int]] = {}
-    for freq in f.coeffs:
-        if freq == 0:
-            continue
-        r = freq
-        while r % b == 0:
-            r //= b
-        roots.setdefault(r, []).append(freq)
-    peak = max((abs(v) for v in f.coeffs.values()), default=0.0)
-    dead_tol = 1e-12 * peak
-    total = 0.0
-    for r, members in roots.items():
-        j_top = max(_b_exponent(m // r, b) for m in members)
-        # chain values A_{r b^j} by the recursion seeded from the generator table
-        a = 0.0 + 0.0j
-        j = 0
-        while True:
-            a = lam * a if j > 0 else 0.0 + 0.0j
-            c = f.coeffs.get(r * b**j, 0.0 + 0.0j)
-            a += c
-            m = r * b**j
-            if abs(m) > m_max:
-                total += abs(a) * (2.0 * math.pi * abs(m)) ** k * abs(_twist(m, tq))
-            if j >= j_top:
-                break
-            j += 1
-        # beyond the last seeded level the chain is purely geometric
-        j += 1
-        m = r * b**j
-        while abs(m) <= m_max:
-            a *= lam
-            j += 1
-            m = r * b**j
-        if abs(a) <= dead_tol:
-            # the generator cancels the chain identically past its support
-            continue
-        # exact per-term walk when the twist eventually kills the chain
-        if _chain_dies(tq, r, b):
-            while True:
-                phase = Fraction(m) * tq
-                phase -= math.floor(phase)
-                if phase == 0:
-                    break
-                a *= lam
-                total += abs(a) * (2.0 * math.pi * abs(m)) ** k * 2.0
-                j += 1
-                m = r * b**j
-            continue
-        if ratio >= 1.0:
-            return math.inf, False
-        # geometric closed form with |e^{i phase} - 1| <= 2
-        head = abs(a) * lam * (2.0 * math.pi * abs(m)) ** k
-        total += 2.0 * head / (1.0 - ratio)
-    return total, True
+def _deriv(p: list[Fraction]) -> list[Fraction]:
+    return [i * c for i, c in enumerate(p)][1:]
 
 
-def _b_exponent(q: int, b: int) -> int:
-    e = 0
-    while q % b == 0:
-        q //= b
-        e += 1
-    return e
+def _divmod(p: list[Fraction], q: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of p by a nonzero q."""
+    r, quo = list(p), [Fraction(0)] * max(0, len(p) - len(q) + 1)
+    for i in reversed(range(len(quo))):
+        quo[i] = r[i + len(q) - 1] / q[-1]
+        for j, c in enumerate(q):
+            r[i + j] -= quo[i] * c
+    return quo, _trim(r[: len(q) - 1])
 
 
-def _chain_dies(tq: Fraction, r: int, b: int) -> bool:
-    """True when r b^j t is an integer for all large j."""
-    den = tq.denominator
-    g = math.gcd(den, abs(r))
-    return _is_b_adic(den // g, b)
+def _gcd(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
+    """The monic gcd over Q of p and q, not both zero."""
+    while q:
+        p, q = q, _divmod(p, q)[1]
+    return [c / p[-1] for c in p]
 
 
-@dataclass
-class PeriodRow:
-    t: Fraction
-    k: int
-    lo: float
-    hi: float
-    lo_doubled: float
-    klass: str
+def _sign_changes(seq: list[list[Fraction]], z: Fraction) -> int:
+    signs = [v > 0 for v in (_at(p, z) for p in seq) if v != 0]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def period_scan(
-    params: SystemParams,
-    phi: phimod.Phi,
-    k: int,
-    denominators: Iterable[int],
-    m_max: int = 64,
-    threshold: float = 100.0,
-) -> list[PeriodRow]:
-    """Classify candidate periods q/d for the order-k difference energy.
+def dichotomy(params: SystemParams, phi: phimod.Phi) -> Dichotomy:
+    """Analytic or rough, decided exactly from the chain polynomials.  A
+    constant phi, the paper's exception, is analytic at every lam;
+    piecewise generators raise TypeError."""
+    z = 1 / Fraction(params.lam)
+    at = [_at(p, z) for p in _chain_parts(params.b, phi)]
+    sq = max((re**2 + im**2 for re, im in zip(at[::2], at[1::2])), default=Fraction(0))
+    if sq == 0:
+        return Dichotomy(analytic=True, residual=0.0, onset_level=math.inf)
+    log_inv_sq = math.log(sq.denominator) - math.log(sq.numerator)  # exact past float range
+    onset = max(0.0, log_inv_sq / (2 * math.log(params.b * params.lam)))
+    return Dichotomy(analytic=False, residual=math.sqrt(sq), onset_level=onset)
 
-    Classes: ``trivial`` for fully b-adic denominators, ``non-regulating``
-    when the tail diverges and the partial-sum floor beats the threshold at
-    m_max and at 2 m_max both, ``candidate-regulating`` otherwise.  A
-    threshold that is not finite raises ValueError.
-    """
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
-    rows: list[PeriodRow] = []
-    for d in denominators:
-        d = int(d)
-        if d < 1:
-            raise ValueError("denominators must be positive")
-        for q in range(1, d) if d > 1 else [0]:
-            if d > 1 and math.gcd(q, d) != 1:
-                continue
-            t = Fraction(q, d)
-            e1 = regulating_energy(params, phi, t, k, m_max)
-            e2 = regulating_energy(params, phi, t, k, 2 * m_max)
-            if e1.trivial:
-                klass = "trivial"
-            elif not e2.finite and e1.lo > threshold and e2.lo > threshold:
-                klass = "non-regulating"
-            else:
-                klass = "candidate-regulating"
-            rows.append(PeriodRow(t=t, k=k, lo=e1.lo, hi=e1.hi, lo_doubled=e2.lo, klass=klass))
-    return rows
+
+def analytic_lambdas(b: int, phi: phimod.Phi) -> tuple[float, ...]:
+    """The lam in (1/b, 1) at which W is analytic, sorted: the floats
+    nearest the common roots z = 1/lam of all parts of all P_k, which the
+    Sturm sequence of their squarefree gcd over Q counts in (lo, hi] as
+    bisection narrows (1, b] until 1/z is one float.  At the float of a
+    root that is no float, ``dichotomy`` reads a residual of rounding size.
+    A constant phi raises ValueError, a piecewise one TypeError."""
+    parts = [p for p in _chain_parts(check_base(b), phi) if p]
+    if not parts:
+        raise ValueError("a constant phi gives an analytic W at every lam")
+    g = functools.reduce(_gcd, parts)
+    g = _divmod(g, _gcd(g, _deriv(g)))[0]
+    seq = [g, _deriv(g)]
+    while len(seq[-1]) > 1:
+        seq.append([-c for c in _divmod(seq[-2], seq[-1])[1]])
+    lams, todo = set(), [(Fraction(1), Fraction(b))]
+    while todo:
+        lo, hi = todo.pop()
+        n = _sign_changes(seq, lo) - _sign_changes(seq, hi)
+        f1, f2 = float(1 / hi), float(1 / lo)
+        if n == 1 and f1 == f2:
+            lams.add(f1)
+        elif n == 1 and math.nextafter(f1, 2.0) == f2:
+            m = 2 / (Fraction(f1) + Fraction(f2))  # z at the midpoint of the two floats
+            below = _sign_changes(seq, lo) - _sign_changes(seq, m)  # the root in (lo, m]
+            lams.add(float(1 / m) if _at(g, m) == 0 else f2 if below else f1)
+        elif n:
+            todo += [(lo, (lo + hi) / 2), ((lo + hi) / 2, hi)]
+    return tuple(sorted(lam for lam in lams if 1.0 / b < lam < 1.0))  # as make_params checks

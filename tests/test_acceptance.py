@@ -203,12 +203,12 @@ def test_criterion_5_fourier_recursion_vs_fft():
 
         ref = oracle.fft_w_coefficients(params, partial, 1 << 16, 64)
         for m in range(-64, 65):
-            worst = max(worst, abs(wf.coeffs.get(m, 0.0) - ref.get(m, 0.0)))
+            worst = max(worst, abs(wf.get(m, 0.0) - ref.get(m, 0.0)))
     fft_ok = worst <= 1e-6
 
     params = wr.make_params(2, 0.7)
     shifted = phimod.FourierPhi({0: 2.5, 1: 0.5, -1: 0.5})
-    a0 = wr.fourier_of_w(params, shifted, 8).coeffs[0]
+    a0 = wr.fourier_of_w(params, shifted, 8)[0]
     const_ok = abs(a0 - 2.5 / 0.3) <= 1e-9 * abs(2.5 / 0.3)
 
     ok = fft_ok and const_ok

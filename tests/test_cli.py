@@ -19,6 +19,7 @@ import warnings
 import numpy as np
 import pytest
 
+from weierlab import cli
 from weierlab import funcspace as fs
 from weierlab import kernel as kn
 from weierlab import measure as ms
@@ -99,7 +100,7 @@ def test_every_default_key_is_a_flag(capsys):
 
 
 def test_tol_only_where_a_series_is_evaluated(tmp_path):
-    for command in ("params", "renorm", "period-scan", "convolve"):
+    for command in ("params", "renorm", "convolve"):
         assert main([command, "--tol", "1e-9", "--out", str(tmp_path)]) == 2
 
 
@@ -132,6 +133,38 @@ def test_unread_option_is_exit_2(tmp_path, capsys, argv, unread):
     assert captured.out == ""
     assert f"{argv[0]} does not read option {unread} in this run" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, module, entry", [
+    (["theta", "--experiment", "--dump-cells", "--n", "4"], fs, "entropy_increase_experiment"),
+    (["theta", "--n", "4", "--k", "3"], fs, "build_theta"),
+    (["transversality", "--l0", "2", "--l0-max", "3"], kn, "transversality_certificate"),
+    (["sample", "--seed", "1"], wr, "eval_w_vec"),
+], ids=["theta-experiment", "theta-plain", "transversality", "sample"])
+def test_unread_option_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                  argv, module, entry):
+    """Each run used to reach its library entry point and compute in full
+    before the unread option was refused."""
+    def computed(*args, **kwargs):
+        raise AssertionError(f"{entry} ran before the unread option was refused")
+
+    monkeypatch.setattr(module, entry, computed)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"{argv[0]} does not read option" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_option_read_after_the_check_is_exit_1(capsys, monkeypatch):
+    """A read after a command's yield fails the run as a broken invariant,
+    so a late read cannot slip past the unread-option check."""
+    def late(opt, outdir):
+        yield
+        opt.get_int("b")
+
+    monkeypatch.setattr(cli, "cmd_params", late)
+    assert main(["params"]) == 1
+    assert "option b is read after the unread options were refused" in capsys.readouterr().err
 
 
 def test_unread_config_key_is_exit_2(tmp_path, capsys):
@@ -356,7 +389,6 @@ _CSV_RUNS = {
     "kernel.csv": ["kernel", "--code", "01", "--points", "16"],
     "check_h.csv": ["check-h", "--grid", "256", "--pairs", "2"],
     "transversality.csv": ["transversality", "--pairs-count", "2", "--l0", "2"],
-    "period_scan.csv": ["period-scan", "--denominators", "2,3,4"],
     "theta_entropy.csv": ["theta", "--n", "4"],
     "theta_cells.csv": ["theta", "--n", "4", "--i-level", "2", "--dump-cells"],
     "theta_experiment.csv": ["theta", "--experiment", "--n", "6", "--k", "2",
@@ -429,11 +461,10 @@ def test_phi_file_that_mixes_forms_is_exit_2(tmp_path, capsys, text, message):
 def test_renorm_unknown_op_is_exit_2(tmp_path, capsys):
     assert main(["renorm", "--op", "fold", "--out", str(tmp_path)]) == 2
     assert "unknown renorm op" in capsys.readouterr().err
-    # the Fourier-only commands reject a piecewise generator the same way
-    for command in ("renorm", "period-scan"):
-        assert main([command, "--phi", "triangle", "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Fourier" in err and len(err.splitlines()) == 1
+    # a Fourier-only operation rejects a piecewise generator the same way
+    assert main(["renorm", "--phi", "triangle", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Fourier" in err and len(err.splitlines()) == 1
     assert not any(tmp_path.iterdir())
 
 
@@ -462,8 +493,22 @@ def test_dim_box_notes_extra_points(tmp_path, capsys):
                  "--samples", "2e4", "--out", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "evaluated 59049 points for 20000 requested (one per column of level 10)"
-    assert len(lines) == 2 and lines[1].startswith("box-count slope")
+    assert len(lines) == 3 and lines[1].startswith("box-count slope")
+    assert lines[2] == "dichotomy: rough, residual 5.000e-01, onset level 1.7"
     assert "# n_samples = 59049" in _read(tmp_path / "dim-box.meta")
+
+
+def test_dim_box_reads_the_dichotomy(tmp_path, capsys):
+    """A Fourier generator's run prints and records which side of the
+    dichotomy W is on; a piecewise one, outside the theorem, neither."""
+    base = ["dim-box", "--levels", "3:4", "--samples", "4096"]
+    assert main([*base, "--phi-from-w0", "cos", "--out", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "dichotomy: analytic"
+    meta = _read(tmp_path / "a" / "dim-box.meta").splitlines()
+    assert {"# analytic = True", "# residual = 0.0", "# onset_level = inf"} <= set(meta)
+    assert main([*base, "--phi", "triangle", "--out", str(tmp_path / "b")]) == 0
+    assert "dichotomy" not in capsys.readouterr().out
+    assert "# analytic" not in _read(tmp_path / "b" / "dim-box.meta")
 
 
 def test_dim_entropy_small_run(tmp_path, capsys):
@@ -507,7 +552,7 @@ def test_kernel_non_real_phi_is_exit_2(tmp_path, capsys):
     numpy.  ``params`` reads no generator, so it refuses ``--phi`` unread."""
     spec = tmp_path / "phi.txt"
     spec.write_text("1 0.5 0\n")
-    for command in ("renorm", "period-scan", "sample", "dim-box", "kernel"):
+    for command in ("renorm", "sample", "dim-box", "kernel"):
         out = tmp_path / command
         out.mkdir()
         assert main([command, "--phi", str(spec), "--out", str(out)]) == 2
@@ -640,32 +685,6 @@ def test_transversality_analytic_twin_scores_zero(tmp_path, capsys):
     assert main(["transversality", "--phi-from-w0", "cos", "--l0", "2",
                  "--pairs-count", "4", "--out", str(tmp_path)]) == 0
     assert "rho0_hat 0.0000" in capsys.readouterr().out
-
-
-# ---------------------------------------------------------------------------
-# period scan
-
-
-def test_period_scan_classes(tmp_path, capsys):
-    assert main(["period-scan", "--denominators", "2,3,4", "--k", "2",
-                 "--out", str(tmp_path)]) == 0
-    rows = _csv_rows(tmp_path / "period_scan.csv")
-    assert rows[0] == ["t_num", "t_den", "k", "E_lo", "E_hi", "class"]
-    classes = {(r[0], r[1]): r[5] for r in rows[1:]}
-    assert classes[("1", "2")] == "trivial"
-    assert classes[("1", "3")] == "non-regulating"
-    assert {r[4] for r in rows[1:] if r[5] == "non-regulating"} == {"inf"}  # divergent tail
-    assert "# n_rows = " in _read(tmp_path / "period-scan.meta")
-
-
-def test_period_scan_non_finite_threshold_is_exit_2(tmp_path, capsys):
-    """A NaN threshold compares false both ways, so it used to turn every
-    non-regulating row into a candidate."""
-    for value in ("nan", "inf"):
-        assert main(["period-scan", "--denominators", "3", "--threshold", value,
-                     "--out", str(tmp_path)]) == 2
-        assert "threshold must be finite" in capsys.readouterr().err
-    assert not (tmp_path / "period_scan.csv").exists()
 
 
 # ---------------------------------------------------------------------------

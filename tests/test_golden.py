@@ -32,15 +32,16 @@ import numpy as np
 import pytest
 
 from weierlab import measure as ms
-from weierlab.cli import main
+from weierlab import phi as phimod
+from weierlab.cli import _DEFAULTS, main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden.json"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # Every option given here is one the run reads.  {tmp} is the directory
-# that holds the input files: a general coefficient table and the two
-# convolve histograms.
+# that holds the input files: a general coefficient table, the twin's
+# table of an analytic W and the two convolve histograms.
 RUNS = {
     "params": "params",
     "params-b3": "params --b 3 --lambda 0.5",
@@ -53,6 +54,8 @@ RUNS = {
     "dim-box": "dim-box --levels 3:6 --samples 2e4",
     "dim-box-b3": "dim-box --b 3 --lambda 0.5 --levels 3:6 --samples 2e4",
     "dim-box-margin": "dim-box --levels 3:5 --samples 4096 --column-margin 1 --seed 3",
+    "dim-box-near-analytic": ("dim-box --phi {tmp}/twin.phi --lambda 0.699 --levels 3:6 "
+                              "--samples 2e4"),
     "dim-entropy": "dim-entropy --codes 2 --levels 4:7 --samples 2e4",
     "dim-entropy-triangle": "dim-entropy --codes 2 --levels 3:6 --samples 4096 --phi triangle",
     "kernel": "kernel --code 01 --points 32",
@@ -67,7 +70,6 @@ RUNS = {
     "renorm": "renorm --op renorm --p 2",
     "renorm-rescale": "renorm --op rescale --p 2",
     "renorm-twin": "renorm --op pre --p 2 --phi-from-w0 cos",
-    "period-scan": "period-scan --denominators 2,3,4 --k 2",
     "theta": "theta --n 4",
     "theta-b3": "theta --b 3 --lambda 0.5 --n 3 --phi triangle",
     "theta-dump": "theta --n 4 --i-level 2 --dump-cells",
@@ -90,9 +92,11 @@ def _sha(data: bytes) -> str:
 
 
 def _write_inputs(tmp: pathlib.Path) -> None:
-    """A real three-frequency table, and the two histogram files of the
+    """A real three-frequency table, the table of phi_from_w0(cos, 2, 0.7),
+    whose W is cos at lam 0.7 alone, and the two histogram files of the
     convolve run: transverse progressions."""
     (tmp / "table.phi").write_text("-3 0.125 -0.25\n-1 0.5 0\n0 0.25 0\n1 0.5 0\n3 0.125 0.25\n")
+    (tmp / "twin.phi").write_text(phimod.phi_to_text(phimod.phi_from_w0(phimod.cos_phi(), 2, 0.7)))
     for name, keys in (("theta", [0, 4, 8, 12]), ("tau", [0, 1, 2, 3])):
         centers = (np.asarray(keys, dtype=np.float64) + 0.25) / 2**8
         (tmp / f"{name}.hist").write_text(ms.hist_to_text(ms.histogram_from_values(centers, 2, 8)))
@@ -163,6 +167,7 @@ def test_demo_stdout_is_byte_identical(golden, demo):
 
 def test_golden_covers_every_run_and_demo(golden):
     assert set(golden["runs"]) == set(RUNS)
+    assert set(_DEFAULTS) <= {run.split()[0] for run in RUNS.values()}
     assert set(golden["demos"]) == {demo.stem for demo in DEMOS}
 
 

@@ -1,4 +1,4 @@
-"""Limit function: evaluation, self-affinity, coefficients, and energies."""
+"""Limit function: evaluation, self-affinity, coefficients, and the dichotomy."""
 
 import math
 from fractions import Fraction
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weierlab.kernel as kn
 import weierlab.phi as P
 import weierlab.weier as W
 from weierlab import make_params
@@ -312,7 +313,7 @@ def test_fourier_recursion_matches_fft():
 
         ref = oracle.fft_w_coefficients(p, partial, n_points=1 << 16, m_keep=64)
         for m in range(-64, 65):
-            got = complex(wf.coeffs.get(m, 0.0))
+            got = complex(wf.get(m, 0.0))
             assert abs(got - ref[m]) < 1e-6
 
 
@@ -321,108 +322,109 @@ def test_fourier_chain_closed_form():
     p = make_params(2, 0.7)
     wf = W.fourier_of_w(p, P.cos_phi(), 64)
     for j in range(7):
-        assert wf.coeffs[2**j] == pytest.approx(0.7**j * 0.5, abs=1e-15)
-        assert wf.coeffs[-(2**j)] == pytest.approx(0.7**j * 0.5, abs=1e-15)
-    assert 3 not in wf.coeffs
+        assert wf[2**j] == pytest.approx(0.7**j * 0.5, abs=1e-15)
+        assert wf[-(2**j)] == pytest.approx(0.7**j * 0.5, abs=1e-15)
+    assert 3 not in wf
 
 
 def test_fourier_mean_of_constant_generator():
     """The zero-frequency chain sums the geometric series c0 / (1 - lam)."""
     p = make_params(2, 0.7)
     wf = W.fourier_of_w(p, P.const_phi(2.5), 8)
-    assert wf.coeffs[0] == pytest.approx(2.5 / 0.3, rel=1e-12)
+    assert wf[0] == pytest.approx(2.5 / 0.3, rel=1e-12)
 
 
-def test_regulating_energy_integer_period_is_zero():
-    p = make_params(2, 0.7)
-    eb = W.regulating_energy(p, P.cos_phi(), 3, 2)
-    assert eb.lo == 0.0 and eb.hi == 0.0
-    assert eb.trivial and eb.finite
+# ---------------------------------------------------------------------------
+# the dichotomy
+
+TWIN = P.phi_from_w0(P.cos_phi(), 2, 0.7)  # W = cos at lam 0.7 alone
+TABLE_30 = P.FourierPhi({k: 0.3 ** abs(k) for k in range(-30, 31) if k})
+TABLE_3 = P.FourierPhi({-3: 0.125 - 0.25j, -1: 0.5, 0: 0.25, 1: 0.5, 3: 0.125 + 0.25j})
 
 
-def test_regulating_energy_analytic_closed_form():
-    """For W = cos(2 pi x), E_2(1/3) = (2 pi)^2 |e^{2 pi i/3} - 1| = 4 pi^2 sqrt(3)."""
-    p = make_params(2, 0.7)
-    phi = P.phi_from_w0(P.cos_phi(), 2, 0.7)
-    eb = W.regulating_energy(p, phi, Fraction(1, 3), 2)
-    ref = 4.0 * math.pi**2 * math.sqrt(3.0)
-    assert eb.hi == pytest.approx(ref, rel=1e-12)
-    assert eb.lo <= eb.hi + 1e-12
-    assert eb.hi - eb.lo < 1e-6
-    assert eb.finite and not eb.trivial
+def _real_table(half: dict[int, float]) -> P.FourierPhi:
+    return P.FourierPhi({**half, **{-k: v for k, v in half.items()}})
 
 
-def test_regulating_energy_divergent_tail():
-    """lam b^2 > 1 with a never-dying twist gives an infinite upper bound."""
-    p = make_params(2, 0.7)
-    eb = W.regulating_energy(p, P.cos_phi(), Fraction(1, 3), 2)
-    assert not eb.finite
-    assert math.isinf(eb.hi)
-    assert eb.lo > 100.0
+@pytest.mark.parametrize("b, lam", [(2, 0.7), (3, 0.5), (5, 0.31), (2, 0.55)])
+def test_twin_is_analytic_at_its_lambda_alone(b, lam):
+    """P_1(z) = (1 - lam z) / 2 has the one root 1/lam, found exactly."""
+    assert W.analytic_lambdas(b, P.phi_from_w0(P.cos_phi(), b, lam)) == (lam,)
 
 
-def test_regulating_energy_badic_period_is_finite():
-    """A base-adic twist kills deep chains, so the sum stays finite at k = 2."""
-    p = make_params(2, 0.7)
-    eb = W.regulating_energy(p, P.cos_phi(), Fraction(1, 4), 2)
-    assert eb.finite and eb.trivial
-    assert math.isfinite(eb.hi)
-    assert 0.0 < eb.lo <= eb.hi
+def test_rough_at_every_lambda():
+    """The cosine's one chain polynomial is the constant 1/2, and chains
+    of positive coefficients have no positive root."""
+    assert W.analytic_lambdas(2, P.cos_phi()) == ()
+    assert W.analytic_lambdas(2, TABLE_30) == ()
 
 
-def test_regulating_energy_order_zero_bounds():
-    """At k = 0 the geometric tail converges; E_0 <= 2 sup |W|."""
-    p = make_params(2, 0.7)
-    eb = W.regulating_energy(p, P.cos_phi(), Fraction(1, 3), 0)
-    assert eb.finite
-    assert 0.0 < eb.lo <= eb.hi < 2.0 / 0.3 + 1e-9
+@pytest.mark.parametrize("half, lams", [
+    ({1: 1.0, 2: -1.375, 4: 0.46875}, (0.625, 0.75)),  # (1 - 0.625 z)(1 - 0.75 z)
+    ({1: 1.0, 2: -1.5, 4: 0.5625}, (0.75,)),  # a double root counts once
+    ({1: 1.0, 2: -1.375, 4: 0.46875, 3: 1.0, 6: -0.75}, (0.75,)),  # the common root alone
+    ({1: 1.0, 2: -0.5}, ()),  # lam = 1/b is no valid parameter
+], ids=["two-roots", "double-root", "common-root", "root-at-1/b"])
+def test_analytic_lambdas_are_the_common_roots(half, lams):
+    assert W.analytic_lambdas(2, _real_table(half)) == lams
+    for lam in lams:
+        assert W.dichotomy(make_params(2, lam), _real_table(half)).analytic
 
 
-def _golden_grid_sup(f, n_points):
-    """Reference grid sup: the grid maximum, refined by a scalar golden
-    section search on the two cells beside it."""
-    xs = np.arange(n_points, dtype=np.float64) / n_points
-    vals = f(xs)
-    i = int(np.argmax(vals))
-    lo, hi = max(0.0, xs[i] - 1.0 / n_points), min(1.0, xs[i] + 1.0 / n_points)
-    return max(float(vals[i]), oracle.golden_max(lambda t: float(f(np.array([t]))[0]), lo, hi))
+def test_constant_phi_is_the_exception():
+    """A constant phi is analytic at every lam, so it has no finite set."""
+    with pytest.raises(ValueError, match="constant"):
+        W.analytic_lambdas(2, P.const_phi(1.5))
+    for b, lam in ((2, 0.7), (3, 0.4), (7, 0.9)):
+        d = W.dichotomy(make_params(b, lam), P.const_phi(1.5))
+        assert d.analytic and d.residual == 0.0 and d.onset_level == math.inf
 
 
-@pytest.mark.parametrize("b, lam, t, k", [
-    (2, 0.7, Fraction(1, 3), 2),
-    (2, 0.7, Fraction(2, 5), 1),
-    (2, 0.7, Fraction(1, 3), 0),
-    (2, 0.7, Fraction(1, 4), 2),
-    (3, 0.5, Fraction(1, 2), 2),
-])
-def test_regulating_energy_lo_matches_golden_reference(monkeypatch, b, lam, t, k):
-    """E_lo from equally spaced bracket points agrees with a golden section
-    search on the same bracket to 1e-5 relative."""
+def test_dichotomy_refuses_piecewise_generators():
+    with pytest.raises(TypeError, match="Fourier"):
+        W.analytic_lambdas(2, P.triangle_phi())
+    with pytest.raises(TypeError, match="Fourier"):
+        W.dichotomy(make_params(2, 0.7), P.triangle_phi())
+
+
+@pytest.mark.parametrize("b, lam, phi", [
+    (2, 0.7, P.cos_phi()), (2, 0.699, TWIN), (2, 0.6, TABLE_30),
+    (2, 0.7, TABLE_3), (3, 0.5, TABLE_3),
+], ids=["cos", "twin", "table-30", "table-3-b2", "table-3-b3"])
+def test_residual_is_the_deep_coefficient(b, lam, phi):
+    """Past the top frequency K, A_(k b^n) = lam^n P_k(1/lam): the largest
+    |A_(k b^n)| / lam^n over k b^n in (K, b K] is the residual."""
     p = make_params(b, lam)
-    lo = W.regulating_energy(p, P.cos_phi(), t, k).lo
-    monkeypatch.setattr(W, "grid_sup", _golden_grid_sup)
-    ref = W.regulating_energy(p, P.cos_phi(), t, k).lo
-    assert lo > 0.0
-    assert lo == pytest.approx(ref, rel=1e-5)
+    top = max(phi.freqs)
+    wf = W.fourier_of_w(p, phi, b * top)
+    deep = []
+    for m in range(top + 1, b * top + 1):
+        n = 0
+        while m % b**(n + 1) == 0:
+            n += 1
+        deep.append(abs(wf.get(m, 0.0)) / lam**n)
+    d = W.dichotomy(p, phi)
+    assert not d.analytic
+    assert max(deep) == pytest.approx(d.residual, rel=1e-12)
 
 
-def test_period_scan_classes():
-    """Base-adic periods come out trivial, thirds non-regulating here."""
+@pytest.mark.parametrize("lam, residual", [(0.699, 7.153e-4), (0.69, 7.246e-3), (0.65, 3.846e-2)])
+def test_residual_and_onset_near_the_twins_lambda(lam, residual):
+    d = W.dichotomy(make_params(2, lam), TWIN)
+    assert not d.analytic
+    assert d.residual == pytest.approx(residual, rel=1e-2)
+    assert d.onset_level == pytest.approx(math.log(1 / d.residual) / math.log(2 * lam), rel=1e-12)
+    assert W.dichotomy(make_params(2, 0.7), TWIN).analytic
+
+
+def test_dichotomy_agrees_with_condition_h():
+    """Criterion 4's pair at (2, 0.7): the twin analytic with H* evidence,
+    the cosine rough with H evidence."""
     p = make_params(2, 0.7)
-    rows = W.period_scan(p, P.cos_phi(), 2, [1, 2, 3, 4])
-    klass = {r.t: r.klass for r in rows}
-    assert klass[Fraction(0)] == "trivial"
-    assert klass[Fraction(1, 2)] == "trivial"
-    assert klass[Fraction(1, 4)] == "trivial"
-    assert klass[Fraction(3, 4)] == "trivial"
-    assert klass[Fraction(1, 3)] == "non-regulating"
-    assert klass[Fraction(2, 3)] == "non-regulating"
-
-
-def test_period_scan_skips_reducible_fractions():
-    p = make_params(2, 0.7)
-    rows = W.period_scan(p, P.cos_phi(), 2, [6])
-    assert sorted(r.t for r in rows) == [Fraction(1, 6), Fraction(5, 6)]
+    for phi, analytic, evidence in ((TWIN, True, "H*-evidence"),
+                                    (P.cos_phi(), False, "H-evidence")):
+        assert W.dichotomy(p, phi).analytic == analytic
+        assert kn.condition_h_scan(p, phi).classification == evidence
 
 
 @given(st.floats(0, 1, exclude_max=True, allow_nan=False))
