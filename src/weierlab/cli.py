@@ -341,8 +341,9 @@ def cmd_dim_box(opt: _Options, outdir: str):
     if isinstance(phi, phimod.FourierPhi):
         dich = wr.dichotomy(params, phi)
         summary.update(asdict(dich))  # analytic, residual, onset_level
-        stdout.append("dichotomy: analytic" if dich.analytic else
-                      f"dichotomy: rough, residual {dich.residual:.3e}, "
+        side = "analytic" if dich.analytic else "rough"
+        stdout.append(f"dichotomy: {side}" if dich.residual == 0.0 else
+                      f"dichotomy: {side}, residual {dich.residual:.3e}, "
                       f"onset level {dich.onset_level:.1f}")
     rows = ((lv, ct, lc, rep.slope) for lv, ct, lc in zip(rep.levels, rep.counts, rep.log_counts))
     return _Run({"dim_box.csv": _csv("level,count,log_count,slope", rows)}, summary, stdout)

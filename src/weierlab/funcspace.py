@@ -271,7 +271,9 @@ def gamma_at_many_words(
     order, an error of at most 2^-48 sum_k 2 pi k |w_k| |x| gamma^(width+1)
     / (1 - gamma) beyond the scalar ``eval_gamma``'s rounding.  Piecewise
     data take every depth from ``kernel._piecewise_gamma``, on the exact
-    integer offsets, and are exact to rounding.
+    integer offsets, and are exact to rounding.  ``theta_cell_labels``
+    calls this sweep for subsampled thetas and piecewise generators; psi of
+    a full Fourier enumeration comes from ``_word_lattice_gamma`` instead.
     """
     idx = np.asarray(idx, dtype=np.int64)
     x = np.asarray(x, dtype=np.float64)
@@ -283,17 +285,11 @@ def gamma_at_many_words(
     b = params.b
     shallow = min(width, n_terms)  # b^m <= b^width < 2^63: all in float range
     lam_inv = 1.0 / params.lam
-    scale = 1.0
-    bm = 1
-    table = np.zeros((len(xv), 1))  # one row per point: long rows for numpy's loops
     m = 0
-    while m < shallow and bm * b <= len(idx):
-        bm *= b
-        scale *= lam_inv
+    while m < shallow and b ** (m + 1) <= len(idx):
         m += 1
-        o = np.arange(bm, dtype=np.float64) / bm
-        d = phimod.phi_diff_offsets(phi, o, xv / bm)  # by this name: traced as its own layer
-        table = np.tile(table, b) - scale * d
+    table, scale = _residue_climb(phi, xv, b, params.lam, m)
+    bm = b**m
     out = table[:, idx % bm]
     for _ in range(m, shallow):
         bm *= b
@@ -305,6 +301,99 @@ def gamma_at_many_words(
         rev_val = idx.astype(np.float64) / float(b) ** width
         out += _deep_word_depths(params, phi, xv[:, 0], rev_val, width, base_offs)
     return out.T.reshape(idx.shape + x.shape)
+
+
+def _residue_climb(phi: phimod.FourierPhi, xv: np.ndarray, b: int, lam: float,
+                   depth: int) -> tuple[np.ndarray, float]:
+    """The residue table G_depth of ``gamma_at_many_words``, one row per
+    point of the column ``xv`` and one column per residue mod b^depth,
+    and lam^-depth as the climb's running product."""
+    lam_inv = 1.0 / lam
+    scale = 1.0
+    bm = 1
+    table = np.zeros((len(xv), 1))  # one row per point: long rows for numpy's loops
+    for _ in range(depth):
+        bm *= b
+        scale *= lam_inv
+        o = np.arange(bm, dtype=np.float64) / bm
+        d = phimod.phi_diff_offsets(phi, o, xv / bm)  # by this name: traced as its own layer
+        table = np.tile(table, b) - scale * d
+    return table, scale
+
+
+def _turns(num: np.ndarray, k: int, den: int) -> np.ndarray:
+    """k num / den mod 1 for integers num >= 0, the turn of the angle 2 pi
+    k num / den, reduced in integers wherever k num can reach den."""
+    if den > k * int(num.max(initial=0)):
+        return (k * num) / float(den)
+    return ((k * num) % den) / den
+
+
+def _word_lattice_gamma(params, phi: phimod.FourierPhi, x: np.ndarray, idx: np.ndarray,
+                        width: int, base: Code, tol: float) -> np.ndarray:
+    """``gamma_at_many_words`` for a real Fourier generator at the indices
+    ``idx``, shape (len(idx), len(x)), read off the whole lattice of the
+    b^width words: the word-lattice product of the ``kernel`` docstring.
+
+    With h = width // 2 and r = a b^h + c, depths m <= h are the residue
+    climb over the b^h values of c.  Depth m > h adds -Re(Z e^{iA}) = -Re
+    Z + Re Z vers A + Im Z sin A, with A the angle of a alone, 2 pi k (a
+    mod b^i) / b^i at m = h + i <= width and 2 pi k a / b^(width-h+s) at m
+    = width + s, and Z = lam^-m w_k (e^{2 pi i k x / b^m} - 1) e^{iB}
+    turned by the angle B of c and of the base.  So all of them make one
+    product L(a) @ R(c) per point, L holding 1, a / b^(width-h) and the
+    versines and direct sines of A, R the matching rows -sum Re Z, the
+    linear coefficients, Re Z and Im Z.  Deep depths with 2 pi k / b^s <
+    2^-24 take their whole angle to first order, as in
+    ``_deep_word_depths``.  The product runs over blocks of about
+    _THETA_CHUNK words and keeps only the values at ``idx``.
+    """
+    b = params.b
+    n_terms = _y_term_count(params, phi, tol)
+    h = width // 2
+    span_a, span_c = b ** (width - h), b**h
+    xs = np.asarray(x, dtype=np.float64).ravel()
+    table, _ = _residue_climb(phi, xs[:, None], b, params.lam, min(h, n_terms))
+    table = np.tile(table, span_c // table.shape[1])  # G_h on c mod b^depth
+    a, c = np.arange(span_a), np.arange(span_c)
+    ms = np.arange(h + 1, n_terms + 1)  # the depths past h
+    mid = ms <= width
+    base_turn = np.concatenate([np.zeros(int(mid.sum())),
+                                code_offsets(base, len(ms) - int(mid.sum()))])
+    left = [np.ones(span_a), a / span_a]
+    const_row, slope_row, right = np.zeros((len(xs), span_c)), np.zeros(len(xs)), []
+    for k, wk in zip(phi.freqs, phi.w):
+        t = k * xs[:, None] * float(b) ** -ms
+        r = ((2.0 * math.pi * k * wk * np.exp(2j * math.pi * k * base_turn) * params.gamma ** ms)
+             * xs[:, None] * (1j * np.sinc(2.0 * t) - np.sin(math.pi * t) * np.sinc(t)))
+        slope = 2.0 * math.pi * k * float(b) ** -(ms - width).clip(0)  # A / (a / b^(width-h))
+        nl = int(np.sum(mid | (slope >= _LINEARIZE_BELOW)))
+        lin = slope[nl:] @ r[:, nl:].imag.T  # the first-order depths' angle coefficient
+        const_row -= (r[:, nl:].real.sum(axis=1)[:, None]
+                      - np.multiply.outer(lin, c / float(b) ** width))
+        slope_row += lin
+        turns_a = np.array([_turns(a, k, b ** (m - h)) for m in ms[:nl].tolist()])
+        z = r[:, :nl, None] * np.exp(2j * math.pi * np.array([_turns(c, k, b**m)
+                                                               for m in ms[:nl].tolist()]))
+        const_row -= z.real.sum(axis=1)
+        left += [*(2.0 * np.sin(math.pi * turns_a) ** 2), *np.sin(2.0 * math.pi * turns_a)]
+        right += [z.real, z.imag]
+    lmat = np.array(left).T
+    slopes = np.repeat(slope_row[:, None, None], span_c, axis=2)
+    rmat = np.concatenate([const_row[:, None], slopes, *right], axis=1)
+    out = np.empty((len(xs), len(idx)))
+    rows = max(1, _THETA_CHUNK // span_c)
+    buf = np.empty((min(rows, span_a), span_c))
+    for a0 in range(0, span_a, rows):
+        lo, hi = a0 * span_c, min(a0 + rows, span_a) * span_c
+        sel = np.flatnonzero((idx >= lo) & (idx < hi)) if rows < span_a else slice(None)
+        local = idx[sel] - lo
+        block = buf[:hi // span_c - a0]
+        for p in range(len(xs)):
+            np.matmul(lmat[a0:a0 + rows], rmat[p], out=block)
+            block += table[p]
+            out[p, sel] = block.ravel()[local]
+    return out.T
 
 
 def _deep_word_depths(params, phi: phimod.FourierPhi, xs: np.ndarray, u: np.ndarray,
@@ -366,8 +455,11 @@ def theta_cell_labels(
     The constant coordinate separates almost every pair, so atoms are
     first bucketed by its floor alone: floor(c b^(i+q)) is monotone in c,
     so the buckets are runs of theta's atoms in c order.  psi coordinates
-    are evaluated only for atoms sharing a bucket, which keeps exact
-    enumeration feasible at millions of atoms.  Singleton buckets take
+    are kept only for atoms sharing a bucket, which keeps exact
+    enumeration feasible at millions of atoms: a full enumeration with a
+    Fourier generator reads them off one word-lattice product over all
+    b^n_hat words, a subsample or a piecewise generator evaluates them on
+    those atoms alone (``_psi_groups``).  Singleton buckets take
     the first labels, in key order; then the cells of the shared buckets,
     in lexicographic order of (key, psi(1/M) floor, ..., psi(1) floor).
     No label depends on the order among atoms of equal c.  ``i_level`` is
@@ -408,11 +500,16 @@ def theta_cell_labels(
 def _psi_groups(theta: ThetaMeasure, atoms: np.ndarray, group: np.ndarray, n_groups: int,
                 i_level: int, m_grid: int, tol: float) -> tuple[np.ndarray, int]:
     """The atoms' groups refined by their psi floors at level i, one column
-    at a time; psi and its floors die here, before the labels are built."""
+    at a time; psi and its floors die here, before the labels are built.
+    psi comes from ``_word_lattice_gamma`` for a full enumeration with a
+    Fourier generator, else from ``gamma_at_many_words`` on the atoms."""
     pscale = float(theta.params.b) ** i_level
     grid = np.arange(1, m_grid + 1) / m_grid
-    psi = gamma_at_many_words(theta.params, theta.phi, grid, theta.indices[atoms], theta.n_hat,
-                              theta.code, tol)
+    words = (theta.params, theta.phi, grid, theta.indices[atoms], theta.n_hat, theta.code, tol)
+    if theta.subsampled or isinstance(theta.phi, phimod.PiecewisePhi):
+        psi = gamma_at_many_words(*words)
+    else:
+        psi = _word_lattice_gamma(*words)
     if float(np.max(np.abs(psi))) * pscale >= 2.0**62:
         raise ValueError(_TOO_DEEP)
     for col in np.floor(psi * pscale).astype(np.int64).T:

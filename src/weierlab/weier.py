@@ -344,9 +344,12 @@ def fourier_of_w(params: SystemParams, phi: phimod.Phi, m_max: int) -> dict[int,
 
 @dataclass(frozen=True)
 class Dichotomy:
-    """W at one (b, lam): residual = max_k |P_k(1/lam)|, 0 exactly when W
-    is analytic, and onset_level = max(0, log(1/residual) / log(b lam)),
-    inf then, from which the rough part lam^n residual is one box b^-n tall."""
+    """W at one (b, lam): analytic when lam is one of ``analytic_lambdas``
+    or phi is constant; residual = max_k |P_k(1/lam)| at the float lam,
+    and onset_level = max(0, log(1/residual) / log(b lam)), inf for a
+    residual of 0, from which the rough part lam^n residual is one box
+    b^-n tall.  At the float nearest a root that is no float the residual
+    is of rounding size and W still reads analytic."""
 
     analytic: bool
     residual: float
@@ -409,9 +412,12 @@ def _sign_changes(seq: list[list[Fraction]], z: Fraction) -> int:
 
 
 def dichotomy(params: SystemParams, phi: phimod.Phi) -> Dichotomy:
-    """Analytic or rough, decided exactly from the chain polynomials.  A
-    constant phi, the paper's exception, is analytic at every lam;
-    piecewise generators raise TypeError."""
+    """Analytic or rough, decided exactly from the chain polynomials: W is
+    analytic when lam is the float nearest a common root 1/z of all their
+    parts, one of ``analytic_lambdas``, so a twin whose coefficients were
+    rounded still reads analytic at its own lam.  A constant phi, the
+    paper's exception, is analytic at every lam; piecewise generators
+    raise TypeError."""
     z = 1 / Fraction(params.lam)
     at = [_at(p, z) for p in _chain_parts(params.b, phi)]
     sq = max((re**2 + im**2 for re, im in zip(at[::2], at[1::2])), default=Fraction(0))
@@ -419,7 +425,8 @@ def dichotomy(params: SystemParams, phi: phimod.Phi) -> Dichotomy:
         return Dichotomy(analytic=True, residual=0.0, onset_level=math.inf)
     log_inv_sq = math.log(sq.denominator) - math.log(sq.numerator)  # exact past float range
     onset = max(0.0, log_inv_sq / (2 * math.log(params.b * params.lam)))
-    return Dichotomy(analytic=False, residual=math.sqrt(sq), onset_level=onset)
+    return Dichotomy(analytic=params.lam in analytic_lambdas(params.b, phi),
+                     residual=math.sqrt(sq), onset_level=onset)
 
 
 def analytic_lambdas(b: int, phi: phimod.Phi) -> tuple[float, ...]:
@@ -427,8 +434,9 @@ def analytic_lambdas(b: int, phi: phimod.Phi) -> tuple[float, ...]:
     nearest the common roots z = 1/lam of all parts of all P_k, which the
     Sturm sequence of their squarefree gcd over Q counts in (lo, hi] as
     bisection narrows (1, b] until 1/z is one float.  At the float of a
-    root that is no float, ``dichotomy`` reads a residual of rounding size.
-    A constant phi raises ValueError, a piecewise one TypeError."""
+    root that is no float, ``dichotomy`` reads analytic with a residual of
+    rounding size.  A constant phi raises ValueError, a piecewise one
+    TypeError."""
     parts = [p for p in _chain_parts(check_base(b), phi) if p]
     if not parts:
         raise ValueError("a constant phi gives an analytic W at every lam")

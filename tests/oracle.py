@@ -91,6 +91,25 @@ def mp_y_cos(b: int, lam: float, x, offsets_exact: list[Fraction],
     return float(total)
 
 
+def mp_gamma_fourier(params, phi, x: float, offsets_exact: list[Fraction]) -> float:
+    """Gamma(x) = -sum_m lam^-m [phi(o_m + x / b^m) - phi(o_m)] over the
+    given exact offsets for a Fourier generator, each phi a sum of
+    Re(c_k e^{2 pi i k t}) carried to 30 digits past the b^-m of the
+    deepest increment, so the difference loses none of them."""
+    b = params.b
+    with mpmath.workdps(30 + int(len(offsets_exact) * math.log10(b))):
+        def value(t):
+            return sum(mpmath.mpf(c.real) * mpmath.cos(2 * mpmath.pi * k * t)
+                       - mpmath.mpf(c.imag) * mpmath.sin(2 * mpmath.pi * k * t)
+                       for k, c in phi.coeffs.items())
+        lam_inv, x_mp = 1 / mpmath.mpf(float(params.lam)), mpmath.mpf(float(x))
+        total = mpmath.mpf(0)
+        for m, o in enumerate(offsets_exact, start=1):
+            o_mp = mpmath.mpf(o.numerator) / mpmath.mpf(o.denominator)
+            total -= lam_inv**m * (value(o_mp + x_mp / mpmath.mpf(b) ** m) - value(o_mp))
+        return float(total)
+
+
 def piecewise_diff(phi, o, h) -> np.ndarray:
     """phi(o + h) - phi(o) for piecewise linear data, elementwise over o and
     h broadcast together, at the values of their floats.

@@ -511,6 +511,20 @@ def test_dim_box_reads_the_dichotomy(tmp_path, capsys):
     assert "# analytic" not in _read(tmp_path / "b" / "dim-box.meta")
 
 
+def test_dim_box_prints_the_residual_of_an_analytic_lambda(tmp_path, capsys):
+    """The twin of 0.6 cos(2 pi x) at lam 0.7 has the coefficient 0.7 x 0.3
+    rounded, so 1/0.7 is no exact root: W reads analytic at the float
+    nearest the root, and the line keeps the residual that rounding left."""
+    table = tmp_path / "w0.txt"
+    table.write_text("1 0.3 0\n-1 0.3 0\n")
+    assert main(["dim-box", "--levels", "3:4", "--samples", "4096", "--phi-from-w0", str(table),
+                 "--out", str(tmp_path / "a")]) == 0
+    assert (capsys.readouterr().out.splitlines()[-1]
+            == "dichotomy: analytic, residual 1.903e-17, onset level 114.4")
+    meta = _read(tmp_path / "a" / "dim-box.meta").splitlines()
+    assert "# analytic = True" in meta and "# residual = 0.0" not in meta
+
+
 def test_dim_entropy_small_run(tmp_path, capsys):
     assert main(["dim-entropy", "--codes", "2", "--levels", "4:7",
                  "--samples", "2e4", "--out", str(tmp_path)]) == 0

@@ -12,7 +12,8 @@ import weierlab.funcspace as F
 import weierlab.measure as M
 import weierlab.phi as P
 from weierlab import make_params
-from weierlab.kernel import apply_word, eval_gamma_vec, periodic_code, project, seeded_code
+from weierlab.kernel import (apply_word, code_offsets_exact, eval_gamma_vec, periodic_code,
+                             project, seeded_code)
 
 import oracle
 
@@ -232,6 +233,52 @@ def test_gamma_at_many_words_residue_tree_is_bitwise_per_depth():
                 assert empty.shape == (0, 2)
 
 
+_LATTICE_WIDTHS = {2: (0, 1, 2, 7, 8, 9), 3: (0, 1, 2, 3, 4, 5), 5: (0, 1, 2, 3, 4)}
+
+
+@pytest.mark.parametrize("b, lam", [(2, 0.7), (3, 0.5), (5, 0.3)])
+def test_word_lattice_psi_matches_the_word_sweep(monkeypatch, b, lam):
+    """The word-lattice product gives Gamma at every word index within 1e-14
+    of max(1, |psi|) of ``gamma_at_many_words`` and the per-depth oracle,
+    at widths 0, 1, 2, an odd and an even one, and the widest again in
+    row blocks of b^(h+1) words, for tol 1e-9 and 1e-12 (more first-order
+    depths) on b and b^2 points.  The twin's chain at k = b makes terms
+    lam^-m |w_b| well above |psi|, and at b >= 3 the word sweep rounds its
+    phase 2 pi k o to ulp(2 pi b): there it is up to 2.4e-14 off 40-digit
+    sums, the product within 1.5e-14, checked at the widest gaps."""
+    p = make_params(b, lam)
+    base = seeded_code(b, 2)
+    twin = P.phi_from_w0(P.cos_phi(), b, lam)
+    phis = [P.cos_phi(), P.cos_phi(0.3), twin, P.zero_phi(), P.const_phi(1.5),
+            P.FourierPhi({0: 0.25, 1: 0.5, -1: 0.5, 2: 0.1 + 0.2j, -2: 0.1 - 0.2j,
+                          5: 0.03j, -5: -0.03j})]
+    widths = _LATTICE_WIDTHS[b]
+    for width, blocked in [(w, False) for w in widths] + [(widths[-1], True)]:
+        if blocked:
+            monkeypatch.setattr(F, "_THETA_CHUNK", b ** (width // 2 + 1))
+        idx = np.arange(b**width)
+        for phi, tol, m_grid in itertools.product(phis, (1e-9, 1e-12), (b, b * b)):
+            x = np.arange(1, m_grid + 1) / m_grid
+            got = F._word_lattice_gamma(p, phi, x, idx, width, base, tol)
+            ref = F.gamma_at_many_words(p, phi, x, idx, width, base, tol)
+            per_depth = oracle.gamma_words_per_depth(p, phi, x, idx, width, base, tol)
+            assert got.shape == ref.shape == (len(idx), m_grid)
+            scale = np.maximum(1.0, np.abs(ref))
+            bound = 2.5e-14 if phi is twin and b > 2 else 1e-14
+            assert np.max(np.abs(got - ref) / scale) <= bound, (width, phi.label, tol)
+            assert np.max(np.abs(got - per_depth) / scale) <= bound, (width, phi.label, tol)
+            if phi is twin and b > 2 and not blocked and width == widths[-1]:
+                n = F._y_term_count(p, phi, tol)
+                gap = np.abs(got - ref).ravel()
+                for i, j in zip(*np.unravel_index(np.argsort(gap)[-3:], got.shape)):
+                    digits = np.base_repr(i, b).zfill(width)[::-1] if width else ""
+                    code = base.prepend(tuple(int(d) for d in digits))
+                    exact = oracle.mp_gamma_fourier(p, phi, x[j], code_offsets_exact(code, n))
+                    assert abs(got[i, j] - exact) <= 1.5e-14 * max(1.0, abs(exact))
+            if phi.freqs == ():
+                assert not got.any()
+
+
 def test_gamma_at_many_words_matches_scalar():
     """The word sweep over an array of points equals the per-word scalar
     Gamma to 1e-12 plus the documented bound of the collapsed deep depths,
@@ -421,6 +468,47 @@ def test_theta_cell_labels_match_unique_lexsort():
                 assert n_cells == ref_cells and labels.tobytes() == ref.tobytes(), (b, n, level)
                 if phi is twin:
                     assert n_cells == 1
+
+
+@pytest.mark.parametrize("b, lam, n", [(2, 0.7, 8), (3, 0.5, 5)])
+def test_theta_cell_labels_match_unique_lexsort_in_row_blocks(monkeypatch, b, lam, n):
+    """Fully enumerated thetas whose word-lattice psi runs in several row
+    blocks (b^(h+2) words a pass): at every level 1 .. 2n the labels are
+    bit for bit those of the labeller that takes psi from
+    ``gamma_at_many_words``."""
+    th = F.build_theta(make_params(b, lam), P.cos_phi(), seeded_code(b, 5), n)
+    monkeypatch.setattr(F, "_THETA_CHUNK", b ** (th.n_hat // 2 + 2))
+    assert not th.subsampled and b ** (th.n_hat - th.n_hat // 2) > b**2
+    for level in range(1, 2 * n + 1):
+        labels, n_cells = F.theta_cell_labels(th, level, b)
+        ref, ref_cells = oracle.theta_labels_unique_lexsort(th, level, b)
+        assert n_cells == ref_cells and labels.tobytes() == ref.tobytes(), level
+
+
+def test_psi_of_a_full_fourier_enumeration_skips_the_word_sweep(monkeypatch):
+    """``_psi_groups`` takes psi of a full Fourier enumeration from the word
+    lattice alone; a subsampled theta and a piecewise generator still call
+    ``gamma_at_many_words``."""
+    calls = []
+    sweep = F.gamma_at_many_words
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[3]))
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(F, "gamma_at_many_words", spy)
+    p, code = _p2(), seeded_code(2, 3)
+    full = F.build_theta(p, P.cos_phi(), code, 5)
+    sub = F.build_theta(p, P.cos_phi(), code, 5, cap=100, subsample=512, seed=1)
+    tri = F.build_theta(p, P.triangle_phi(), code, 5)
+    for theta, called in ((full, False), (sub, True), (tri, True)):
+        calls.clear()
+        for level in (1, 5, 10):
+            F.theta_cell_labels(theta, level, 2)
+        assert bool(calls) == called, (theta.subsampled, theta.phi)
+    calls.clear()
+    sep = F.separation_constant_c(p, P.phi_from_w0(P.cos_phi(), 2, 0.7), code, 4, 2)
+    assert not calls and not sep.separable
 
 
 def test_theta_cell_labels_with_repeated_constants():

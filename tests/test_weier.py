@@ -417,6 +417,27 @@ def test_residual_and_onset_near_the_twins_lambda(lam, residual):
     assert W.dichotomy(make_params(2, 0.7), TWIN).analytic
 
 
+@pytest.mark.parametrize("b, phi, lams", [
+    (2, P.phi_from_w0(P.FourierPhi({1: 0.3, -1: 0.3}), 2, 0.7), (0.69, 0.7, 0.71)),
+    (2, TWIN, (0.699, 0.7)),
+    (3, P.phi_from_w0(P.cos_phi(), 3, 0.5), (0.5, 0.51)),
+    (2, P.cos_phi(), (0.55, 0.7, 0.9)),
+    (2, TABLE_30, (0.55, 0.7, 0.9)),
+], ids=["rounded-twin", "twin-b2", "twin-b3", "cos", "table-30"])
+def test_dichotomy_is_analytic_exactly_at_analytic_lambdas(b, phi, lams):
+    """``dichotomy`` reads analytic exactly at the lam of ``analytic_lambdas``.
+    The twin of 0.6 cos(2 pi x) at 0.7 rounds c_2 = -0.7 x 0.3, so its
+    chain polynomial vanishes at the exact root fl(0.7 x 0.3) / 0.3, whose
+    nearest float is 0.7: there the residual is of rounding size."""
+    roots = W.analytic_lambdas(b, phi)
+    for lam in lams:
+        d = W.dichotomy(make_params(b, lam), phi)
+        assert d.analytic == (lam in roots), lam
+    rounded = W.dichotomy(make_params(2, 0.7), P.phi_from_w0(P.FourierPhi({1: 0.3, -1: 0.3}),
+                                                             2, 0.7))
+    assert 0.0 < rounded.residual < 1e-16 and rounded.onset_level > 100
+
+
 def test_dichotomy_agrees_with_condition_h():
     """Criterion 4's pair at (2, 0.7): the twin analytic with H* evidence,
     the cosine rough with H evidence."""
