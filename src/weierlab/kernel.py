@@ -57,13 +57,14 @@ along reverse(word) + base for the b^L words r = a b^h + c.  Depths m <=
 h hang on c alone, the residue climb of ``gamma_at_many_words``; every
 deeper one turns lam^-m w_k (e^{2 pi i k x / b^m} - 1) by an angle of c
 and the base and then by an angle A(a), so in (vers, sin) form they are
-one GEMM per point, b^(L-h) by 2 + 2 sum_k (its non-linear depths) by
-b^h, with direct sines of A on integer-reduced turns.  It keeps the word
-sweep's linearization, within 2^-48 sum_k 2 pi k |w_k| |x| gamma^(L+1) /
-(1 - gamma) of the scalar ``eval_gamma``, and agrees with the sweep to
-1e-14 of max(1, |psi|); only where terms lam^-m |w_b| of a frequency b
-outgrow |psi| at b >= 3 is the gap up to 2.5e-14, the sweep's rounding of
-the phase 2 pi b o, the product staying within 1.5e-14 of 40-digit sums.
+one GEMM per point, b^(L-h) by 2 + 2 sum_k (depths of k not linearized)
+by b^h, with direct sines of A on integer-reduced turns.  It keeps the
+word sweep's linearization, at most 2^-48 sum_k 2 pi k |w_k| |x|
+gamma^(L+1) / (1 - gamma) beyond the scalar ``eval_gamma``'s rounding,
+and agrees with the sweep to 1e-14 of max(1, |psi|); only where terms
+lam^-m |w_b| of a frequency b outgrow |psi| at b >= 3 is the gap up to
+2.5e-14, the sweep's rounding of the phase 2 pi b o, the product staying
+within 1.5e-14 of 40-digit sums.
 
 Piecewise generators do not factor; ``_piecewise_gamma`` is their one
 vectorized Gamma, for ``eval_gamma_many`` and ``gamma_at_many_words``
